@@ -5,16 +5,18 @@ and the SPA-constrained MTD design of eq. (4)) with MATLAB's ``fmincon``
 wrapped in the MultiStart global-search heuristic.  This module provides the
 equivalent: run a local SQP solver (:func:`scipy.optimize.minimize` with
 SLSQP) from several starting points and keep the best feasible local
-optimum.
+optimum.  Callers that supply derivatives (the reactance OPF passes exact
+ones) spare SLSQP its finite differences; without them SLSQP differences
+the objective and constraints itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
+from scipy.optimize import minimize
 
 from repro.exceptions import OPFConvergenceError
 
@@ -30,11 +32,12 @@ class LocalSolve:
     message: str
     iterations: int
 
+    #: Largest constraint/bound violation a run may have and count as feasible.
+    FEASIBILITY_TOL: ClassVar[float] = 1e-5
+
     @property
     def feasible(self) -> bool:
         return self.max_violation <= LocalSolve.FEASIBILITY_TOL
-
-    FEASIBILITY_TOL: float = 1e-5
 
 
 @dataclass
@@ -84,6 +87,10 @@ class MultiStartOptimizer:
     inequality_constraints:
         Callable returning a vector that must be **non-negative** at feasible
         points (or ``None``), matching scipy's SLSQP convention.
+    gradient, equality_jacobian, inequality_jacobian:
+        Optional derivatives of the objective and of the two constraint
+        vectors (Jacobians are ``(n_constraints, n_variables)``).  Each one
+        left ``None`` is finite-differenced by SLSQP.
     max_iterations:
         Iteration cap for each local solve.
     tolerance:
@@ -98,11 +105,25 @@ class MultiStartOptimizer:
         inequality_constraints: Callable[[np.ndarray], np.ndarray] | None = None,
         max_iterations: int = 200,
         tolerance: float = 1e-8,
+        gradient: Callable[[np.ndarray], np.ndarray] | None = None,
+        equality_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+        inequality_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         self._objective = objective
+        self._gradient = gradient
         self._bounds = list(bounds)
         self._eq = equality_constraints
         self._ineq = inequality_constraints
+        self._constraints: list[dict] = []
+        for kind, fun, jac in (
+            ("eq", equality_constraints, equality_jacobian),
+            ("ineq", inequality_constraints, inequality_jacobian),
+        ):
+            if fun is not None:
+                constraint = {"type": kind, "fun": fun}
+                if jac is not None:
+                    constraint["jac"] = jac
+                self._constraints.append(constraint)
         self._max_iterations = int(max_iterations)
         self._tolerance = float(tolerance)
 
@@ -120,23 +141,19 @@ class MultiStartOptimizer:
 
     # ------------------------------------------------------------------
     def _solve_single(self, start: np.ndarray) -> LocalSolve:
-        constraints = []
-        if self._eq is not None:
-            constraints.append({"type": "eq", "fun": self._eq})
-        if self._ineq is not None:
-            constraints.append({"type": "ineq", "fun": self._ineq})
         try:
             result = minimize(
                 self._objective,
                 start,
+                jac=self._gradient,
                 method="SLSQP",
                 bounds=self._bounds,
-                constraints=constraints,
+                constraints=self._constraints,
                 options={"maxiter": self._max_iterations, "ftol": self._tolerance},
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
-            # A start can push the finite-difference Jacobian into an invalid
-            # region (e.g. non-positive reactance just outside the bounds).
+            # A start can drive the objective, a constraint or a derivative
+            # into an invalid region (e.g. a non-positive reactance).
             return LocalSolve(
                 x=start,
                 objective=float("inf"),

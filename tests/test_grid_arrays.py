@@ -6,7 +6,8 @@ These tests pin that representation against *reference implementations* of
 the legacy object path — the exact per-component loops the builders used
 before the refactor — for every registered case, asserting equality
 bit-for-bit (``np.array_equal``, no tolerances), plus a full fig7 scenario
-pinned to metric values captured from the pre-refactor code.
+pinned, within a documented tolerance, to metric values captured from the
+pre-refactor code.
 """
 
 from __future__ import annotations
@@ -355,8 +356,11 @@ class TestFig7GoldenScenario:
     """One full fig7 scenario pinned to pre-refactor metric values.
 
     The constants below are ``repr`` outputs captured from the legacy
-    object path (commit b442993) at a reduced attack budget; the arrays
-    core must reproduce them exactly.
+    object path (commit b442993) at a reduced attack budget.  The metrics
+    sit downstream of the SLSQP reactance-OPF baseline and of threaded BLAS,
+    neither of which the repo's arithmetic controls, so they drift by ~1e-12
+    relative with the BLAS thread count: the continuous metrics are compared
+    with ``rtol=1e-9``, the undetectable fraction (a count ratio) exactly.
     """
 
     GOLDEN = {
@@ -367,12 +371,14 @@ class TestFig7GoldenScenario:
         4: ("0.0005138418650021347", "0.005006401842881717", "0.015625"),
     }
 
-    def test_fig7_bit_identical_to_legacy_path(self):
+    def test_fig7_matches_legacy_path(self):
         spec = scenario_suite("fig7")[0].with_updates({"attack.n_attacks": 64})
         result = ScenarioEngine().run(spec)
         assert len(result.trials) == len(self.GOLDEN)
         for trial in result.trials:
             mdp, spa, undetectable = self.GOLDEN[trial.trial_index]
-            assert repr(trial.metrics["mean_detection_probability"]) == mdp
-            assert repr(trial.metrics["spa"]) == spa
+            assert trial.metrics["mean_detection_probability"] == pytest.approx(
+                float(mdp), rel=1e-9
+            )
+            assert trial.metrics["spa"] == pytest.approx(float(spa), rel=1e-9)
             assert repr(trial.metrics["undetectable_fraction"]) == undetectable

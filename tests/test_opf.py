@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from repro.exceptions import OPFConvergenceError, OPFInfeasibleError
 from repro.grid.cases import case4gs, case14
+from repro.grid.cases.registry import load_case
 from repro.opf.dc_opf import opf_cost, solve_dc_opf
 from repro.opf.multistart import LocalSolve, MultiStartOptimizer
 from repro.opf.reactance_opf import ReactanceOPFProblem, solve_reactance_opf
@@ -136,6 +140,81 @@ class TestReactanceOPF:
         with pytest.raises(OPFInfeasibleError):
             ReactanceOPFProblem(network=net14, loads_mw=np.ones(2))
 
+    def test_fig8_baseline_optimum_pinned(self, net14):
+        """The ieee14 baseline every fig8 trial perturbs: same cost, same
+        D-FACTS reactances (tolerances cover solver and BLAS rounding)."""
+        baseline = solve_reactance_opf(net14, n_random_starts=2, seed=0)
+        assert baseline.cost == pytest.approx(5725.7363545, rel=1e-9)
+        assert net14.dfacts_branches == (0, 4, 8, 10, 16, 18)
+        np.testing.assert_allclose(
+            baseline.reactances[list(net14.dfacts_branches)],
+            [0.0451029195, 0.1176107509, 0.83427, 0.09945, 0.40557, 0.09994],
+            rtol=0.0,
+            atol=1e-8,
+        )
+
+
+def _nonlinear_reactance_constraint(x):
+    """An extra constraint with a dense, non-trivial reactance dependence."""
+    return np.array([np.sum(np.sin(3.0 * x)) - 0.5, x[0] * x[-1] - 1e-3])
+
+
+def _interior_points(problem, n_points, seed):
+    lower, upper = np.array(problem.bounds(), dtype=float).T
+    rng = np.random.default_rng(seed)
+    return [lower + (upper - lower) * rng.uniform(0.1, 0.9, lower.shape) for _ in range(n_points)]
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize("case", ["case4gs", "ieee14", "ieee30"])
+    @pytest.mark.parametrize("extra", [(), (_nonlinear_reactance_constraint,)], ids=["plain", "extra"])
+    def test_match_central_differences(self, case, extra):
+        network = load_case(case)
+        problem = ReactanceOPFProblem(
+            network=network, loads_mw=network.loads_mw(), extra_reactance_constraints=extra
+        )
+        pairs = (
+            (problem.objective, problem.gradient),
+            (problem.equality_constraints, problem.equality_jacobian),
+            (problem.inequality_constraints, problem.inequality_jacobian),
+        )
+        for z in _interior_points(problem, 3, seed=7):
+            for function, derivative in pairs:
+                exact = derivative(z)
+                numeric = approx_derivative(function, z, method="3-point")
+                assert exact.shape == numeric.shape
+                np.testing.assert_allclose(exact, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_extra_rows_differenced_over_dfacts_columns_only(self, net14):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return _nonlinear_reactance_constraint(x)
+
+        problem = ReactanceOPFProblem(
+            network=net14, loads_mw=net14.loads_mw(), extra_reactance_constraints=(counted,)
+        )
+        z = _interior_points(problem, 1, seed=3)[0]
+        jacobian = problem.inequality_jacobian(z)
+        assert len(calls) == problem.n_dfacts + 1 == 7
+        extra_rows = jacobian[-2:]
+        assert not np.any(extra_rows[:, : problem.n_variables - problem.n_dfacts])
+
+    def test_extra_block_is_empty_without_dfacts(self):
+        network = case14(dfacts_branches=())
+        problem = ReactanceOPFProblem(
+            network=network,
+            loads_mw=network.loads_mw(),
+            extra_reactance_constraints=(_nonlinear_reactance_constraint,),
+        )
+        assert problem.n_dfacts == 0
+        z = _interior_points(problem, 1, seed=0)[0]
+        jacobian = problem.inequality_jacobian(z)
+        assert jacobian.shape == (problem.inequality_constraints(z).shape[0], problem.n_variables)
+        assert not np.any(jacobian[-2:])
+        assert problem.equality_jacobian(z).shape == (network.n_buses, problem.n_variables)
+
 
 class TestMultiStart:
     def test_finds_global_minimum_of_multimodal_function(self):
@@ -185,5 +264,39 @@ class TestMultiStart:
         assert outcome.best is None
         assert not outcome.runs[0].success
 
+    def test_supplied_derivatives_are_used(self):
+        calls = []
+
+        def gradient(z):
+            calls.append("gradient")
+            return np.array([2.0 * (z[0] - 3.0)])
+
+        def jacobian(z):
+            calls.append("jacobian")
+            return np.array([[-1.0]])
+
+        optimizer = MultiStartOptimizer(
+            objective=lambda z: float((z[0] - 3.0) ** 2),
+            bounds=[(0.0, 10.0)],
+            inequality_constraints=lambda z: np.array([2.0 - z[0]]),
+            gradient=gradient,
+            inequality_jacobian=jacobian,
+        )
+        best = optimizer.solve([np.array([0.5])]).require_best()
+        assert best.x[0] == pytest.approx(2.0, abs=1e-6)
+        assert {"gradient", "jacobian"} <= set(calls)
+
     def test_feasibility_tolerance_constant(self):
         assert LocalSolve.FEASIBILITY_TOL == pytest.approx(1e-5)
+        # A class constant, not a per-instance knob that ``feasible`` ignores.
+        assert "FEASIBILITY_TOL" not in {f.name for f in fields(LocalSolve)}
+        with pytest.raises(TypeError):
+            LocalSolve(
+                x=np.zeros(1),
+                objective=0.0,
+                max_violation=0.0,
+                success=True,
+                message="",
+                iterations=0,
+                FEASIBILITY_TOL=1e-2,
+            )

@@ -34,7 +34,10 @@ from repro.engine import (
     run_trial,
     run_trial_batch,
 )
+from repro.engine.trial import clear_context_caches
 from repro.estimation.linear_model import LinearModelCache
+from repro.grid.cases import case14
+from repro.opf.reactance_opf import solve_reactance_opf
 from repro.telemetry.metrics import MetricsRegistry, MetricsSnapshot, metric_key
 from repro.telemetry.spans import drain_spans
 
@@ -430,6 +433,37 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
+# OPF multistart health
+# ----------------------------------------------------------------------
+class TestOPFMultistartHealth:
+    def test_counts_starts_iterations_and_caps(self):
+        telemetry.enable()
+        result = solve_reactance_opf(case14(), n_random_starts=2, seed=0)
+        snap = telemetry.snapshot()
+        # Nominal, three box corners and two random interior starts.
+        assert snap.counters["opf.multistart.starts"] == 6
+        assert snap.counters["opf.multistart.feasible"] == 6
+        assert 0 <= snap.counters["opf.multistart.iteration_capped"] <= 6
+        iterations = snap.histograms["opf.multistart.iterations"]
+        assert iterations["count"] == 6
+        assert 0 < iterations["max"] <= 300
+        assert result.status.endswith("(6/6 feasible)")
+
+    def test_flat_optimum_reports_near_ties(self):
+        """At 205 MW every ieee14 start reaches the same cost at different
+        D-FACTS reactances: the flat optimum the health counters expose."""
+        network = case14()
+        loads = network.loads_mw() * (205.0 / network.total_load_mw())
+        telemetry.enable()
+        solve_reactance_opf(network, loads_mw=loads, n_random_starts=1, seed=0)
+        counters = telemetry.snapshot().counters
+        assert counters["opf.multistart.starts"] == 5
+        assert counters["opf.multistart.feasible"] == 5
+        assert counters["opf.multistart.iteration_capped"] == 0
+        assert counters["opf.multistart.near_ties"] >= 1
+
+
+# ----------------------------------------------------------------------
 # campaign integration: telemetry.json + CLI
 # ----------------------------------------------------------------------
 def tiny_definition(**overrides) -> CampaignDefinition:
@@ -463,10 +497,26 @@ class TestCampaignIntegration:
         assert telemetry.read_report(tmp_path / "store") is None
 
     def test_stored_records_identical_with_telemetry_on_off(self, tmp_path):
+        # Sweeping the baseline puts the reactance-OPF multistart (and its
+        # health counters) on the compared path; clearing the per-process
+        # grid contexts makes both runs solve it.
+        definition = tiny_definition(
+            grids=(
+                {
+                    "mtd.max_relative_change": (0.1, 0.2),
+                    "grid.baseline": ("dc-opf", "reactance-opf"),
+                },
+            )
+        )
+        clear_context_caches()
         telemetry.enable()
-        run_campaign(tiny_definition(), tmp_path / "on", n_workers=2)
+        on = run_campaign(definition, tmp_path / "on", n_workers=2)
         telemetry.disable()
-        run_campaign(tiny_definition(), tmp_path / "off")
+        clear_context_caches()
+        run_campaign(definition, tmp_path / "off")
+        counters = on.telemetry["metrics"]["counters"]
+        assert counters["opf.multistart.starts"] >= 6
+        assert counters["opf.multistart.feasible"] >= 1
 
         def normalized(directory):
             records = {}
