@@ -71,7 +71,6 @@ from repro.attacks import (
     targeted_state_attack,
 )
 from repro.mtd import (
-    DailyMTDScheduler,
     EffectivenessEvaluator,
     EffectivenessResult,
     MTDDesignResult,
@@ -204,7 +203,6 @@ __all__ = [
     "RandomMTDBaseline",
     "TradeoffCurve",
     "compute_tradeoff_curve",
-    "DailyMTDScheduler",
     "nyiso_like_winter_day",
     "available_shapes",
     "day_shape",

@@ -41,14 +41,6 @@ PAPER_DELTAS = (0.5, 0.8, 0.9, 0.95)
 #: γ_th sweep of the Fig. 6 / Fig. 9 experiments (radians).
 GAMMA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
-#: Normalised hourly load multipliers with the winter-weekday shape used by
-#: the daily-operation experiments (Figs. 9-11): overnight trough at 65 % of
-#: the evening peak, matching the ≈143/220 MW band of the paper's trace.
-DAILY_LOAD_SCALES = (
-    0.70, 0.67, 0.66, 0.65, 0.66, 0.71, 0.78, 0.86, 0.90, 0.91, 0.92, 0.92,
-    0.92, 0.91, 0.91, 0.91, 0.95, 1.00, 0.99, 0.96, 0.93, 0.88, 0.82, 0.76,
-)
-
 
 def _fig6(case: str, *, noise_sigma: float, baseline: str, seed: int) -> tuple[ScenarioSpec, ...]:
     base = ScenarioSpec(
@@ -123,34 +115,6 @@ def _fig9() -> tuple[ScenarioSpec, ...]:
         tags=("paper", "fig9", "tradeoff"),
     )
     return tuple(expand_grid(base, {"mtd.gamma_threshold": GAMMA_GRID}))
-
-
-def _fig10_fig11() -> tuple[ScenarioSpec, ...]:
-    """The *static* per-hour approximation kept from before the time-series
-    engine existed: one independent scenario per load level at a fixed SPA
-    threshold.  The faithful Section VII-C simulation — chained baselines,
-    stale attacker knowledge, per-hour threshold tuning — is the ``fig10``
-    / ``fig11`` suite below."""
-    base = ScenarioSpec(
-        name="fig10-daily",
-        grid=GridSpec(case="ieee14", baseline="reactance-opf"),
-        attack=AttackSpec(n_attacks=1000, seed=1),
-        mtd=MTDSpec(policy="designed", gamma_threshold=0.25, include_cost=True),
-        deltas=PAPER_DELTAS,
-        metric="cost_increase_percent",
-        description=(
-            "Static per-load-level approximation of the Fig. 10 cost series "
-            "(fixed gamma_th, independent hours); see the 'fig10' suite for "
-            "the faithful hourly-operation simulation."
-        ),
-        tags=("paper", "fig10", "fig11", "daily"),
-    )
-    return tuple(
-        base.with_updates(
-            {"grid.load_scale": scale}, name=f"fig10-daily-h{hour:02d}"
-        )
-        for hour, scale in enumerate(DAILY_LOAD_SCALES)
-    )
 
 
 def _fig10_operation() -> tuple[ScenarioSpec, ...]:
@@ -368,7 +332,6 @@ _SUITES: Mapping[str, Callable[[], tuple[ScenarioSpec, ...]]] = {
     "fig7": _fig7,
     "fig8": _fig8,
     "fig9": _fig9,
-    "fig10-fig11": _fig10_fig11,
     "fig10": _fig10_operation,
     "fig11": _fig10_operation,  # same simulated day; Fig. 11 reads the spa_* metrics
     "daily-ops": _daily_ops,
@@ -402,7 +365,6 @@ def paper_scenarios() -> dict[str, tuple[ScenarioSpec, ...]]:
 __all__ = [
     "PAPER_DELTAS",
     "GAMMA_GRID",
-    "DAILY_LOAD_SCALES",
     "available_scenarios",
     "scenario_suite",
     "paper_scenarios",

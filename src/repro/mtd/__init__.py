@@ -19,8 +19,6 @@ This subpackage implements the paper's contribution:
 * :mod:`repro.mtd.random_mtd` — the random-perturbation baseline of prior
   work, used for the Fig. 7 / Fig. 8 comparison.
 * :mod:`repro.mtd.tradeoff` — cost-vs-effectiveness sweeps (Fig. 9).
-* :mod:`repro.mtd.scheduler` — hourly MTD operation over a daily load trace
-  (Figs. 10 and 11).
 """
 
 from repro.mtd.subspace import (
@@ -45,7 +43,6 @@ from repro.mtd.cost import mtd_operational_cost, MTDCostBreakdown
 from repro.mtd.design import MTDDesignResult, design_mtd_perturbation, max_spa_perturbation
 from repro.mtd.random_mtd import RandomMTDBaseline
 from repro.mtd.tradeoff import TradeoffCurve, TradeoffPoint, compute_tradeoff_curve
-from repro.mtd.scheduler import DailyMTDScheduler, DailyOperationRecord
 from repro.mtd.placement import (
     PlacementReport,
     greedy_placement,
@@ -75,8 +72,6 @@ __all__ = [
     "TradeoffCurve",
     "TradeoffPoint",
     "compute_tradeoff_curve",
-    "DailyMTDScheduler",
-    "DailyOperationRecord",
     "PlacementReport",
     "greedy_placement",
     "placement_report",

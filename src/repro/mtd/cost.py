@@ -87,8 +87,8 @@ def mtd_operational_cost(
           more expensive to evaluate.
     baseline_result:
         Pre-computed baseline OPF result; when provided, ``baseline`` is
-        ignored and the solve is skipped (used by the daily scheduler, which
-        reuses the same baseline for several candidate perturbations).
+        ignored and the solve is skipped (used by the time-series operation
+        engine, which prices each hour against its chained baseline).
 
     Returns
     -------

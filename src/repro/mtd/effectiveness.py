@@ -31,7 +31,6 @@ from repro.grid.network import PowerNetwork
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
-DetectionKernel = Literal["batched", "reference"]
 
 #: Bound on the evaluator's per-perturbation memo of analytic results.
 _ANALYTIC_MEMO_MAXSIZE = 64
@@ -206,7 +205,6 @@ class EffectivenessEvaluator:
         n_noise_trials: int = 1000,
         operating_angles_rad: np.ndarray | None = None,
         seed: int | np.random.Generator | None = 0,
-        kernel: DetectionKernel = "batched",
         model_cache: LinearModelCache | None = None,
     ) -> EffectivenessResult:
         """Evaluate the detection statistics of one candidate perturbation.
@@ -227,12 +225,6 @@ class EffectivenessEvaluator:
             method does not depend on the true state.)
         seed:
             Seed for the Monte-Carlo noise streams.
-        kernel:
-            ``"batched"`` (default) evaluates the whole ensemble with
-            single BLAS calls and memoises analytic results per
-            perturbation; ``"reference"`` runs the original per-attack
-            Python loop — kept as the validation/benchmark baseline, it
-            agrees with the batched kernel to floating-point accuracy.
         model_cache:
             Optional :class:`~repro.estimation.linear_model.
             LinearModelCache` from which the perturbation's factorized
@@ -242,44 +234,24 @@ class EffectivenessEvaluator:
             once.  Reuse is bit-identical to rebuilding.
         """
         x = np.asarray(perturbed_reactances, dtype=float).ravel()
-        if kernel not in ("batched", "reference"):
-            raise ConfigurationError(
-                f"unknown kernel {kernel!r}; use 'batched' or 'reference'"
-            )
         if method == "analytic":
-            if kernel == "batched":
-                # Memo-first: a hit skips building the measurement system
-                # and its factorization entirely, which is the dominant
-                # cost when trials share a perturbation.  A copy is handed
-                # out so callers can never corrupt the memo.
-                probabilities = self._analytic_memo.get_or_build(
-                    (x.tobytes(), self._backend),
-                    lambda: self._build_detector(x, model_cache).detection_probabilities(
-                        self._ensemble.attacks
-                    ),
-                ).copy()
-            else:
-                detector = self._build_detector(x, None)
-                probabilities = np.array(
-                    [detector.detection_probability(attack) for attack in self._ensemble.attacks]
-                )
+            # Memo-first: a hit skips building the measurement system and
+            # its factorization entirely, which is the dominant cost when
+            # trials share a perturbation.  A copy is handed out so callers
+            # can never corrupt the memo.
+            probabilities = self._analytic_memo.get_or_build(
+                (x.tobytes(), self._backend),
+                lambda: self._build_detector(x, model_cache).detection_probabilities(
+                    self._ensemble.attacks
+                ),
+            ).copy()
         elif method == "monte-carlo":
-            detector = self._build_detector(x, model_cache if kernel == "batched" else None)
+            detector = self._build_detector(x, model_cache)
             rng = as_generator(seed)
             angles = self._angles if operating_angles_rad is None else np.asarray(operating_angles_rad, dtype=float)
-            if kernel == "batched":
-                probabilities = detector.detection_probabilities_monte_carlo(
-                    self._ensemble.attacks, angles, n_trials=n_noise_trials, rng=rng
-                )
-            else:
-                probabilities = np.array(
-                    [
-                        detector.detection_probability_monte_carlo(
-                            attack, angles, n_trials=n_noise_trials, rng=rng
-                        )
-                        for attack in self._ensemble.attacks
-                    ]
-                )
+            probabilities = detector.detection_probabilities_monte_carlo(
+                self._ensemble.attacks, angles, n_trials=n_noise_trials, rng=rng
+            )
         else:
             raise ConfigurationError(
                 f"unknown detection method {method!r}; use 'analytic' or 'monte-carlo'"
@@ -358,5 +330,4 @@ __all__ = [
     "EffectivenessEvaluator",
     "EffectivenessResult",
     "DetectionMethod",
-    "DetectionKernel",
 ]

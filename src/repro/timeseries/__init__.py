@@ -1,9 +1,8 @@
 """Time-series operation engine: spec'd, parallel multi-day MTD scheduling.
 
 The paper's Section VII-C (Figs. 10-11) simulates *hourly MTD operation*
-over a daily load profile.  This package lifts that simulation out of the
-standalone serial scheduler loop into the repository's spec/engine/campaign
-stack:
+over a daily load profile.  This package runs that simulation on the
+repository's spec/engine/campaign stack:
 
 * :mod:`repro.timeseries.spec` — :class:`ProfileSpec` (multi-day, seasonal,
   per-case-normalised load horizons), :class:`TuningSpec` (scan or
@@ -16,9 +15,6 @@ stack:
   (parallel bit-identical to serial) and per-hour design memoisation;
 * :mod:`repro.timeseries.results` — :class:`OperationRecord` /
   :class:`OperationResult`, the typed view over the per-hour trials.
-
-The historical :class:`~repro.mtd.scheduler.DailyMTDScheduler` remains as
-a thin compatibility wrapper over this engine.
 
 Attributes are resolved lazily (PEP 562): the scenario-spec layer imports
 :mod:`repro.timeseries.spec` at module load, and the lazy package keeps

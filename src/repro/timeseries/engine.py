@@ -12,9 +12,8 @@ The deterministic per-horizon context — the hourly loads, the chained
 no-MTD baseline OPFs (with D-FACTS carryover) and each hour's stale
 attacker knowledge — is memoised per process, so a worker pays the serial
 baseline chain once and then evaluates its assigned hours independently.
-Each hour derives its random streams from the spec's seed (scheme chosen by
-``operation.rng``), which is what makes parallel horizons bit-identical to
-serial ones.
+Each hour derives its random streams from ``(base_seed, hour)``, which is
+what makes parallel horizons bit-identical to serial ones.
 
 Two per-hour optimisations make the tuning loop fast without changing a
 single bit of its output:
@@ -30,7 +29,6 @@ single bit of its output:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -39,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.engine.cache import ResultCache
-from repro.engine.results import ScenarioResult, TrialResult
+from repro.engine.results import TrialResult
 from repro.engine.runner import ScenarioEngine
 from repro.engine.spec import (
     AttackSpec,
@@ -88,19 +86,13 @@ def _require_operation(spec: ScenarioSpec) -> OperationSpec:
     return spec.operation
 
 
-def _hour_seeds(operation: OperationSpec, base_seed: int, hour: int) -> tuple[int, int]:
+def _hour_seeds(base_seed: int, hour: int) -> tuple[int, int]:
     """The (evaluator, design) integer seeds of one hour.
 
-    Both schemes yield order-independent integers, so hours can run on any
-    worker in any order with bit-identical results:
-
-    * ``"spawn"`` — two words of ``SeedSequence(base_seed,
-      spawn_key=(hour,))``, the engine's seed-tree convention;
-    * ``"legacy"`` — the historical scheduler derivation
-      ``(base_seed + hour, base_seed)``.
+    Two words of ``SeedSequence(base_seed, spawn_key=(hour,))``, the
+    engine's seed-tree convention: order-independent integers, so hours can
+    run on any worker in any order with bit-identical results.
     """
-    if operation.rng == "legacy":
-        return int(base_seed) + int(hour), int(base_seed)
     words = np.random.SeedSequence(int(base_seed), spawn_key=(int(hour),)).generate_state(
         2, np.uint64
     )
@@ -174,19 +166,13 @@ def _build_hours(
     n_hours = len(loads_list)
     hours: list[HourContext] = []
     for t in range(n_hours):
-        k = t - operation.staleness_hours
-        if k < 0:
-            # Warm-up: "fresh" hands the first hours their own (current)
-            # matrix — the historical behaviour; "wrap-around" uses the
-            # matching hour of the previous (assumed identical) day, i.e.
-            # the end of the horizon.
-            k = t if operation.warmup == "fresh" else k % n_hours
+        # The first hours wrap around to the matching hour of the previous
+        # (assumed identical) day, i.e. the end of the horizon.
+        k = (t - operation.staleness_hours) % n_hours
         knowledge_reactances = baselines[k].reactances
         # Deliberately re-solved rather than read off baselines[k]: a
         # reactance-OPF baseline's angles come from the joint NLP, not
-        # from a dispatch-only solve at its final reactances, and the
-        # historical scheduler (whose records the wrapper must reproduce
-        # bit-for-bit) always performed this LP.
+        # from a dispatch-only solve at its final reactances.
         knowledge_angles = solve_dc_opf(
             network, reactances=knowledge_reactances, loads_mw=loads_list[k]
         ).angles_rad
@@ -214,30 +200,6 @@ def _cached_hours(
     return _build_hours(_cached_network(grid), grid.baseline, operation, base_seed)
 
 
-def _evaluator_for(
-    network: PowerNetwork,
-    hour_context: HourContext,
-    operation: OperationSpec,
-    attack: AttackSpec,
-    detector: DetectorSpec,
-    base_seed: int,
-    backend: str = "auto",
-) -> EffectivenessEvaluator:
-    """The attacker's evaluator for one hour (stale knowledge, fresh seed)."""
-    evaluator_seed, _ = _hour_seeds(operation, base_seed, hour_context.hour)
-    return EffectivenessEvaluator(
-        network,
-        operating_angles_rad=hour_context.knowledge_angles,
-        base_reactances=hour_context.knowledge_reactances,
-        noise_sigma=detector.noise_sigma,
-        false_positive_rate=detector.false_positive_rate,
-        n_attacks=attack.n_attacks,
-        attack_ratio=attack.ratio,
-        seed=evaluator_seed,
-        backend=backend,
-    )
-
-
 @lru_cache(maxsize=64)
 def _cached_evaluator(
     grid: GridSpec,
@@ -248,10 +210,19 @@ def _cached_evaluator(
     hour: int,
     backend: str = "auto",
 ) -> EffectivenessEvaluator:
-    network = _cached_network(grid)
-    hours = _cached_hours(grid, operation, base_seed)
-    return _evaluator_for(
-        network, hours[hour], operation, attack, detector, base_seed, backend
+    """The attacker's evaluator for one hour (stale knowledge, fresh seed)."""
+    hour_context = _cached_hours(grid, operation, base_seed)[hour]
+    evaluator_seed, _ = _hour_seeds(base_seed, hour)
+    return EffectivenessEvaluator(
+        _cached_network(grid),
+        operating_angles_rad=hour_context.knowledge_angles,
+        base_reactances=hour_context.knowledge_reactances,
+        noise_sigma=detector.noise_sigma,
+        false_positive_rate=detector.false_positive_rate,
+        n_attacks=attack.n_attacks,
+        attack_ratio=attack.ratio,
+        seed=evaluator_seed,
+        backend=backend,
     )
 
 
@@ -413,7 +384,7 @@ def _operate_hour(
 ) -> TrialResult:
     """Tune, price and record one operated hour."""
     operation = _require_operation(spec)
-    _, design_seed = _hour_seeds(operation, spec.base_seed, hour_context.hour)
+    _, design_seed = _hour_seeds(spec.base_seed, hour_context.hour)
     design, achieved_eta, gamma, n_probes = _tune_gamma(
         network,
         evaluator,
@@ -524,7 +495,6 @@ class OperationEngine:
         n_workers: int | None = None,
         use_cache: bool = True,
         batch_size: int | None = None,
-        network: PowerNetwork | None = None,
     ) -> OperationResult:
         """Operate the whole horizon and return the per-hour records.
 
@@ -534,34 +504,10 @@ class OperationEngine:
             A scenario spec with its ``operation`` component set.
         n_workers, use_cache, batch_size:
             Forwarded to :meth:`ScenarioEngine.run`.
-        network:
-            Optional explicit network overriding the spec's grid case —
-            the :class:`~repro.mtd.scheduler.DailyMTDScheduler`
-            compatibility path for networks not in the case registry.
-            Runs serially in-process and bypasses the result cache (the
-            spec's grid fields do not describe the actual network).
         """
         _require_operation(spec)
-        if network is None:
-            scenario = self._engine.run(
-                spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-            )
-            return OperationResult.from_scenario(scenario)
-
-        start = time.perf_counter()
-        hours = _build_hours(network, spec.grid.baseline, spec.operation, spec.base_seed)
-        trials = []
-        for hour_context in hours:
-            evaluator = _evaluator_for(
-                network, hour_context, spec.operation, spec.attack, spec.detector,
-                spec.base_seed,
-            )
-            trials.append(_operate_hour(spec, network, hour_context, evaluator, None))
-        scenario = ScenarioResult(
-            spec=spec,
-            trials=tuple(trials),
-            elapsed_seconds=time.perf_counter() - start,
-            n_workers=1,
+        scenario = self._engine.run(
+            spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
         )
         return OperationResult.from_scenario(scenario)
 
@@ -574,8 +520,6 @@ def daily_operation_spec(
     profile: ProfileSpec | None = None,
     tuning: TuningSpec | None = None,
     staleness_hours: int = 1,
-    warmup: str = "wrap-around",
-    rng: str = "spawn",
     carryover_tolerance: float = 5e-3,
     n_attacks: int = 300,
     attack_ratio: float = 0.08,
@@ -590,8 +534,8 @@ def daily_operation_spec(
 
     Convenience constructor wiring an :class:`OperationSpec` into a
     :class:`~repro.engine.spec.ScenarioSpec` with the paper's Section VII-C
-    defaults.  ``cost_baseline`` follows the scheduler vocabulary
-    (``"reactance-opf"`` — paper eq. (1) — or ``"dispatch-only"``).
+    defaults.  ``cost_baseline`` is ``"reactance-opf"`` (paper eq. (1)) or
+    ``"dispatch-only"``.
 
     Notes
     -----
@@ -610,8 +554,6 @@ def daily_operation_spec(
         profile=profile if profile is not None else ProfileSpec(),
         tuning=tuning if tuning is not None else TuningSpec(),
         staleness_hours=staleness_hours,
-        warmup=warmup,
-        rng=rng,
         carryover_tolerance=carryover_tolerance,
     )
     return ScenarioSpec(

@@ -5,9 +5,8 @@ Internally every operated hour is one
 what flows through the engine's cache, the campaign store and the query
 layer.  This module provides the typed view on top: an
 :class:`OperationRecord` per hour and an :class:`OperationResult` for the
-horizon, with the same accessors the historical
-:class:`~repro.mtd.scheduler.DailyOperationResult` exposed (load series,
-cost series, the three Fig. 11 subspace-angle series).
+horizon, with the load series, the cost series and the three Fig. 11
+subspace-angle series.
 """
 
 from __future__ import annotations

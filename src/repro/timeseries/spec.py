@@ -6,12 +6,11 @@ the attacker's knowledge of the measurement matrix is a few hours stale,
 tunes the SPA threshold to the smallest value meeting the effectiveness
 target, and pays the resulting cost premium.  An :class:`OperationSpec`
 names that whole policy — load profile, horizon, attacker staleness,
-warm-up behaviour for the first hours, threshold-tuning strategy and RNG
-scheme — as a frozen value object that embeds into a
-:class:`~repro.engine.spec.ScenarioSpec` (field ``operation``), so
-daily-operation runs get the engine/campaign stack for free: JSON
-round-trip, content hashing, result caching, process-pool parallelism over
-hours, sharded stores and resumable campaigns.
+threshold-tuning strategy and baseline carryover — as a frozen value
+object that embeds into a :class:`~repro.engine.spec.ScenarioSpec` (field
+``operation``), so daily-operation runs get the engine/campaign stack for
+free: JSON round-trip, content hashing, result caching, process-pool
+parallelism over hours, sharded stores and resumable campaigns.
 
 The component specs are deliberately free of engine imports: this module is
 a leaf the scenario spec layer builds on.
@@ -28,8 +27,7 @@ from typing import Any, Mapping
 from repro.exceptions import ConfigurationError
 from repro.loads.profiles import available_shapes, multi_day_profile
 
-#: Default SPA-threshold tuning grid (radians): the daily scheduler's
-#: historical ``np.arange(0.05, 0.50, 0.05)``.
+#: Default SPA-threshold tuning grid (radians): 0.05, 0.10, ..., 0.45.
 DEFAULT_GAMMA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 10))
 
 
@@ -60,8 +58,7 @@ class ProfileSpec:
         horizon (quick budgets, tests, CI smoke runs).
     explicit_totals_mw:
         Escape hatch: explicit hourly totals (MW) overriding everything
-        above — how the :class:`~repro.mtd.scheduler.DailyMTDScheduler`
-        compatibility wrapper feeds arbitrary traces through the engine.
+        above, for operating an arbitrary load trace.
     """
 
     shape: str = "winter-weekday"
@@ -236,27 +233,9 @@ class OperationSpec:
         Per-hour SPA-threshold selection (see :class:`TuningSpec`).
     staleness_hours:
         How old the attacker's knowledge of the measurement matrix is; the
-        paper uses one hour.
-    warmup:
-        Where the first ``staleness_hours`` hours get their attacker
-        knowledge from:
-
-        * ``"wrap-around"`` (default) — the matching hour of the previous
-          (assumed identical) day, i.e. the end of the horizon; for
-          one-hour staleness this is the previous day's last hour.
-        * ``"fresh"`` — the historical behaviour: the *current* hour's own
-          matrix, which gives the hour-0 attacker perfectly fresh knowledge
-          and pins ``γ(H_t, H_{t'})`` to zero at the first plotted hour of
-          Fig. 11.
-    rng:
-        Per-hour random-stream derivation:
-
-        * ``"spawn"`` (default) — seed-spawned:
-          ``SeedSequence(base_seed, spawn_key=(hour,))``, the engine
-          convention making parallel hours bit-identical to serial ones.
-        * ``"legacy"`` — the historical scheduler scheme (evaluator seed
-          ``base_seed + hour``, design seed ``base_seed``); also
-          order-independent, kept for record-for-record compatibility.
+        paper uses one hour.  The first ``staleness_hours`` hours wrap
+        around to the matching hour of the previous (assumed identical)
+        day, i.e. the end of the horizon.
     carryover_tolerance:
         Reactance-OPF baselines keep the previous hour's D-FACTS settings
         unless re-optimising saves more than this relative amount (operator
@@ -267,22 +246,12 @@ class OperationSpec:
     profile: ProfileSpec = field(default_factory=ProfileSpec)
     tuning: TuningSpec = field(default_factory=TuningSpec)
     staleness_hours: int = 1
-    warmup: str = "wrap-around"
-    rng: str = "spawn"
     carryover_tolerance: float = 5e-3
 
     def __post_init__(self) -> None:
         if self.staleness_hours < 1:
             raise ConfigurationError(
                 f"staleness_hours must be at least 1, got {self.staleness_hours}"
-            )
-        if self.warmup not in ("wrap-around", "fresh"):
-            raise ConfigurationError(
-                f"warmup must be 'wrap-around' or 'fresh', got {self.warmup!r}"
-            )
-        if self.rng not in ("spawn", "legacy"):
-            raise ConfigurationError(
-                f"rng must be 'spawn' or 'legacy', got {self.rng!r}"
             )
         if self.carryover_tolerance < 0:
             raise ConfigurationError(

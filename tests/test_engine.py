@@ -326,7 +326,7 @@ class TestMultiCaseSuite:
 class TestScenarioRegistry:
     def test_available_scenarios(self):
         names = available_scenarios()
-        for expected in ("fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10-fig11",
+        for expected in ("fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10", "fig11",
                          "tables", "scale"):
             assert expected in names
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.estimation.bdd import BadDataDetector
+from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
 from repro.estimation.linear_model import BatchStateEstimate, LinearModel, LinearModelCache
-from repro.estimation.measurement import MeasurementSystem
+from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.estimation.state_estimator import WLSStateEstimator
 from repro.exceptions import ConfigurationError, EstimationError
 
@@ -170,18 +170,22 @@ class TestBatchedDetector:
         np.testing.assert_array_equal(batched, sequential)
 
     def test_evaluator_kernels_agree(self, evaluator14, net14):
+        """The evaluator's batched kernel agrees with a per-attack loop over
+        the scalar detector (``evaluator14`` uses the default σ and α)."""
         x = net14.reactances() * 1.15
-        reference = evaluator14.evaluate(x, kernel="reference")
-        batched = evaluator14.evaluate(x, kernel="batched")
-        np.testing.assert_allclose(
-            reference.detection_probabilities,
-            batched.detection_probabilities,
-            atol=1e-12,
+        detector = BadDataDetector(
+            MeasurementSystem.for_network(
+                net14, reactances=x, noise_sigma=DEFAULT_NOISE_SIGMA
+            ),
+            false_positive_rate=DEFAULT_FALSE_POSITIVE_RATE,
         )
-
-    def test_unknown_kernel_rejected(self, evaluator14, net14):
-        with pytest.raises(ConfigurationError):
-            evaluator14.evaluate(net14.reactances(), kernel="turbo")
+        reference = np.array(
+            [detector.detection_probability(a) for a in evaluator14.ensemble.attacks]
+        )
+        batched = evaluator14.evaluate(x)
+        np.testing.assert_allclose(
+            reference, batched.detection_probabilities, atol=1e-12
+        )
 
 
 class TestLinearModelCache:

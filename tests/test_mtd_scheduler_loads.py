@@ -1,17 +1,30 @@
-"""Tests for the daily MTD scheduler and the load profiles."""
+"""Tests for the load profiles and for the properties of hourly MTD
+operation (Figs. 10-11) run through the time-series operation engine."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, MTDDesignError
+from repro.exceptions import ConfigurationError
 from repro.loads.profiles import (
     hourly_loads_for_network,
     nyiso_like_winter_day,
     scale_profile_to_band,
 )
-from repro.mtd.scheduler import DailyMTDScheduler
+from repro.timeseries import (
+    OperationEngine,
+    ProfileSpec,
+    TuningSpec,
+    daily_operation_spec,
+)
+
+
+def explicit_profile(*totals_mw: float) -> ProfileSpec:
+    """A profile operating exactly the given hourly totals (MW)."""
+    return ProfileSpec(
+        explicit_totals_mw=totals_mw, peak_load_mw=None, min_load_mw=None
+    )
 
 
 class TestLoadProfiles:
@@ -72,18 +85,18 @@ class TestLoadProfiles:
 
 class TestDailyScheduler:
     @pytest.fixture(scope="class")
-    def short_run(self, net14):
+    def short_run(self):
         """A three-hour run shared by the assertions below.  Consecutive
         hourly loads differ by a few percent, as in a real trace, so the
         temporal-correlation property of Fig. 11 applies."""
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[205.0, 212.0, 220.0],
+        spec = daily_operation_spec(
+            case="ieee14",
+            profile=explicit_profile(205.0, 212.0, 220.0),
+            tuning=TuningSpec(method="scan", gamma_grid=(0.05, 0.15, 0.25, 0.35)),
             n_attacks=80,
-            gamma_grid=np.arange(0.05, 0.45, 0.1),
             seed=0,
         )
-        return scheduler.run()
+        return OperationEngine().run(spec, use_cache=False)
 
     def test_one_record_per_hour(self, short_run):
         assert len(short_run) == 3
@@ -128,25 +141,20 @@ class TestDailyScheduler:
         for record in short_run:
             assert 0.0 <= record.achieved_eta <= 1.0
 
-    def test_empty_profile_rejected(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[])
-
-    def test_invalid_baseline_mode_rejected(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(
-                net14, hourly_total_loads_mw=[150.0], cost_baseline="bogus"
+    def test_invalid_baseline_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            daily_operation_spec(
+                profile=explicit_profile(150.0), cost_baseline="bogus"
             )
 
-    def test_dispatch_only_baseline_runs(self, net14):
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[180.0],
+    def test_dispatch_only_baseline_runs(self):
+        spec = daily_operation_spec(
+            profile=explicit_profile(180.0),
+            tuning=TuningSpec(method="scan", gamma_grid=(0.1, 0.2)),
             n_attacks=40,
-            gamma_grid=[0.1, 0.2],
             cost_baseline="dispatch-only",
             seed=1,
         )
-        result = scheduler.run()
+        result = OperationEngine().run(spec, use_cache=False)
         assert len(result) == 1
         assert result.records[0].cost_increase_percent >= 0.0

@@ -1,10 +1,10 @@
 """Tests of the time-series operation engine.
 
 Covers the spec layer (profiles, tuning, operation components, JSON/hash),
-the engine (golden compatibility with the pre-refactor scheduler, wrapper
-equivalence, scan-vs-bisect agreement, parallel/batched/cached
-bit-identity, warm-up and staleness policies) and the campaign integration
-(daily-operation suites run, resume and query through the store).
+the engine (a golden of the default path, scan-vs-bisect agreement,
+parallel/batched/cached bit-identity, warm-up and staleness) and the
+campaign integration (daily-operation suites run, resume and query through
+the store).
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from repro.campaign import CampaignOrchestrator, query_results
 from repro.campaign.suites import campaign_from_suite
 from repro.engine import ResultCache, ScenarioEngine, ScenarioSpec, scenario_suite
 from repro.engine.trial import run_trial
-from repro.exceptions import ConfigurationError, MTDDesignError
+from repro.exceptions import ConfigurationError
 from repro.loads.profiles import (
     available_shapes,
     day_shape,
     multi_day_profile,
     profile_for_network,
 )
-from repro.mtd.scheduler import DailyMTDScheduler
 from repro.timeseries import (
     OperationEngine,
     OperationResult,
@@ -34,56 +33,64 @@ from repro.timeseries import (
     daily_operation_spec,
 )
 
-#: Pre-refactor ``DailyMTDScheduler`` output (captured from the serial loop
-#: before it became a wrapper): IEEE 14-bus, loads [205, 212, 220] MW,
-#: n_attacks=80, gamma_grid=arange(0.05, 0.45, 0.1), seed=0, historical
-#: hour-0 behaviour (fresh attacker knowledge).  The engine must reproduce
-#: these records bit-for-bit at the same settings.
+#: Default-path records (captured before the compatibility paths were
+#: removed): dispatch-only IEEE 14-bus, loads [205, 212, 220] MW,
+#: n_attacks=80, a scan over gamma_grid=(0.05, 0.15, 0.25, 0.35), seed=0.
+#: The dispatch-only baseline keeps the flat eq. (1) optimum out of it.
 GOLDEN_RECORDS = [
     {
         "hour": 0,
         "total_load_mw": 204.99999999999997,
-        "baseline_cost": 4099.999999999962,
-        "mtd_cost": 4127.00044545183,
-        "cost_increase_percent": 0.6585474500455786,
-        "gamma_threshold": 0.25000000000000006,
-        "achieved_eta": 0.825,
-        "spa_attacker_vs_baseline": 1.4788543577864024e-15,
-        "spa_attacker_vs_mtd": 0.25000000040195813,
-        "spa_baseline_vs_mtd": 0.25000000040195813,
+        "baseline_cost": 4162.133344389262,
+        "mtd_cost": 4125.3079846330575,
+        "cost_increase_percent": 0.0,
+        "gamma_threshold": 0.25,
+        "achieved_eta": 0.9,
+        "spa_attacker_vs_baseline": 1.761125037404662e-15,
+        "spa_attacker_vs_mtd": 0.25000000043106935,
+        "spa_baseline_vs_mtd": 0.25000000043106935,
+        "n_tuning_probes": 3,
     },
     {
         "hour": 1,
         "total_load_mw": 212.0,
-        "baseline_cost": 4239.999999999884,
-        "mtd_cost": 4328.425245996883,
-        "cost_increase_percent": 2.0855010848349482,
-        "gamma_threshold": 0.25000000000000006,
-        "achieved_eta": 0.875,
-        "spa_attacker_vs_baseline": 0.022568130007163748,
-        "spa_attacker_vs_mtd": 0.25000000040195813,
-        "spa_baseline_vs_mtd": 0.24810231194492838,
+        "baseline_cost": 4393.928823933605,
+        "mtd_cost": 4326.715924836106,
+        "cost_increase_percent": 0.0,
+        "gamma_threshold": 0.25,
+        "achieved_eta": 0.85,
+        "spa_attacker_vs_baseline": 1.761125037404662e-15,
+        "spa_attacker_vs_mtd": 0.25000000043106935,
+        "spa_baseline_vs_mtd": 0.25000000043106935,
+        "n_tuning_probes": 4,
     },
     {
         "hour": 2,
         "total_load_mw": 219.99999999999997,
-        "baseline_cost": 4401.550015954151,
-        "mtd_cost": 4573.581193608292,
-        "cost_increase_percent": 3.9084226472625674,
-        "gamma_threshold": 0.25000000000000006,
-        "achieved_eta": 0.8875,
-        "spa_attacker_vs_baseline": 1.9232557098277964e-15,
-        "spa_attacker_vs_mtd": 0.2500000000537033,
-        "spa_baseline_vs_mtd": 0.2500000000537033,
+        "baseline_cost": 4658.837943412866,
+        "mtd_cost": 4568.756444430115,
+        "cost_increase_percent": 0.0,
+        "gamma_threshold": 0.25,
+        "achieved_eta": 0.8625,
+        "spa_attacker_vs_baseline": 1.761125037404662e-15,
+        "spa_attacker_vs_mtd": 0.25000000043106935,
+        "spa_baseline_vs_mtd": 0.25000000043106935,
+        "n_tuning_probes": 4,
     },
 ]
 
-GOLDEN_KWARGS = dict(
-    hourly_total_loads_mw=[205.0, 212.0, 220.0],
-    n_attacks=80,
-    gamma_grid=np.arange(0.05, 0.45, 0.1),
-    seed=0,
+#: Golden fields compared with rtol 1e-9 (they pass through the OPF solver).
+GOLDEN_RTOL_FIELDS = (
+    "total_load_mw",
+    "baseline_cost",
+    "mtd_cost",
+    "cost_increase_percent",
+    "spa_attacker_vs_mtd",
+    "spa_baseline_vs_mtd",
 )
+
+#: Golden fields compared exactly (grid values, attack fractions, probe counts).
+GOLDEN_EXACT_FIELDS = ("hour", "gamma_threshold", "achieved_eta", "n_tuning_probes")
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -206,9 +213,7 @@ class TestOperationSpecLayer:
         with pytest.raises(ConfigurationError):
             OperationSpec(staleness_hours=0)
         with pytest.raises(ConfigurationError):
-            OperationSpec(warmup="cold")
-        with pytest.raises(ConfigurationError):
-            OperationSpec(rng="global")
+            OperationSpec(carryover_tolerance=-1.0)
 
     def test_scenario_requires_designed_policy_and_analytic_detector(self):
         with pytest.raises(ConfigurationError, match="designed"):
@@ -229,9 +234,17 @@ class TestOperationSpecLayer:
         assert clone == spec
         assert clone.content_hash() == spec.content_hash()
         # The operation policy participates in the identity.
-        changed = spec.with_updates({"operation.warmup": "fresh"})
+        changed = spec.with_updates({"operation.staleness_hours": 2})
         assert changed.content_hash() != spec.content_hash()
         assert spec.operation.content_hash() != changed.operation.content_hash()
+
+    def test_pre_change_operation_payload_rejected(self):
+        """A stored payload carrying the removed ``warmup``/``rng`` policy
+        fields fails loudly instead of being silently re-hashed."""
+        payload = tiny_spec().to_dict()
+        payload["operation"].update(warmup="fresh", rng="legacy")
+        with pytest.raises(ConfigurationError, match="rng.*warmup"):
+            ScenarioSpec.from_dict(payload)
 
     def test_plain_specs_keep_their_shape_and_hash(self):
         """Adding the operation component must not disturb existing specs:
@@ -251,80 +264,38 @@ class TestOperationSpecLayer:
 
 
 # ----------------------------------------------------------------------
-# engine: compatibility and determinism
+# engine: golden and determinism
 # ----------------------------------------------------------------------
-class TestGoldenCompatibility:
-    def test_wrapper_reproduces_pre_refactor_records(self, net14):
-        """The wrapper (historical settings) is bit-identical to the
-        pre-refactor serial scheduler loop."""
-        result = DailyMTDScheduler(net14, warmup="fresh", **GOLDEN_KWARGS).run()
-        assert len(result) == len(GOLDEN_RECORDS)
-        for record, expected in zip(result, GOLDEN_RECORDS):
-            for field_name, value in expected.items():
-                assert getattr(record, field_name) == value, field_name
-
-
-class TestWrapperEquivalence:
-    def test_wrapper_matches_engine_record_for_record(self, net14):
-        """`DailyMTDScheduler` and the operation engine agree record for
-        record on the same spec (the wrapper is a faithful shim)."""
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[205.0, 220.0],
-            n_attacks=24,
-            gamma_grid=[0.05, 0.2],
-            seed=3,
-        )
-        wrapped = scheduler.run()
-        # An independently constructed registry spec with the wrapper's
-        # settings: the spec-driven engine path must reproduce the wrapper
-        # (whose own spec carries a fail-fast placeholder case) exactly.
+class TestDefaultPathGolden:
+    def test_records_match_the_captured_values(self):
         spec = daily_operation_spec(
-            name="ts-wrapper-equivalent",
+            name="ts-golden",
             case="ieee14",
-            cost_baseline="reactance-opf",
+            cost_baseline="dispatch-only",
             profile=ProfileSpec(
-                explicit_totals_mw=(205.0, 220.0),
+                explicit_totals_mw=(205.0, 212.0, 220.0),
                 peak_load_mw=None,
                 min_load_mw=None,
             ),
-            tuning=TuningSpec(method="scan", gamma_grid=(0.05, 0.2)),
-            rng="legacy",
-            n_attacks=24,
-            seed=3,
+            tuning=TuningSpec(method="scan", gamma_grid=(0.05, 0.15, 0.25, 0.35)),
+            n_attacks=80,
+            seed=0,
         )
-        engine_result = OperationEngine().run(spec, use_cache=False)
-        assert len(wrapped) == len(engine_result) == 2
-        for ours, theirs in zip(wrapped, engine_result):
-            assert ours.hour == theirs.hour
-            assert ours.total_load_mw == theirs.total_load_mw
-            assert ours.baseline_cost == theirs.baseline_cost
-            assert ours.mtd_cost == theirs.mtd_cost
-            assert ours.cost_increase_percent == theirs.cost_increase_percent
-            assert ours.gamma_threshold == theirs.gamma_threshold
-            assert ours.achieved_eta == theirs.achieved_eta
-            assert ours.spa_attacker_vs_baseline == theirs.spa_attacker_vs_baseline
-            assert ours.spa_attacker_vs_mtd == theirs.spa_attacker_vs_mtd
-            assert ours.spa_baseline_vs_mtd == theirs.spa_baseline_vs_mtd
-
-    def test_wrapper_input_validation(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[])
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[150.0], cost_baseline="bogus")
-
-    def test_wrapper_spec_fails_fast_outside_the_wrapper(self, net14):
-        """The wrapper's spec names a placeholder case, so executing it
-        without the wrapper's network errors instead of silently simulating
-        a registry case."""
-        from repro.exceptions import CaseNotFoundError
-
-        scheduler = DailyMTDScheduler(
-            net14, hourly_total_loads_mw=[200.0], n_attacks=8, gamma_grid=[0.05]
-        )
-        assert scheduler.spec.grid.case == "daily-scheduler-network"
-        with pytest.raises(CaseNotFoundError):
-            OperationEngine().run(scheduler.spec, use_cache=False)
+        result = OperationEngine().run(spec, use_cache=False)
+        assert len(result) == len(GOLDEN_RECORDS)
+        for record, expected in zip(result, GOLDEN_RECORDS):
+            for name in GOLDEN_EXACT_FIELDS:
+                assert getattr(record, name) == expected[name], name
+            for name in GOLDEN_RTOL_FIELDS:
+                np.testing.assert_allclose(
+                    getattr(record, name), expected[name], rtol=1e-9, err_msg=name
+                )
+            np.testing.assert_allclose(
+                record.spa_attacker_vs_baseline,
+                expected["spa_attacker_vs_baseline"],
+                rtol=0.0,
+                atol=1e-12,
+            )
 
 
 class TestScanVsBisect:
@@ -415,7 +386,7 @@ class TestWarmupAndStaleness:
         return build_operation_context(spec, net)
 
     def test_wrap_around_uses_previous_days_last_hour(self, net14):
-        hours = self._context(net14, warmup="wrap-around")
+        hours = self._context(net14)
         # Hour 0's attacker operates at the *last* hour's load level…
         np.testing.assert_allclose(
             hours[0].knowledge_angles, hours[2].baseline.angles_rad
@@ -425,14 +396,8 @@ class TestWarmupAndStaleness:
             hours[1].knowledge_angles, hours[0].baseline.angles_rad
         )
 
-    def test_fresh_warmup_reproduces_the_historical_skew(self, net14):
-        hours = self._context(net14, warmup="fresh")
-        np.testing.assert_allclose(
-            hours[0].knowledge_angles, hours[0].baseline.angles_rad
-        )
-
     def test_staleness_two_hours(self, net14):
-        hours = self._context(net14, staleness_hours=2, warmup="wrap-around")
+        hours = self._context(net14, staleness_hours=2)
         # t=0 wraps two hours back to hour 1 of the previous (identical) day.
         np.testing.assert_allclose(
             hours[0].knowledge_angles, hours[1].baseline.angles_rad
@@ -470,7 +435,7 @@ class TestDailyOperationCampaigns:
 
         # Query the store on operation fields and read the typed records back.
         results = query_results(
-            orchestrator.store, where={"operation.warmup": "wrap-around"}
+            orchestrator.store, where={"operation.staleness_hours": 1}
         )
         assert len(results) == definition_points(definition)
         for result in results:
