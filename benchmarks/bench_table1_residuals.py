@@ -16,8 +16,8 @@ import numpy as np
 
 from repro import case4gs, stealthy_attack
 from repro.analysis.reporting import format_table
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.mtd.perturbation import ReactancePerturbation
 
 from _bench_utils import emit_bench_json, print_banner, time_call
@@ -43,10 +43,10 @@ def compute_residual_table() -> dict[str, list[float]]:
         residuals = []
         for line in range(network.n_branches):
             perturbation = ReactancePerturbation.single_line(network, line, ETA)
-            estimator = WLSStateEstimator(
+            model = LinearModel.from_measurement_system(
                 system.with_reactances(perturbation.perturbed_reactances)
             )
-            residuals.append(float(np.linalg.norm(estimator.attack_residual(attack))))
+            residuals.append(float(np.linalg.norm(model.attack_residuals(attack))))
         table[name] = residuals
     return table
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from repro import case4gs, solve_dc_opf, stealthy_attack
 from repro.analysis.reporting import format_table
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.mtd.perturbation import ReactancePerturbation
 
 #: Relative reactance change of the motivating example.
@@ -61,10 +61,10 @@ def main() -> None:
         residuals = []
         for line in range(network.n_branches):
             perturbation = ReactancePerturbation.single_line(network, line, ETA)
-            estimator = WLSStateEstimator(
+            model = LinearModel.from_measurement_system(
                 system.with_reactances(perturbation.perturbed_reactances)
             )
-            residuals.append(round(float(np.linalg.norm(estimator.attack_residual(attack))), 2))
+            residuals.append(round(float(np.linalg.norm(model.attack_residuals(attack))), 2))
         rows.append([name] + residuals)
     print()
     print(

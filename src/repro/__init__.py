@@ -61,7 +61,6 @@ from repro.estimation import (
     LinearModel,
     LinearModelCache,
     MeasurementSystem,
-    WLSStateEstimator,
 )
 from repro.attacks import (
     generate_attack_ensemble,
@@ -177,7 +176,6 @@ __all__ = [
     "solve_reactance_opf",
     # estimation
     "MeasurementSystem",
-    "WLSStateEstimator",
     "BadDataDetector",
     "LinearModel",
     "LinearModelCache",

@@ -2,16 +2,20 @@
 
 A :class:`FactorizationBackend` owns everything a
 :class:`~repro.estimation.linear_model.LinearModel` derives from one
-(measurement matrix, weights) pair and answers the model's batched
-linear-algebra queries.  Two first-class implementations exist:
+(measurement matrix, weights) pair.  Besides ``Hθ`` and diagnostic
+accessors it answers two batched kernels: the state estimate
+(:meth:`FactorizationBackend.estimate`) and the weighted projection onto
+the column space (:meth:`FactorizationBackend.project_weighted`), from
+which the model derives every residual norm and attack residual.  Two
+first-class implementations exist:
 
 ``dense`` — :class:`DenseQRBackend`
     The original path: SVD observability guard, then the thin QR
     factorisation ``W^{1/2}H = QR`` with ``Q`` (shape ``(M, n)``)
-    materialised.  States come from one triangular solve, residual norms
-    from the projector identity ``‖(I − QQᵀ)W^{1/2}z‖``.  Its arithmetic
-    is byte-for-byte the pre-backend ``LinearModel`` (golden-pinned by the
-    tier-1 tests).
+    materialised.  States come from one triangular solve, the projection
+    from ``QQᵀW^{1/2}z``, so residual norms are ``‖(I − QQᵀ)W^{1/2}z‖``.
+    Its arithmetic is byte-for-byte the pre-backend ``LinearModel``
+    (golden-pinned by the tier-1 tests).
 
 ``sparse`` — :class:`SparseQlessBackend`
     The scale path: ``H`` stays CSR, the sparse gain matrix ``G = HᵀWH``
@@ -19,13 +23,13 @@ linear-algebra queries.  Two first-class implementations exist:
     permutation-ordered sparse LU (:func:`scipy.sparse.linalg.splu`,
     COLAMD column ordering), and **no dense ``(M, n)`` factor is ever
     materialised** — neither ``Q`` nor a densified ``H``.  States are two
-    sparse-triangular solves through the LU, residual norms are evaluated
-    directly as ``‖W^{1/2}(z − Hθ̂)‖`` (mathematically identical to the
-    projector form; the tier-1 agreement tests pin the two paths to
-    ~1e-9 relative tolerance), and the observability guard is derived
-    from the factorisation itself — a zero/vanishing pivot on the diagonal
-    of ``U`` — instead of a dense SVD, so the guard stops being the
-    O(M·n²) bottleneck.
+    sparse-triangular solves through the LU, the projection is evaluated
+    directly as the fitted measurements ``W^{1/2}Hθ̂`` (mathematically
+    identical to the projector form; the tier-1 agreement tests pin the
+    two paths to ~1e-9 relative tolerance), and the observability guard
+    is derived from the factorisation itself — a zero/vanishing pivot on
+    the diagonal of ``U`` — instead of a dense SVD, so the guard stops
+    being the O(M·n²) bottleneck.
 
 ``auto`` resolves per model: sparse at or above
 :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses (the same
@@ -153,10 +157,6 @@ class FactorizationBackend(abc.ABC):
         """``Hθ`` for a ``(n,)`` state vector or ``(B, n)`` stack."""
 
     @abc.abstractmethod
-    def solve_states(self, weighted: np.ndarray) -> np.ndarray:
-        """WLS states ``θ̂`` for weighted rows, shape ``(B, n)``."""
-
-    @abc.abstractmethod
     def estimate(
         self, weighted: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,15 +167,11 @@ class FactorizationBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def residual_norms(self, weighted: np.ndarray) -> np.ndarray:
-        """Weighted residual norms ``‖W^{1/2}(z − Hθ̂)‖``, shape ``(B,)``."""
-
-    @abc.abstractmethod
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         """The fitted component ``Γ_w v = W^{1/2}Hθ̂`` of weighted rows.
 
-        The attack-residual kernels derive ``(I − Γ)a`` and its norms from
-        this single projection.
+        The model derives every residual norm, attack residual and
+        noncentrality from this single projection.
         """
 
     @abc.abstractmethod
@@ -248,12 +244,6 @@ class DenseQRBackend(FactorizationBackend):
             return self._H @ states
         return states @ self._H.T
 
-    def solve_states(self, weighted: np.ndarray) -> np.ndarray:
-        theta: np.ndarray = scipy.linalg.solve_triangular(
-            self._r, (weighted @ self._q).T
-        ).T
-        return theta
-
     def estimate(
         self, weighted: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,15 +251,11 @@ class DenseQRBackend(FactorizationBackend):
         theta: np.ndarray = scipy.linalg.solve_triangular(self._r, coeffs.T).T
         fitted = theta @ self._H.T
         # The norm uses the projector identity ‖W^{1/2}(z − Hθ̂)‖ =
-        # ‖(I − QQᵀ)W^{1/2}z‖ — the same arithmetic as residual_norms(), so
-        # every alarm decision in the library agrees bit-for-bit.
+        # ‖(I − QQᵀ)W^{1/2}z‖ with project_weighted()'s arithmetic, so it
+        # equals LinearModel.residual_norms() and every alarm decision in
+        # the library agrees bit-for-bit.
         residual_norms = np.linalg.norm(weighted - coeffs @ self._q.T, axis=1)
         return theta, residual_norms, fitted
-
-    def residual_norms(self, weighted: np.ndarray) -> np.ndarray:
-        coeffs = weighted @ self._q                 # (B, n)
-        projected = coeffs @ self._q.T              # (B, M)
-        return np.asarray(np.linalg.norm(weighted - projected, axis=1))
 
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return (weighted @ self._q) @ self._q.T
@@ -344,22 +330,16 @@ class SparseQlessBackend(FactorizationBackend):
         solved: np.ndarray = self._lu.solve(rhs)
         return solved
 
-    def solve_states(self, weighted: np.ndarray) -> np.ndarray:
-        return self._solve_gain(weighted).T
-
     def estimate(
         self, weighted: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta_t = self._solve_gain(weighted)        # (n, B)
         fitted_weighted = np.asarray((self._Hw @ theta_t).T)
-        # Direct form ‖W^{1/2}(z − Hθ̂)‖ — no projector, no Q.
+        # Direct form ‖W^{1/2}(z − Hθ̂)‖ — no projector, no Q — with
+        # project_weighted()'s arithmetic.
         residual_norms = np.linalg.norm(weighted - fitted_weighted, axis=1)
         fitted = np.asarray((self._H @ theta_t).T)
         return theta_t.T, residual_norms, fitted
-
-    def residual_norms(self, weighted: np.ndarray) -> np.ndarray:
-        fitted_weighted = np.asarray((self._Hw @ self._solve_gain(weighted)).T)
-        return np.asarray(np.linalg.norm(weighted - fitted_weighted, axis=1))
 
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return np.asarray((self._Hw @ self._solve_gain(weighted)).T)

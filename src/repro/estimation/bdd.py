@@ -11,18 +11,18 @@ Appendix B), which gives the detection probability in closed form as well.
 Monte-Carlo counterparts of both quantities are provided for validation and
 for exactly mirroring the paper's simulation methodology.
 
-Every probability evaluator comes in a *batched* form
+Every query comes in a *batched* form
 (:meth:`BadDataDetector.detection_probabilities`,
 :meth:`BadDataDetector.raises_alarms`,
 :meth:`BadDataDetector.detection_probabilities_monte_carlo`) that consumes
-``(B, M)`` stacks and evaluates them with single BLAS calls; the scalar
-methods are thin wrappers over a batch of one, so scalar and batched
-results are bit-identical by construction.
+``(B, M)`` stacks and evaluates them with single BLAS calls against the
+detector's factorized :class:`~repro.estimation.linear_model.LinearModel`;
+the scalar methods are thin wrappers over a batch of one (the empirical
+false-positive rate is the zero attack), so scalar and batched results are
+bit-identical by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -31,20 +31,10 @@ from repro.exceptions import EstimationError
 from repro.estimation.backends import BACKEND_AUTO
 from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.utils.rng import as_generator
 
 #: False-positive rate used throughout the paper's simulations.
 DEFAULT_FALSE_POSITIVE_RATE: float = 5e-4
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """Result of applying the BDD to one measurement vector."""
-
-    alarm: bool
-    residual_norm: float
-    threshold: float
 
 
 class BadDataDetector:
@@ -65,7 +55,15 @@ class BadDataDetector:
     backend:
         Factorisation backend for the model built when ``model`` is
         omitted: ``"auto"`` (default), ``"dense"`` or ``"sparse"`` (see
-        :mod:`repro.estimation.backends`).
+        :mod:`repro.estimation.backends`).  When a concrete backend is
+        requested *and* a model is injected, the two must agree.
+
+    Raises
+    ------
+    EstimationError
+        If the FP rate is outside ``(0, 1)``, the measurement matrix is rank
+        deficient (unobservable network) or has no redundancy, or an
+        injected model conflicts with the system or the requested backend.
     """
 
     def __init__(
@@ -79,10 +77,36 @@ class BadDataDetector:
             raise EstimationError(
                 f"false_positive_rate must be in (0, 1), got {false_positive_rate}"
             )
+        if model is None:
+            model = LinearModel.from_measurement_system(system, backend=backend)
+        else:
+            if backend != BACKEND_AUTO and model.backend != backend:
+                raise EstimationError(
+                    f"injected model was factorized with the {model.backend!r} "
+                    f"backend but {backend!r} was requested; the factorization "
+                    "cache key must include the backend"
+                )
+            # Guard against a mis-keyed cache handing over a factorization
+            # of a different model.  Comparing the full Jacobian would cost
+            # the very rebuild the cache avoids, but the dimensions and the
+            # weight vector (which encodes noise_sigma) are cheap to check
+            # exactly — they catch the classic "keyed on reactances but
+            # forgot noise_sigma" mistake.
+            if model.n_measurements != system.n_measurements or model.n_states != system.n_states:
+                raise EstimationError(
+                    f"injected model shape ({model.n_measurements}, {model.n_states}) does "
+                    f"not match the measurement system "
+                    f"({system.n_measurements}, {system.n_states})"
+                )
+            if not np.array_equal(model.sqrt_weights, np.sqrt(system.weights())):
+                raise EstimationError(
+                    "injected model weights disagree with the measurement system; "
+                    "the factorization cache key must include the noise level"
+                )
         self._system = system
         self._alpha = float(false_positive_rate)
-        self._estimator = WLSStateEstimator(system, model=model, backend=backend)
-        dof = self._estimator.degrees_of_freedom
+        self._model = model
+        dof = model.degrees_of_freedom
         if dof <= 0:
             raise EstimationError(
                 "the measurement set has no redundancy; bad-data detection is impossible"
@@ -94,14 +118,9 @@ class BadDataDetector:
 
     # ------------------------------------------------------------------
     @property
-    def estimator(self) -> WLSStateEstimator:
-        """The underlying WLS estimator."""
-        return self._estimator
-
-    @property
     def model(self) -> LinearModel:
-        """The factorized linear model shared with the estimator."""
-        return self._estimator.model
+        """The factorized linear model behind every query."""
+        return self._model
 
     @property
     def system(self) -> MeasurementSystem:
@@ -124,18 +143,10 @@ class BadDataDetector:
         return self._dof
 
     # ------------------------------------------------------------------
-    def inspect(self, measurements: np.ndarray) -> DetectionOutcome:
-        """Run the detector on one measurement vector (``(M,)``)."""
-        residual = self._estimator.residual_norm(measurements)
-        return DetectionOutcome(
-            alarm=residual >= self._threshold,
-            residual_norm=residual,
-            threshold=self._threshold,
-        )
-
     def raises_alarm(self, measurements: np.ndarray) -> bool:
-        """True when the residual exceeds the threshold."""
-        return self.inspect(measurements).alarm
+        """True when the residual of one ``(M,)`` vector exceeds the threshold."""
+        z = np.asarray(measurements, dtype=float).ravel()
+        return bool(self.raises_alarms(z[None, :])[0])
 
     def raises_alarms(self, measurements: np.ndarray) -> np.ndarray:
         """Vectorised alarm decisions for a measurement batch.
@@ -151,15 +162,11 @@ class BadDataDetector:
             Boolean alarms, shape ``(B,)``; entry ``i`` equals
             ``raises_alarm(measurements[i])`` bit-for-bit.
         """
-        return self._estimator.residual_norms(measurements) >= self._threshold
+        return self._model.residual_norms(measurements) >= self._threshold
 
     # ------------------------------------------------------------------
     # Detection probability of an FDI attack
     # ------------------------------------------------------------------
-    def attack_noncentrality(self, attack: np.ndarray) -> float:
-        """Noncentrality parameter ``λ = ‖W^{1/2}(I−Γ)a‖²`` of an attack."""
-        return self._estimator.attack_residual_norm(attack) ** 2
-
     def detection_probability(self, attack: np.ndarray) -> float:
         """Closed-form detection probability ``P_D(a) = P(r ≥ τ)``.
 
@@ -192,7 +199,7 @@ class BadDataDetector:
         noncentral-χ² survival evaluation — the per-attack Python loop of
         the reference implementation is gone.
         """
-        lams = self.model.attack_noncentralities(attacks)
+        lams = self._model.attack_noncentralities(attacks)
         probabilities = np.full(lams.shape, self._alpha)
         visible = lams > 0.0
         if np.any(visible):
@@ -212,16 +219,13 @@ class BadDataDetector:
 
         ``n_trials`` noisy measurement vectors are generated for the true
         state ``angles_rad``, the attack is added to each, and the fraction
-        of trials raising an alarm is returned.  The noise matrix is drawn
-        in one ``(n_trials, M)`` call and all residual norms are evaluated
-        with a single BLAS call; the random stream consumed is identical to
-        ``n_trials`` sequential draws.
+        of trials raising an alarm is returned — a batch of one through
+        :meth:`detection_probabilities_monte_carlo`.
         """
-        if n_trials <= 0:
-            raise EstimationError(f"n_trials must be positive, got {n_trials}")
-        rng = as_generator(rng)
-        Z = self._system.measure_batch(angles_rad, n_trials, rng=rng, attack=attack)
-        return float(np.count_nonzero(self.raises_alarms(Z))) / n_trials
+        a = np.asarray(attack, dtype=float).ravel()
+        return float(
+            self.detection_probabilities_monte_carlo(a[None, :], angles_rad, n_trials, rng)[0]
+        )
 
     def detection_probabilities_monte_carlo(
         self,
@@ -255,12 +259,12 @@ class BadDataDetector:
             raise EstimationError(f"n_trials must be positive, got {n_trials}")
         rng = as_generator(rng)
         A = np.atleast_2d(np.asarray(attacks, dtype=float))
-        # The noiseless measurement vector is shared by every attack; hoist
-        # it out of the loop (the per-attack arithmetic and RNG stream stay
-        # identical to per-attack measure_batch calls, reusing the already
-        # factorized Jacobian instead of rebuilding it each iteration —
-        # apply_states keeps the product sparse on the sparse backend).
-        z0 = self.model.apply_states(self._system.reduce_angles(angles_rad))
+        # The noiseless measurement vector is shared by every attack and
+        # comes from the factorized model's Jacobian (kept sparse on the
+        # sparse backend by apply_states).  Each attack's (n_trials, M)
+        # noise matrix is one draw, consuming the stream exactly like
+        # n_trials sequential MeasurementSystem.measure calls.
+        z0 = self._model.apply_states(self._system.reduce_angles(angles_rad))
         if A.shape[1] != z0.shape[0]:
             raise EstimationError(
                 f"attack length {A.shape[1]} does not match measurement count {z0.shape[0]}"
@@ -279,12 +283,13 @@ class BadDataDetector:
         n_trials: int = 2000,
         rng: int | np.random.Generator | None = None,
     ) -> float:
-        """Estimate the FP rate by Monte Carlo on attack-free measurements."""
-        if n_trials <= 0:
-            raise EstimationError(f"n_trials must be positive, got {n_trials}")
-        rng = as_generator(rng)
-        Z = self._system.measure_batch(angles_rad, n_trials, rng=rng)
-        return float(np.count_nonzero(self.raises_alarms(Z))) / n_trials
+        """Estimate the FP rate by Monte Carlo on attack-free measurements.
+
+        The zero attack through :meth:`detection_probabilities_monte_carlo`:
+        adding ``0.0`` leaves every noisy draw unchanged.
+        """
+        zero = np.zeros((1, self._model.n_measurements))
+        return float(self.detection_probabilities_monte_carlo(zero, angles_rad, n_trials, rng)[0])
 
 
-__all__ = ["BadDataDetector", "DetectionOutcome", "DEFAULT_FALSE_POSITIVE_RATE"]
+__all__ = ["BadDataDetector", "DEFAULT_FALSE_POSITIVE_RATE"]

@@ -282,23 +282,16 @@ class LinearModel:
             )
         return arr, single
 
-    def solve_states(self, measurements: np.ndarray) -> np.ndarray:
-        """Batched WLS state solve ``θ̂ = R⁻¹QᵀW^{1/2}z``.
+    def _weighted_residuals(self, vectors: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
+        """``W^{1/2}(I − Γ)v`` for every row, plus the 1-D input flag.
 
-        Parameters
-        ----------
-        measurements:
-            Measurement vectors, shape ``(B, M)`` (or ``(M,)``).
-
-        Returns
-        -------
-        numpy.ndarray
-            Estimated states, shape ``(B, n)`` (or ``(n,)`` for 1-D input).
+        The one projection behind the residual-norm and attack-residual
+        queries: ``W^{1/2}v − Γ_w W^{1/2}v`` with ``Γ_w`` the backend's
+        weighted projection.
         """
-        Z, single = self._as_batch(measurements, "measurements")
-        weighted = Z * self._sqrt_w
-        theta = self._fact.solve_states(weighted)
-        return theta[0] if single else theta
+        V, single = self._as_batch(vectors, what)
+        weighted = V * self._sqrt_w
+        return weighted - self._fact.project_weighted(weighted), single
 
     def estimate_batch(self, measurements: np.ndarray) -> BatchStateEstimate:
         """Batched state estimation with residual norms.
@@ -318,7 +311,8 @@ class LinearModel:
         weighted = Z * self._sqrt_w
         # Each backend computes the three outputs from shared
         # intermediates; per backend the norm arithmetic is identical to
-        # residual_norms(), so every alarm decision agrees bit-for-bit.
+        # residual_norms() (the norm of the project_weighted() complement),
+        # so every alarm decision agrees bit-for-bit.
         theta, residual_norms, fitted = self._fact.estimate(weighted)
         return BatchStateEstimate(
             angles_rad=theta,
@@ -337,19 +331,18 @@ class LinearModel:
         Returns
         -------
         numpy.ndarray
-            ``‖W^{1/2}(I − QQᵀW^{1/2}·)z_i‖`` for every row, shape ``(B,)``.
+            ``‖W^{1/2}(z_i − Hθ̂_i)‖`` for every row, shape ``(B,)``.
 
         Notes
         -----
-        The dense backend uses the residual projector in weighted space
+        The dense backend projects in weighted space
         (``r = ‖(I − QQᵀ)W^{1/2}z‖``) — one ``(B, M) @ (M, n)`` product
         and one ``(B, n) @ (n, M)`` product; the sparse backend evaluates
-        the mathematically identical direct form ``‖W^{1/2}(z − Hθ̂)‖``
+        the mathematically identical fitted measurements ``W^{1/2}Hθ̂``
         through the gain-matrix LU.
         """
-        Z, _ = self._as_batch(measurements, "measurements")
-        weighted = Z * self._sqrt_w
-        return self._fact.residual_norms(weighted)
+        residuals, _ = self._weighted_residuals(measurements, "measurements")
+        return np.linalg.norm(residuals, axis=1)
 
     def attack_residuals(self, attacks: np.ndarray) -> np.ndarray:
         """Deterministic residual components ``(I − Γ)a`` of an attack batch.
@@ -364,10 +357,8 @@ class LinearModel:
         numpy.ndarray
             Measurement-space residuals, shape matching the input.
         """
-        A, single = self._as_batch(attacks, "attacks")
-        weighted = A * self._sqrt_w
-        projected = self._fact.project_weighted(weighted)
-        residual = (weighted - projected) / self._sqrt_w
+        residuals, single = self._weighted_residuals(attacks, "attacks")
+        residual = residuals / self._sqrt_w
         return residual[0] if single else residual
 
     def attack_residual_norms(self, attacks: np.ndarray) -> np.ndarray:
@@ -383,10 +374,8 @@ class LinearModel:
         numpy.ndarray
             Norms, shape ``(B,)``.
         """
-        A, _ = self._as_batch(attacks, "attacks")
-        weighted = A * self._sqrt_w
-        projected = self._fact.project_weighted(weighted)
-        return np.linalg.norm(weighted - projected, axis=1)
+        residuals, _ = self._weighted_residuals(attacks, "attacks")
+        return np.linalg.norm(residuals, axis=1)
 
     def attack_noncentralities(self, attacks: np.ndarray) -> np.ndarray:
         """Noncentrality parameters ``λ_i = ‖W^{1/2}(I − Γ)a_i‖²``.

@@ -6,12 +6,7 @@ circular dependencies.
 """
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.linalg import (
-    column_space_projector,
-    orthonormal_basis,
-    residual_projector,
-    is_full_column_rank,
-)
+from repro.utils.linalg import orthonormal_basis, is_full_column_rank
 from repro.utils.units import (
     mw_to_pu,
     pu_to_mw,
@@ -21,9 +16,7 @@ from repro.utils.units import (
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "column_space_projector",
     "orthonormal_basis",
-    "residual_projector",
     "is_full_column_rank",
     "mw_to_pu",
     "pu_to_mw",

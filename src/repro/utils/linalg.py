@@ -2,9 +2,10 @@
 
 The moving-target-defense analysis in the paper is, at its core, a statement
 about the geometry of the column spaces of measurement matrices.  The helpers
-here provide numerically careful building blocks: orthonormal bases,
-(weighted) projectors onto column spaces and their complements, and rank
-tests with explicit tolerances.
+here provide numerically careful building blocks: orthonormal bases, rank
+tests with explicit tolerances and column-space membership.  The weighted
+residual projector ``I − Γ`` of state estimation lives in the factorized
+:class:`~repro.estimation.linear_model.LinearModel`.
 """
 
 from __future__ import annotations
@@ -44,48 +45,6 @@ def is_full_column_rank(matrix: np.ndarray, tol: float | None = None) -> bool:
     return int(rank) == matrix.shape[1]
 
 
-def column_space_projector(matrix: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Projector onto ``Col(matrix)``, optionally in a weighted inner product.
-
-    With ``weights`` (a positive diagonal, given as a 1-D array ``w``), the
-    returned matrix is the oblique projector
-    ``Γ = H (Hᵀ W H)⁻¹ Hᵀ W`` used by weighted-least-squares state
-    estimation; without weights it reduces to the orthogonal projector.
-    """
-    H = np.asarray(matrix, dtype=float)
-    if H.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {H.shape}")
-    if weights is None:
-        W = np.eye(H.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape[0] != H.shape[0]:
-            raise ValueError(
-                f"weights length {w.shape[0]} does not match measurement count {H.shape[0]}"
-            )
-        if np.any(w <= 0):
-            raise ValueError("all weights must be strictly positive")
-        W = np.diag(w)
-    gram = H.T @ W @ H
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "measurement matrix is rank deficient; the network is unobservable"
-        ) from exc
-    return H @ gram_inv @ H.T @ W
-
-
-def residual_projector(matrix: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Return ``I − Γ`` where ``Γ`` is :func:`column_space_projector`.
-
-    Applying this matrix to a measurement vector yields the residual seen by
-    the bad-data detector.
-    """
-    gamma = column_space_projector(matrix, weights=weights)
-    return np.eye(gamma.shape[0]) - gamma
-
-
 def vector_in_column_space(matrix: np.ndarray, vector: np.ndarray, tol: float = 1e-8) -> bool:
     """Test whether ``vector`` lies in ``Col(matrix)``.
 
@@ -108,30 +67,8 @@ def vector_in_column_space(matrix: np.ndarray, vector: np.ndarray, tol: float = 
     return float(np.linalg.norm(residual)) <= tol * max(1.0, norm_v)
 
 
-def weighted_norm(vector: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Euclidean norm, optionally weighted by the square roots of ``weights``."""
-    v = np.asarray(vector, dtype=float).ravel()
-    if weights is None:
-        return float(np.linalg.norm(v))
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape[0] != v.shape[0]:
-        raise ValueError("weights length does not match vector length")
-    return float(np.sqrt(np.sum(w * v * v)))
-
-
-def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """Return ``‖a − b‖ / max(1, ‖b‖)``, a scale-aware difference measure."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
-
-
 __all__ = [
     "orthonormal_basis",
     "is_full_column_rank",
-    "column_space_projector",
-    "residual_projector",
     "vector_in_column_space",
-    "weighted_norm",
-    "relative_difference",
 ]

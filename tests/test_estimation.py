@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.estimation.bdd import BadDataDetector
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.estimation.observability import is_observable, observability_report
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.exceptions import EstimationError
 from repro.powerflow.dc import solve_dc_power_flow
 
@@ -69,48 +69,48 @@ class TestMeasurementSystem:
 
 class TestWLSEstimator:
     def test_recovers_state_without_noise(self, net14, opf14, measurement14):
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         z = measurement14.noiseless_measurements(opf14.angles_rad)
-        estimate = estimator.estimate(z)
+        estimate = model.estimate_batch(z[None, :])
         expected = measurement14.reduce_angles(opf14.angles_rad)
-        np.testing.assert_allclose(estimate.angles_rad, expected, atol=1e-9)
-        assert estimate.residual_norm == pytest.approx(0.0, abs=1e-8)
+        np.testing.assert_allclose(estimate.angles_rad[0], expected, atol=1e-9)
+        assert estimate.residual_norms[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_estimate_is_unbiased_under_noise(self, opf14, measurement14):
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         rng = np.random.default_rng(3)
         expected = measurement14.reduce_angles(opf14.angles_rad)
         estimates = []
         for _ in range(200):
             z = measurement14.measure(opf14.angles_rad, rng=rng)
-            estimates.append(estimator.estimate(z).angles_rad)
+            estimates.append(model.estimate_batch(z[None, :]).angles_rad[0])
         mean_estimate = np.mean(estimates, axis=0)
         np.testing.assert_allclose(mean_estimate, expected, atol=5e-4)
 
     def test_degrees_of_freedom(self, measurement14):
-        estimator = WLSStateEstimator(measurement14)
-        assert estimator.degrees_of_freedom == 54 - 13
+        model = LinearModel.from_measurement_system(measurement14)
+        assert model.degrees_of_freedom == 54 - 13
 
     def test_wrong_measurement_length_rejected(self, measurement14):
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         with pytest.raises(EstimationError):
-            estimator.estimate(np.zeros(10))
+            model.estimate_batch(np.zeros(10)[None, :])
 
     def test_attack_residual_zero_for_stealthy_attack(self, measurement14, rng):
         """An attack a = Hc has zero residual on the matching system."""
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         attack = measurement14.matrix() @ rng.standard_normal(13)
-        assert estimator.attack_residual_norm(attack) == pytest.approx(0.0, abs=1e-8)
+        assert model.attack_residual_norms(attack[None, :])[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_attack_residual_positive_for_generic_vector(self, measurement14, rng):
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         attack = rng.standard_normal(54)
-        assert estimator.attack_residual_norm(attack) > 0.0
+        assert model.attack_residual_norms(attack[None, :])[0] > 0.0
 
     def test_attack_residual_wrong_length(self, measurement14):
-        estimator = WLSStateEstimator(measurement14)
+        model = LinearModel.from_measurement_system(measurement14)
         with pytest.raises(EstimationError):
-            estimator.attack_residual(np.ones(5))
+            model.attack_residuals(np.ones(5))
 
 
 class TestBadDataDetector:

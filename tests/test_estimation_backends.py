@@ -46,10 +46,10 @@ from repro.estimation.backends import (
 from repro.estimation.bdd import BadDataDetector
 from repro.estimation.linear_model import LinearModel, LinearModelCache
 from repro.estimation.measurement import MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.exceptions import ConfigurationError, EstimationError
 from repro.grid.cases.registry import available_cases, load_case
 from repro.grid.matrices import SPARSE_BUS_THRESHOLD
+from repro.powerflow.dc import solve_dc_power_flow
 from repro.telemetry.env import environment_info
 
 #: Documented dense/sparse agreement tolerance (relative); see
@@ -90,13 +90,6 @@ class TestAgreement:
         assert np.allclose(
             se.residual_norms, de.residual_norms, rtol=AGREEMENT_RTOL, atol=0.0
         )
-        # The solve-only entry point sees the same states.
-        assert np.allclose(
-            sparse.solve_states(Z),
-            dense.solve_states(Z),
-            rtol=AGREEMENT_RTOL,
-            atol=AGREEMENT_RTOL * theta_scale,
-        )
 
     @pytest.mark.parametrize("case", ("ieee14", "synthetic118"))
     def test_attack_noncentralities_and_gain_agree(self, case):
@@ -135,6 +128,55 @@ class TestAgreement:
             LinearModel(H, w, backend="dense")
         with pytest.raises(EstimationError, match="unobservable"):
             LinearModel(H, w, backend="sparse")
+
+
+# ----------------------------------------------------------------------
+# the single Monte-Carlo loop
+# ----------------------------------------------------------------------
+def _monte_carlo_setup(case: str, backend: str):
+    """α = 0.05 detector, a one-entry attack and DC power-flow angles."""
+    network = load_case(case)
+    system = MeasurementSystem.for_network(network)
+    detector = BadDataDetector(system, false_positive_rate=0.05, backend=backend)
+    attack = np.zeros(system.n_measurements)
+    attack[0] = 0.01
+    return detector, attack, solve_dc_power_flow(network).angles_rad
+
+
+class TestMonteCarloLoop:
+    #: (case, backend) → (empirical FP rate, Monte-Carlo P_D of the attack)
+    #: at n_trials=400, rng=5.  Exact values: they pin the noise stream and
+    #: every alarm decision of the Monte-Carlo queries on both backends.
+    PINNED = {
+        ("ieee14", "dense"): (0.0625, 0.9125),
+        ("synthetic300", "sparse"): (0.0525, 0.245),
+    }
+
+    def test_sparse_monte_carlo_never_densifies(self, monkeypatch):
+        """All three Monte-Carlo queries stay on the sparse model's CSR ``H``."""
+        detector, attack, angles = _monte_carlo_setup("synthetic118", "sparse")
+
+        def densify(self):
+            raise AssertionError("MeasurementSystem.matrix() on the sparse path")
+
+        monkeypatch.setattr(MeasurementSystem, "matrix", densify)
+        rate = detector.empirical_false_positive_rate(angles, n_trials=50, rng=1)
+        single = detector.detection_probability_monte_carlo(attack, angles, n_trials=50, rng=1)
+        batch = detector.detection_probabilities_monte_carlo(
+            np.vstack([attack, 2 * attack]), angles, n_trials=50, rng=1
+        )
+        assert 0.0 <= rate <= 1.0 and 0.0 <= single <= 1.0
+        assert batch.shape == (2,) and batch[0] == single
+
+    @pytest.mark.parametrize(("case", "backend"), sorted(PINNED))
+    def test_pinned_monte_carlo_values(self, case, backend):
+        detector, attack, angles = _monte_carlo_setup(case, backend)
+        rate, probability = self.PINNED[(case, backend)]
+        assert detector.empirical_false_positive_rate(angles, n_trials=400, rng=5) == rate
+        assert (
+            detector.detection_probability_monte_carlo(attack, angles, n_trials=400, rng=5)
+            == probability
+        )
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +282,10 @@ class TestCacheKeys:
     def test_injected_model_backend_mismatch_raises(self, measurement14):
         dense = LinearModel.from_measurement_system(measurement14, backend="dense")
         with pytest.raises(EstimationError, match="cache key must include the backend"):
-            WLSStateEstimator(measurement14, model=dense, backend="sparse")
+            BadDataDetector(measurement14, model=dense, backend="sparse")
         # Matching (or unresolved "auto") injections stay accepted.
-        WLSStateEstimator(measurement14, model=dense, backend="dense")
-        WLSStateEstimator(measurement14, model=dense)
+        BadDataDetector(measurement14, model=dense, backend="dense")
+        BadDataDetector(measurement14, model=dense)
 
     def test_model_cache_keys_distinct_per_backend(self):
         cache = LinearModelCache(maxsize=8)

@@ -15,7 +15,6 @@ import pytest
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
 from repro.estimation.linear_model import BatchStateEstimate, LinearModel, LinearModelCache
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.exceptions import ConfigurationError, EstimationError
 
 
@@ -42,18 +41,10 @@ class TestLinearModel:
         assert model14.q.shape == (model14.n_measurements, model14.n_states)
         assert model14.r.shape == (model14.n_states, model14.n_states)
 
-    def test_batch_of_one_matches_scalar_estimator(self, model14, measurement14, measurements14):
-        estimator = WLSStateEstimator(measurement14)
-        for z in measurements14:
-            single = estimator.estimate(z)
-            batch = model14.estimate_batch(z[None, :])
-            assert isinstance(batch, BatchStateEstimate)
-            np.testing.assert_array_equal(batch.angles_rad[0], single.angles_rad)
-            assert batch.residual_norms[0] == single.residual_norm
-
     def test_batch_rows_match_scalar_rows(self, model14, measurement14, measurements14):
         """Every row of a big batch equals the corresponding batch-of-one."""
         batch = model14.estimate_batch(measurements14)
+        assert isinstance(batch, BatchStateEstimate)
         for i, z in enumerate(measurements14):
             one = model14.estimate_batch(z[None, :])
             np.testing.assert_allclose(batch.angles_rad[i], one.angles_rad[0], rtol=1e-12, atol=1e-14)
@@ -79,12 +70,23 @@ class TestLinearModel:
         # upper triangular
         assert np.allclose(U, np.triu(U))
 
-    def test_attack_residuals_match_estimator(self, model14, measurement14, evaluator14):
-        estimator = WLSStateEstimator(measurement14)
+    def test_attack_residuals_match_estimator(self, model14, evaluator14):
         attacks = evaluator14.ensemble.attacks[:8]
         batched = model14.attack_residual_norms(attacks)
         for i, attack in enumerate(attacks):
-            assert batched[i] == pytest.approx(estimator.attack_residual_norm(attack), rel=1e-9)
+            one = model14.attack_residual_norms(attack[None, :])[0]
+            assert batched[i] == pytest.approx(one, rel=1e-9)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_attack_residuals_match_normal_equations(self, backend, measurement14):
+        """``(I − Γ)a`` against ``Γ = H(HᵀWH)⁻¹HᵀW`` formed explicitly."""
+        model = LinearModel.from_measurement_system(measurement14, backend=backend)
+        H, W = measurement14.matrix(), np.diag(measurement14.weights())
+        gamma = H @ np.linalg.solve(H.T @ W @ H, H.T @ W)
+        A = np.random.default_rng(8).normal(0.0, 0.01, size=(6, measurement14.n_measurements))
+        np.testing.assert_allclose(
+            model.attack_residuals(A), A - A @ gamma.T, rtol=1e-7, atol=1e-12
+        )
 
     def test_shape_validation(self, model14):
         with pytest.raises(EstimationError):
@@ -244,10 +246,10 @@ class TestLinearModelCache:
             measurement14.network, noise_sigma=2 * measurement14.noise_sigma
         )
         with pytest.raises(EstimationError, match="noise level"):
-            WLSStateEstimator(other_sigma, model=model14)
+            BadDataDetector(other_sigma, model=model14)
         system30 = MeasurementSystem.for_network(net30)
         with pytest.raises(EstimationError, match="shape"):
-            WLSStateEstimator(system30, model=model14)
+            BadDataDetector(system30, model=model14)
 
     def test_cached_model_bit_identical_results(self, evaluator14, net14):
         """Serving the factorization from the cache must not change results.

@@ -17,8 +17,8 @@ from repro import (
     solve_dc_opf,
 )
 from repro.attacks.fdi import stealthy_attack
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
-from repro.estimation.state_estimator import WLSStateEstimator
 from repro.mtd.perturbation import ReactancePerturbation
 
 
@@ -46,11 +46,11 @@ class TestMotivatingExample:
             row = []
             for line in range(4):
                 perturbation = ReactancePerturbation.single_line(net4, line, 0.2)
-                estimator = WLSStateEstimator(
+                model = LinearModel.from_measurement_system(
                     system.with_reactances(perturbation.perturbed_reactances)
                 )
                 # Unweighted residual, as in Table I (no measurement noise).
-                row.append(np.linalg.norm(estimator.attack_residual(attack)))
+                row.append(np.linalg.norm(model.attack_residuals(attack)))
             residuals[name] = row
         # Attack 1 is detected only under perturbations of lines 1 and 2.
         assert residuals["attack1"][0] > 1.0
@@ -69,10 +69,10 @@ class TestMotivatingExample:
         H = system.matrix()
         attack = stealthy_attack(H, np.array([1.0, 1.0, 1.0]))
         perturbation = ReactancePerturbation.single_line(net4, 0, 0.2)
-        estimator = WLSStateEstimator(
+        model = LinearModel.from_measurement_system(
             system.with_reactances(perturbation.perturbed_reactances)
         )
-        residual = np.linalg.norm(estimator.attack_residual(attack))
+        residual = np.linalg.norm(model.attack_residuals(attack))
         assert residual == pytest.approx(2.82, abs=0.05)
 
     def test_table_iii_every_perturbation_costs_money(self, net4, opf4):

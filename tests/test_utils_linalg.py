@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from repro.utils.linalg import (
-    column_space_projector,
     is_full_column_rank,
     orthonormal_basis,
-    relative_difference,
-    residual_projector,
     vector_in_column_space,
-    weighted_norm,
 )
 
 
@@ -46,45 +42,6 @@ class TestRankCheck:
             is_full_column_rank(np.ones(4))
 
 
-class TestProjectors:
-    def test_projector_is_idempotent(self, rng):
-        H = rng.standard_normal((12, 5))
-        gamma = column_space_projector(H)
-        np.testing.assert_allclose(gamma @ gamma, gamma, atol=1e-9)
-
-    def test_projector_fixes_column_space(self, rng):
-        H = rng.standard_normal((12, 5))
-        gamma = column_space_projector(H)
-        vec = H @ rng.standard_normal(5)
-        np.testing.assert_allclose(gamma @ vec, vec, atol=1e-9)
-
-    def test_residual_projector_annihilates_column_space(self, rng):
-        H = rng.standard_normal((12, 5))
-        vec = H @ rng.standard_normal(5)
-        residual = residual_projector(H) @ vec
-        np.testing.assert_allclose(residual, np.zeros(12), atol=1e-9)
-
-    def test_weighted_projector_matches_wls_normal_equations(self, rng):
-        H = rng.standard_normal((10, 3))
-        weights = rng.uniform(0.5, 2.0, size=10)
-        gamma = column_space_projector(H, weights)
-        explicit = H @ np.linalg.inv(H.T @ np.diag(weights) @ H) @ H.T @ np.diag(weights)
-        np.testing.assert_allclose(gamma, explicit, atol=1e-9)
-
-    def test_weight_length_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            column_space_projector(rng.standard_normal((6, 2)), np.ones(5))
-
-    def test_non_positive_weights_rejected(self, rng):
-        with pytest.raises(ValueError):
-            column_space_projector(rng.standard_normal((6, 2)), np.zeros(6))
-
-    def test_rank_deficient_matrix_raises(self, rng):
-        col = rng.standard_normal((6, 1))
-        with pytest.raises(np.linalg.LinAlgError):
-            column_space_projector(np.hstack([col, col]))
-
-
 class TestVectorInColumnSpace:
     def test_member_detected(self, rng):
         H = rng.standard_normal((9, 4))
@@ -105,23 +62,3 @@ class TestVectorInColumnSpace:
         with pytest.raises(ValueError):
             vector_in_column_space(rng.standard_normal((9, 4)), np.ones(5))
 
-
-class TestNorms:
-    def test_weighted_norm_reduces_to_euclidean(self):
-        vec = np.array([3.0, 4.0])
-        assert weighted_norm(vec) == pytest.approx(5.0)
-
-    def test_weighted_norm_with_weights(self):
-        vec = np.array([1.0, 2.0])
-        assert weighted_norm(vec, np.array([4.0, 1.0])) == pytest.approx(np.sqrt(8.0))
-
-    def test_weighted_norm_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_norm(np.ones(3), np.ones(2))
-
-    def test_relative_difference_zero_for_equal(self, rng):
-        vec = rng.standard_normal(7)
-        assert relative_difference(vec, vec) == pytest.approx(0.0)
-
-    def test_relative_difference_scales(self):
-        assert relative_difference(np.array([2.0]), np.array([0.0])) == pytest.approx(2.0)
