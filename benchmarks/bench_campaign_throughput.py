@@ -54,7 +54,7 @@ def campaign_definition(n_points: int, n_attacks: int) -> CampaignDefinition:
 
 
 def run_campaign_into(store_dir: str, definition: CampaignDefinition):
-    orchestrator = CampaignOrchestrator(store_dir, n_workers=1, batch_size=8)
+    orchestrator = CampaignOrchestrator(store_dir, n_workers=1)
     return orchestrator.run(definition)
 
 
@@ -76,7 +76,7 @@ def bench_campaign_throughput(benchmark, scale):
         # re-executes against an existing store, so every campaign repeat
         # gets a fresh store directory) and the ratio is taken over the
         # per-arm minima, which all benefit equally from warm caches.
-        engine = ScenarioEngine(batch_size=8)
+        engine = ScenarioEngine()
         campaign_times = [campaign_first]
         engine_times = [time_call(engine.run_suite, plan.points)[1]]
         for repeat in range(1, REPEATS):

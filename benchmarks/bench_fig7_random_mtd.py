@@ -127,7 +127,7 @@ def kernel_comparison(case, n_trials, n_attacks, max_relative_change=0.02):
 
 def bench_fig7_random_mtd(benchmark, scale):
     """Regenerate the Fig. 7 trials and time their evaluation."""
-    engine = ScenarioEngine(batch_size=scale.n_random_trials)
+    engine = ScenarioEngine()
     (trials, engine_seconds) = benchmark.pedantic(
         time_call,
         args=(evaluate_random_trials, engine, scale.n_random_trials, scale.n_attacks),
@@ -189,7 +189,6 @@ def bench_fig7_random_mtd(benchmark, scale):
             "n_random_trials": scale.n_random_trials,
             "engine": {
                 "case": "ieee14",
-                "batch_size": scale.n_random_trials,
                 "seconds": engine_seconds,
             },
             "kernel_comparison": {

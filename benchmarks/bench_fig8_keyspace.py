@@ -22,9 +22,6 @@ from _bench_utils import emit_bench_json, print_banner
 DELTA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 ETA_TARGET = 0.9
 
-#: Trials per batched-kernel block when sampling the keyspace.
-KEYSPACE_BATCH_SIZE = 32
-
 
 def keyspace_spec(n_samples, n_attacks):
     """The Fig. 8 experiment as a scenario spec."""
@@ -52,7 +49,7 @@ def sample_keyspace_fractions(engine, n_samples, n_attacks):
 
 def bench_fig8_keyspace(benchmark, scale):
     """Regenerate the Fig. 8 curve and time the keyspace evaluation."""
-    engine = ScenarioEngine(batch_size=KEYSPACE_BATCH_SIZE)
+    engine = ScenarioEngine()
     fractions, result = benchmark.pedantic(
         sample_keyspace_fractions,
         args=(engine, scale.n_keyspace, scale.n_attacks),
@@ -67,7 +64,6 @@ def bench_fig8_keyspace(benchmark, scale):
             "scale": scale.name,
             "n_attacks": scale.n_attacks,
             "n_keyspace": scale.n_keyspace,
-            "batch_size": KEYSPACE_BATCH_SIZE,
             "engine_seconds": result.elapsed_seconds,
         },
     )

@@ -5,7 +5,7 @@ and barely perturbs timing: the hot paths guard every metric emission
 behind a single attribute read, and the enabled path only bumps
 process-local counters and bisects fixed histogram boundaries.  This
 benchmark pins both halves of the promise on the Fig. 7 workload
-(random-MTD trials through the batched engine kernel):
+(random-MTD trials through the engine's trial entry point):
 
 * trials with telemetry enabled are **bit-identical** to trials with it
   disabled;
@@ -29,7 +29,7 @@ import tempfile
 import time
 
 from repro import telemetry
-from repro.engine import AttackSpec, GridSpec, MTDSpec, ScenarioSpec, run_trial_batch
+from repro.engine import AttackSpec, GridSpec, MTDSpec, ScenarioSpec, run_trial
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.config import DEFAULT_PROGRESS_INTERVAL
 from repro.telemetry.progress import ProgressWriter, ShardProgress, set_current, tick
@@ -69,6 +69,11 @@ def overhead_spec(scale) -> ScenarioSpec:
     )
 
 
+def _run_all(spec: ScenarioSpec) -> list:
+    """Every trial of ``spec``, serially in this process."""
+    return [run_trial(spec, index) for index in range(spec.n_trials)]
+
+
 def _timed_batch(spec: ScenarioSpec, enabled: bool) -> tuple[list, float]:
     # CPU time, not wall time: the workload is pure compute, and on a
     # loaded machine scheduler preemption adds wall-time noise far larger
@@ -76,7 +81,7 @@ def _timed_batch(spec: ScenarioSpec, enabled: bool) -> tuple[list, float]:
     prev = telemetry.set_enabled(enabled)
     try:
         start = time.process_time()
-        trials = run_trial_batch(spec)
+        trials = _run_all(spec)
         elapsed = time.process_time() - start
     finally:
         telemetry.set_enabled(prev)
@@ -90,7 +95,7 @@ def _event_counts(spec: ScenarioSpec) -> tuple[int, int]:
     prev = telemetry.set_enabled(True)
     before = _metrics.snapshot()
     try:
-        run_trial_batch(spec)
+        _run_all(spec)
     finally:
         telemetry.set_enabled(prev)
         drain_spans()
@@ -163,12 +168,12 @@ def _progress_costs() -> tuple[float, float, float]:
 
 
 def bench_telemetry_overhead(scale):
-    """Project and measure the batched kernel's telemetry overhead."""
+    """Project and measure the trial kernel's telemetry overhead."""
     spec = overhead_spec(scale)
     telemetry.reset()
 
-    # Warm process-global caches (topology, analytic memo) so neither arm
-    # pays first-touch costs.
+    # Warm the per-process scenario memos (network, baseline, shared
+    # evaluator) so neither arm pays first-touch costs.
     baseline_trials, _ = _timed_batch(spec, enabled=False)
     for _ in range(2):
         _timed_batch(spec, enabled=True)

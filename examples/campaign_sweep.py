@@ -55,7 +55,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
         store_dir = f"{tmp}/fig7.campaign"
-        orchestrator = CampaignOrchestrator(store_dir, batch_size=8)
+        orchestrator = CampaignOrchestrator(store_dir)
 
         # ------------------------------------------------------------------
         # 1. Interrupted run: stop after two shards (simulated crash).

@@ -59,7 +59,6 @@ from repro.opf import OPFResult, solve_dc_opf, solve_reactance_opf
 from repro.estimation import (
     BadDataDetector,
     LinearModel,
-    LinearModelCache,
     MeasurementSystem,
 )
 from repro.attacks import (
@@ -109,7 +108,6 @@ from repro.engine import (
     expand_grid,
     paper_scenarios,
     run_scenario,
-    run_trial_batch,
     scenario_suite,
 )
 from repro.campaign import (
@@ -178,7 +176,6 @@ __all__ = [
     "MeasurementSystem",
     "BadDataDetector",
     "LinearModel",
-    "LinearModelCache",
     # attacks
     "stealthy_attack",
     "targeted_state_attack",
@@ -220,7 +217,6 @@ __all__ = [
     "expand_grid",
     "ScenarioEngine",
     "run_scenario",
-    "run_trial_batch",
     "ResultCache",
     "ScenarioResult",
     "TrialResult",

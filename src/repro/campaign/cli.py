@@ -83,7 +83,6 @@ def _orchestrator(args: argparse.Namespace, create: bool = True) -> CampaignOrch
     return CampaignOrchestrator(
         CampaignStore(args.store, create=create),
         n_workers=args.workers,
-        batch_size=args.batch_size,
         cache=args.cache,
     )
 
@@ -302,8 +301,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", required=True, help="campaign store directory")
     parser.add_argument("--workers", type=int, default=1,
                         help="shard-level worker processes (default: 1)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="trial-batch size forwarded to the engines")
     parser.add_argument("--cache", default=None,
                         help="ResultCache directory to interop with")
     parser.add_argument("--shard-limit", type=int, default=None,

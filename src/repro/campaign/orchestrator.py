@@ -105,7 +105,6 @@ class CampaignReport:
 def _run_shard(
     shard_index: int,
     specs: Sequence[ScenarioSpec],
-    batch_size: int | None,
     cache_dir: str | None,
     telemetry: bool = False,
     progress_dir: str | None = None,
@@ -127,12 +126,12 @@ def _run_shard(
     concurrent shard workers interleave safely via atomic appends.
     """
     if not telemetry:
-        engine = ScenarioEngine(cache=cache_dir, n_workers=1, batch_size=batch_size)
+        engine = ScenarioEngine(cache=cache_dir, n_workers=1)
         return shard_index, [engine.run(spec) for spec in specs], {}
     set_enabled(True)
     before = _metrics.snapshot()
     start = time.perf_counter()
-    engine = ScenarioEngine(cache=cache_dir, n_workers=1, batch_size=batch_size)
+    engine = ScenarioEngine(cache=cache_dir, n_workers=1)
     writer = ProgressWriter(progress_dir) if progress_dir else None
     progress = (
         ShardProgress(writer, shard_index, len(specs)) if writer is not None else None
@@ -170,8 +169,6 @@ class CampaignOrchestrator:
         Shard-level parallelism; 1 executes shards in the orchestrating
         process (streaming results scenario-by-scenario), larger values run
         shards on a process pool (streaming shard-by-shard).
-    batch_size:
-        Trial-batch size forwarded to the per-shard engines.
     cache:
         Optional :class:`ResultCache` (or directory) interop: scenarios
         already in the cache are ingested into the store instead of re-run,
@@ -182,14 +179,12 @@ class CampaignOrchestrator:
         self,
         store: CampaignStore | str | Path,
         n_workers: int = 1,
-        batch_size: int | None = None,
         cache: ResultCache | str | Path | None = None,
     ) -> None:
         self._store = store if isinstance(store, CampaignStore) else CampaignStore(store)
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {n_workers}")
         self._n_workers = int(n_workers)
-        self._batch_size = batch_size
         if cache is None or isinstance(cache, ResultCache):
             self._cache = cache
         else:
@@ -376,9 +371,7 @@ class CampaignOrchestrator:
         if self._n_workers <= 1:
             # In-process execution streams scenario-by-scenario (the finest
             # crash granularity) through one engine shared by every shard.
-            engine = ScenarioEngine(
-                cache=cache_dir, n_workers=1, batch_size=self._batch_size
-            )
+            engine = ScenarioEngine(cache=cache_dir, n_workers=1)
             for shard in pending:
                 shard_span = (
                     _span("campaign.shard", shard=shard.index)
@@ -426,7 +419,6 @@ class CampaignOrchestrator:
                     _run_shard,
                     index,
                     specs,
-                    self._batch_size,
                     cache_dir,
                     instrumented,
                     progress_dir,
@@ -495,14 +487,11 @@ def run_campaign(
     definition: CampaignDefinition,
     store: CampaignStore | str | Path,
     n_workers: int = 1,
-    batch_size: int | None = None,
     cache: ResultCache | str | Path | None = None,
     shard_limit: int | None = None,
 ) -> CampaignReport:
     """One-shot convenience wrapper around :class:`CampaignOrchestrator`."""
-    orchestrator = CampaignOrchestrator(
-        store, n_workers=n_workers, batch_size=batch_size, cache=cache
-    )
+    orchestrator = CampaignOrchestrator(store, n_workers=n_workers, cache=cache)
     return orchestrator.run(definition, shard_limit=shard_limit)
 
 

@@ -140,7 +140,6 @@ class CampaignPlan:
         engine: "ScenarioEngine",
         n_workers: int | None = None,
         use_cache: bool = True,
-        batch_size: int | None = None,
     ) -> "list[ScenarioResult]":
         """Execute every point in plan order on the given engine.
 
@@ -149,9 +148,7 @@ class CampaignPlan:
         sharded execution is the orchestrator's
         :func:`repro.campaign.orchestrator.run_campaign`.
         """
-        return engine.run_suite(
-            self.points, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-        )
+        return engine.run_suite(self.points, n_workers=n_workers, use_cache=use_cache)
 
 
 def assign_shards(spec_hashes: Sequence[str], shard_size: int) -> tuple[Shard, ...]:

@@ -8,9 +8,9 @@ The engine separates *what* an experiment is from *how* it executes:
   (:func:`expand_grid`);
 * :mod:`repro.engine.runner` — :class:`ScenarioEngine`, executing specs
   serially or on a process pool with bit-identical results;
-* :mod:`repro.engine.batch` — :func:`run_trial_batch`, the batched trial
-  kernel sharing one factorization cache per trial block (the
-  ``batch_size`` knob; bit-identical to the per-trial path);
+* :mod:`repro.engine.trial` — :func:`run_trial`, the self-seeding unit of
+  work, and :func:`clear_context_caches`, which drops its per-process
+  scenario memos;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, an on-disk store keyed
   by spec hash so re-running a suite is free;
 * :mod:`repro.engine.results` — :class:`TrialResult` /
@@ -39,7 +39,6 @@ Quickstart
 0.97
 """
 
-from repro.engine.batch import DEFAULT_MODEL_CACHE_SIZE, run_trial_batch
 from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult, TrialResult, merge_metric
 from repro.engine.runner import ScenarioEngine, run_scenario
@@ -74,8 +73,6 @@ __all__ = [
     "TrialResult",
     "merge_metric",
     "run_trial",
-    "run_trial_batch",
-    "DEFAULT_MODEL_CACHE_SIZE",
     "trial_seed_sequence",
     "clear_context_caches",
     "available_scenarios",

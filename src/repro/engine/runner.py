@@ -7,15 +7,9 @@ independent trials and executes them either serially or on a
 ``concurrent.futures`` process pool.  Because every trial seeds itself from
 ``(base_seed, trial_index)`` (see :mod:`repro.engine.trial`), the parallel
 results are bit-identical to the serial ones — parallelism is purely a
-throughput knob.
-
-The same holds for *batching*: with a ``batch_size`` (on the engine, the
-spec, or the :meth:`ScenarioEngine.run` call), trials are executed in
-blocks through :func:`repro.engine.batch.run_trial_batch`, sharing one
-:class:`~repro.estimation.linear_model.LinearModelCache` per block so that
-trials evaluating the same (case, perturbation) pair factorize the
-measurement Jacobian once.  Batched results are bit-identical to serial
-per-trial results.
+throughput knob.  The pool receives trials in chunks sized from the run's
+own shape (:func:`_pool_chunksize`), so shipping work to the workers costs
+a few round-trips per worker rather than one per trial.
 
 With a :class:`~repro.engine.cache.ResultCache` attached, completed
 scenarios are persisted by content hash and replayed for free on the next
@@ -32,7 +26,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.campaign.plan import plan_sweep
-from repro.engine.batch import run_trial_batch, run_trial_batch_instrumented
 from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
@@ -55,18 +48,12 @@ class ScenarioEngine:
     n_workers:
         Default worker count for :meth:`run`; 1 means serial in-process
         execution, larger values use a process pool.
-    batch_size:
-        Default trial-batch size for :meth:`run`.  ``None`` or 1 runs the
-        per-trial path; larger values execute trials in blocks of
-        ``batch_size`` through the batched kernel with per-block
-        factorization caching.  Results are bit-identical either way.
     """
 
     def __init__(
         self,
         cache: ResultCache | str | Path | None = None,
         n_workers: int = 1,
-        batch_size: int | None = None,
     ) -> None:
         if cache is None or isinstance(cache, ResultCache):
             self._cache = cache
@@ -74,12 +61,7 @@ class ScenarioEngine:
             self._cache = ResultCache(cache)
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {n_workers}")
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be at least 1 (or None), got {batch_size}"
-            )
         self._n_workers = int(n_workers)
-        self._batch_size = None if batch_size is None else int(batch_size)
         self.executed_trials = 0
 
     @property
@@ -92,18 +74,12 @@ class ScenarioEngine:
         """Default worker count used by :meth:`run`."""
         return self._n_workers
 
-    @property
-    def batch_size(self) -> int | None:
-        """Default trial-batch size used by :meth:`run` (``None`` = per-trial)."""
-        return self._batch_size
-
     # ------------------------------------------------------------------
     def run(
         self,
         spec: ScenarioSpec,
         n_workers: int | None = None,
         use_cache: bool = True,
-        batch_size: int | None = None,
     ) -> ScenarioResult:
         """Run one scenario (or replay it from the cache).
 
@@ -116,10 +92,6 @@ class ScenarioEngine:
         use_cache:
             Set to ``False`` to force re-execution even on a cache hit (the
             fresh result still overwrites the cache entry).
-        batch_size:
-            Override of the trial-batch size for this run; falls back to
-            ``spec.batch_size``, then the engine default.  Never changes
-            results, only how they are computed.
         """
         if use_cache and self._cache is not None:
             hit = self._cache.get(spec)
@@ -130,12 +102,6 @@ class ScenarioEngine:
         if workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {workers}")
         workers = min(workers, spec.n_trials)
-        if batch_size is None:
-            batch_size = spec.batch_size if spec.batch_size is not None else self._batch_size
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be at least 1 (or None), got {batch_size}"
-            )
 
         instrumented = _TELEMETRY.enabled
         before = _metrics.snapshot() if instrumented else None
@@ -148,60 +114,42 @@ class ScenarioEngine:
         if scenario_span is not None:
             scenario_span.__enter__()
         try:
-            if batch_size is None or batch_size <= 1:
-                if workers <= 1:
-                    # Explicit loop (not a comprehension) so the progress
-                    # sink can heartbeat mid-scenario; a no-op without one.
-                    trials = []
-                    for index in range(spec.n_trials):
-                        trials.append(run_trial(spec, index))
-                        _progress.tick(
-                            scenario=spec.name,
-                            trial=index + 1,
-                            n_trials=spec.n_trials,
+            if workers <= 1:
+                # Explicit loop (not a comprehension) so the progress sink
+                # can heartbeat mid-scenario; a no-op without one.
+                trials = []
+                for index in range(spec.n_trials):
+                    trials.append(run_trial(spec, index))
+                    _progress.tick(
+                        scenario=spec.name, trial=index + 1, n_trials=spec.n_trials
+                    )
+            elif instrumented:
+                # Workers run the instrumented wrapper, which forces the
+                # telemetry switch on worker-side and ships back a
+                # (trial, snapshot) pair; merging the per-trial deltas is
+                # exact and order-independent.
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    pairs = list(
+                        pool.map(
+                            run_trial_instrumented,
+                            repeat(spec),
+                            range(spec.n_trials),
+                            chunksize=_pool_chunksize(spec.n_trials, workers),
                         )
-                elif instrumented:
-                    # Workers run the instrumented wrapper, which forces the
-                    # telemetry switch on worker-side and ships back a
-                    # (trial, snapshot) pair; merging the per-trial deltas
-                    # is exact and order-independent.
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        pairs = list(
-                            pool.map(
-                                run_trial_instrumented, repeat(spec), range(spec.n_trials)
-                            )
-                        )
-                    trials = [trial for trial, _ in pairs]
-                    for _, worker_snapshot in pairs:
-                        _metrics.merge_snapshot(worker_snapshot)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        trials = list(
-                            pool.map(run_trial, repeat(spec), range(spec.n_trials))
-                        )
+                    )
+                trials = [trial for trial, _ in pairs]
+                for _, worker_snapshot in pairs:
+                    _metrics.merge_snapshot(worker_snapshot)
             else:
-                chunks = _chunk_indices(spec.n_trials, int(batch_size))
-                if workers <= 1:
-                    batches = []
-                    for chunk in chunks:
-                        batches.append(run_trial_batch(spec, chunk))
-                        _progress.tick(
-                            scenario=spec.name,
-                            trial=chunk[-1] + 1,
-                            n_trials=spec.n_trials,
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    trials = list(
+                        pool.map(
+                            run_trial,
+                            repeat(spec),
+                            range(spec.n_trials),
+                            chunksize=_pool_chunksize(spec.n_trials, workers),
                         )
-                elif instrumented:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        pairs = list(
-                            pool.map(run_trial_batch_instrumented, repeat(spec), chunks)
-                        )
-                    batches = [batch for batch, _ in pairs]
-                    for _, worker_snapshot in pairs:
-                        _metrics.merge_snapshot(worker_snapshot)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        batches = list(pool.map(run_trial_batch, repeat(spec), chunks))
-                trials = [trial for batch in batches for trial in batch]
+                    )
         finally:
             if scenario_span is not None:
                 scenario_span.__exit__(None, None, None)
@@ -231,7 +179,6 @@ class ScenarioEngine:
         specs: Iterable[ScenarioSpec],
         n_workers: int | None = None,
         use_cache: bool = True,
-        batch_size: int | None = None,
     ) -> list[ScenarioResult]:
         """Run several scenarios in order; each is independently cached.
 
@@ -239,10 +186,7 @@ class ScenarioEngine:
         after another so that a suite's memory high-water mark stays at one
         scenario's working set.
         """
-        return [
-            self.run(spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size)
-            for spec in specs
-        ]
+        return [self.run(spec, n_workers=n_workers, use_cache=use_cache) for spec in specs]
 
     def run_sweep(
         self,
@@ -251,7 +195,6 @@ class ScenarioEngine:
         n_workers: int | None = None,
         use_cache: bool = True,
         name_format: str | None = None,
-        batch_size: int | None = None,
     ) -> list[ScenarioResult]:
         """Expand ``base`` over a parameter grid and run every point.
 
@@ -266,27 +209,26 @@ class ScenarioEngine:
         use :func:`repro.campaign.orchestrator.run_campaign` instead.
         """
         plan = plan_sweep(base, grid, name_format=name_format)
-        return plan.run(
-            self, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-        )
+        return plan.run(self, n_workers=n_workers, use_cache=use_cache)
 
 
-def _chunk_indices(n_trials: int, batch_size: int) -> list[list[int]]:
-    """Contiguous trial-index blocks of at most ``batch_size`` each."""
-    return [
-        list(range(start, min(start + batch_size, n_trials)))
-        for start in range(0, n_trials, batch_size)
-    ]
+def _pool_chunksize(n_trials: int, workers: int) -> int:
+    """Trials per pool task: ``ceil(n_trials / (4 * workers))``.
+
+    The rule :meth:`multiprocessing.pool.Pool.map` applies by default: about
+    four chunks per worker amortise the per-task IPC while leaving enough
+    tasks to balance uneven trial costs.
+    """
+    return -(-n_trials // (4 * workers))
 
 
 def run_scenario(
     spec: ScenarioSpec,
     n_workers: int = 1,
     cache: ResultCache | str | Path | None = None,
-    batch_size: int | None = None,
 ) -> ScenarioResult:
     """One-shot convenience wrapper around :class:`ScenarioEngine`."""
-    return ScenarioEngine(cache=cache, n_workers=n_workers, batch_size=batch_size).run(spec)
+    return ScenarioEngine(cache=cache, n_workers=n_workers).run(spec)
 
 
 __all__ = ["ScenarioEngine", "run_scenario"]

@@ -292,7 +292,7 @@ def _scale_suite() -> tuple[ScenarioSpec, ...]:
 
     Random-policy Monte Carlo with per-trial attack ensembles (``seed=None``)
     across the IEEE cases and the 57-/118-/300-/1354-bus synthetic networks —
-    the workload the engine's process pool, batched kernel, cache and sparse
+    the workload the engine's process pool, vectorised kernels, cache and sparse
     factorization backend exist for (cases at or above
     ``SPARSE_BUS_THRESHOLD`` buses resolve ``backend="auto"`` to the sparse
     Q-less kernels).

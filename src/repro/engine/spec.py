@@ -25,20 +25,19 @@ from repro.timeseries.spec import OperationSpec
 
 #: Bumped whenever the trial semantics change in a way that invalidates
 #: previously cached results (the version participates in the content hash).
-#: Version 2: the batched trial kernel — detection probabilities are
-#: evaluated with vectorised BLAS kernels, which shifts results by
-#: floating-point rounding relative to the version-1 per-attack loops.
+#: Version 2: detection probabilities are evaluated with vectorised BLAS
+#: kernels, which shifts results by floating-point rounding relative to the
+#: version-1 per-attack loops.
 SPEC_SCHEMA_VERSION = 2
 
 #: Spec fields that label a scenario without affecting its outcome.
 _LABEL_FIELDS = ("name", "description", "tags")
 
 #: Spec fields that tune *how* a scenario executes without affecting its
-#: outcome (batched results are bit-identical to serial ones, and the
-#: factorization backends agree within solver tolerance — the dense path
-#: is unchanged), and are therefore excluded from the content hash like
-#: the label fields.
-_EXECUTION_FIELDS = ("batch_size", "backend")
+#: outcome (the factorization backends agree within solver tolerance — the
+#: dense path is unchanged), and are therefore excluded from the content
+#: hash like the label fields.
+_EXECUTION_FIELDS = ("backend",)
 
 
 def _freeze(value: Any) -> Any:
@@ -320,12 +319,6 @@ class ScenarioSpec:
         Detection-probability thresholds at which ``η'(δ)`` is recorded.
     metric:
         The headline per-trial metric, e.g. ``"eta(0.9)"`` or ``"spa"``.
-    batch_size:
-        Execution hint (excluded from the content hash): how many trials
-        the engine groups into one batched-kernel call sharing a
-        :class:`~repro.estimation.linear_model.LinearModelCache`.  ``None``
-        (default) leaves the choice to the engine; batching never changes
-        results — batched trials are bit-identical to serial ones.
     backend:
         Execution hint (excluded from the content hash): the factorization
         backend of the estimation stack — ``"auto"`` (default: dense below
@@ -349,7 +342,6 @@ class ScenarioSpec:
     base_seed: int = 0
     deltas: tuple[float, ...] = (0.5, 0.8, 0.9, 0.95)
     metric: str = "eta(0.9)"
-    batch_size: int | None = None
     backend: str = "auto"
     description: str = ""
     tags: tuple[str, ...] = ()
@@ -377,10 +369,6 @@ class ScenarioSpec:
             )
         if self.n_trials <= 0:
             raise ConfigurationError(f"n_trials must be positive, got {self.n_trials}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be at least 1 (or None), got {self.batch_size}"
-            )
         if self.backend not in ("auto", "dense", "sparse"):
             raise ConfigurationError(
                 f"backend must be 'auto', 'dense' or 'sparse', got {self.backend!r}"
@@ -408,7 +396,10 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (or parsed JSON)."""
-        payload = dict(data)
+        # Payloads stored by earlier versions (result caches, campaign
+        # manifests and records) carry a retired execution hint that never
+        # entered the content hash or a result; it is dropped on load.
+        payload = {k: v for k, v in data.items() if k != "batch_size"}
         payload["grid"] = _component_from(GridSpec, payload.get("grid", {}))
         payload["attack"] = _component_from(AttackSpec, payload.get("attack", {}))
         payload["detector"] = _component_from(DetectorSpec, payload.get("detector", {}))
@@ -443,9 +434,9 @@ class ScenarioSpec:
         """SHA-256 over the execution-relevant content of the spec.
 
         Stable across processes and Python versions; labelling and
-        execution-tuning fields (``batch_size``) are excluded, so renaming
-        a scenario or changing how it is batched keeps its cached results
-        valid.
+        execution-tuning fields (``backend``) are excluded, so renaming a
+        scenario or switching its factorization backend keeps its cached
+        results valid.
         """
         payload = self.to_dict()
         for excluded in _LABEL_FIELDS + _EXECUTION_FIELDS:

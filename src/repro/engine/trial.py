@@ -11,8 +11,9 @@ parallel results bit-identical to serial ones.
 
 Within a process, the deterministic per-scenario context (network, baseline
 OPF, and — when the attack seed is pinned — the shared attack ensemble) is
-memoised, so running many trials of one scenario pays for the grid setup
-once per worker instead of once per trial.
+memoised with :func:`functools.lru_cache`, so running many trials of
+one scenario pays for the grid setup once per worker instead of once per
+trial; :func:`clear_context_caches` drops every one of them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.engine.spec import (
     GridSpec,
     ScenarioSpec,
 )
-from repro.estimation.linear_model import LinearModelCache
 from repro.exceptions import ConfigurationError, MTDDesignError
 from repro.grid.cases.registry import load_case
 from repro.grid.network import PowerNetwork
@@ -46,13 +46,15 @@ from repro.telemetry.config import _STATE as _TELEMETRY
 from repro.telemetry.spans import span as _span
 
 
+@lru_cache(maxsize=8)
 def network_for_grid(grid: GridSpec) -> PowerNetwork:
-    """The (deterministic) network of a grid spec.
+    """The (deterministic) network of a grid spec, memoised per process.
 
-    The single owner of GridSpec → PowerNetwork construction; the
-    time-series engine's per-process network cache builds on it too.
-    Registry names and file-referenced MATPOWER cases (``"case30.m"``)
-    both resolve through :func:`repro.grid.cases.registry.load_case`.
+    The single owner of GridSpec → PowerNetwork construction, shared by the
+    Monte-Carlo trials and the time-series engine; networks are immutable,
+    so every caller may hold the memoised instance.  Registry names and
+    file-referenced MATPOWER cases (``"case30.m"``) both resolve through
+    :func:`repro.grid.cases.registry.load_case`.
     """
     network = load_case(grid.case, **grid.kwargs())
     if grid.load_scale != 1.0:
@@ -128,12 +130,20 @@ def _shared_evaluator(
 
 
 def clear_context_caches() -> None:
-    """Drop the per-process grid/evaluator memoisation (mostly for tests)."""
+    """Drop every per-process scenario memo (tests and cold-start timing).
+
+    Covers the networks, grid contexts and shared evaluators of this module
+    and the time-series engine's horizon and per-hour evaluator memos, so
+    the next trial rebuilds its whole context from the spec.
+    """
+    # Imported lazily: the time-series engine builds on this module.
+    from repro.timeseries.engine import _cached_evaluator, _cached_hours
+
+    network_for_grid.cache_clear()
     _grid_context.cache_clear()
     _shared_evaluator.cache_clear()
-    from repro.timeseries.engine import clear_operation_caches
-
-    clear_operation_caches()
+    _cached_hours.cache_clear()
+    _cached_evaluator.cache_clear()
 
 
 def trial_seed_sequence(base_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -146,11 +156,7 @@ def trial_seed_sequence(base_seed: int, trial_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
 
 
-def run_trial(
-    spec: ScenarioSpec,
-    trial_index: int,
-    model_cache: LinearModelCache | None = None,
-) -> TrialResult:
+def run_trial(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     """Run trial ``trial_index`` of ``spec`` and record its metrics.
 
     Every trial reports ``eta(δ)`` for each threshold in ``spec.deltas``,
@@ -166,13 +172,6 @@ def run_trial(
     trial_index:
         Position of the trial in ``[0, spec.n_trials)``; selects the
         trial's seed-spawned random streams.
-    model_cache:
-        Optional :class:`~repro.estimation.linear_model.LinearModelCache`
-        shared with neighbouring trials (the batched execution path of
-        :func:`repro.engine.batch.run_trial_batch` passes one per batch),
-        so trials evaluating the same perturbed reactances factorize the
-        measurement Jacobian once.  Factorisation reuse is bit-identical to
-        rebuilding, so the result does not depend on the cache.
 
     Returns
     -------
@@ -184,15 +183,11 @@ def run_trial(
         # so instrumented trials are bit-identical to uninstrumented ones.
         with _span("engine.trial", trial=trial_index):
             _metrics.counter("engine.trials")
-            return _run_trial_body(spec, trial_index, model_cache)
-    return _run_trial_body(spec, trial_index, model_cache)
+            return _run_trial_body(spec, trial_index)
+    return _run_trial_body(spec, trial_index)
 
 
-def _run_trial_body(
-    spec: ScenarioSpec,
-    trial_index: int,
-    model_cache: LinearModelCache | None,
-) -> TrialResult:
+def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     if not (0 <= trial_index < spec.n_trials):
         raise ConfigurationError(
             f"trial_index must be in [0, {spec.n_trials}), got {trial_index}"
@@ -203,7 +198,7 @@ def _run_trial_body(
         # module's machinery).
         from repro.timeseries.engine import run_operation_trial
 
-        return run_operation_trial(spec, trial_index, model_cache=model_cache)
+        return run_operation_trial(spec, trial_index)
     # Contingency trials spawn a fourth stream for the false-alarm draws;
     # spawned streams are derived independently per index, so the first
     # three streams — and with them every existing metric — are identical
@@ -242,10 +237,9 @@ def _run_trial_body(
             method="monte-carlo",
             n_noise_trials=spec.detector.n_noise_trials,
             seed=np.random.Generator(np.random.PCG64(noise_seq)),
-            model_cache=model_cache,
         )
     else:
-        effectiveness = evaluator.evaluate(reactances, model_cache=model_cache)
+        effectiveness = evaluator.evaluate(reactances)
 
     metrics: dict[str, float] = {}
     for delta in spec.deltas:
@@ -263,7 +257,6 @@ def _run_trial_body(
             reactances,
             n_trials=spec.detector.n_noise_trials,
             seed=np.random.Generator(np.random.PCG64(false_alarm_seq)),
-            model_cache=model_cache,
         )
 
     if spec.mtd.include_cost:

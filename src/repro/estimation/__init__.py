@@ -5,8 +5,7 @@ Implements the DC-model supervisory stack of Section III of the paper:
 * :class:`~repro.estimation.measurement.MeasurementSystem` — the SCADA
   measurement model ``z = Hθ + n`` (forward/reverse branch flows and nodal
   injections, Gaussian noise).
-* :class:`~repro.estimation.linear_model.LinearModel` /
-  :class:`~repro.estimation.linear_model.LinearModelCache` — the
+* :class:`~repro.estimation.linear_model.LinearModel` — the
   maximum-likelihood (weighted least squares) estimator
   ``θ̂ = (HᵀWH)⁻¹HᵀWz`` as a factorized batched kernel: Jacobian,
   gain-matrix Cholesky and residual projector computed once per
@@ -30,7 +29,7 @@ from repro.estimation.backends import (
     available_backends,
     resolve_backend,
 )
-from repro.estimation.linear_model import BatchStateEstimate, LinearModel, LinearModelCache
+from repro.estimation.linear_model import BatchStateEstimate, LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.estimation.bdd import BadDataDetector
 from repro.estimation.observability import is_observable, observability_report
@@ -39,7 +38,6 @@ __all__ = [
     "MeasurementSystem",
     "BadDataDetector",
     "LinearModel",
-    "LinearModelCache",
     "BatchStateEstimate",
     "FactorizationBackend",
     "DenseQRBackend",

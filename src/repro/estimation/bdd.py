@@ -48,10 +48,9 @@ class BadDataDetector:
     false_positive_rate:
         Target FP rate ``α`` (default ``5e-4`` as in the paper).
     model:
-        Optional pre-factorized :class:`LinearModel` for ``system`` (e.g.
-        served from a :class:`~repro.estimation.linear_model.
-        LinearModelCache`), so that trials sharing a perturbation do not
-        refactorize the Jacobian.  Built from the system when omitted.
+        Optional pre-factorized :class:`LinearModel` for ``system``, so a
+        caller that already holds the factorization does not refactorize
+        the Jacobian.  Built from the system when omitted.
     backend:
         Factorisation backend for the model built when ``model`` is
         omitted: ``"auto"`` (default), ``"dense"`` or ``"sparse"`` (see

@@ -1,6 +1,6 @@
-"""Factorized linear measurement models and their cache.
+"""Factorized linear measurement models.
 
-This module is the heart of the batched trial kernel.  A
+This module is the heart of the vectorised estimation kernels.  A
 :class:`LinearModel` captures everything the estimation stack derives from
 one (measurement matrix, weights) pair — the Jacobian ``H``, a
 factorisation of the weighted Jacobian ``W^{1/2}H`` and the implied
@@ -16,11 +16,6 @@ the original dense QR path — byte-for-byte unchanged — below
 sparse Q-less gain-matrix LU above it, so 1000+ bus cases never
 materialise a dense ``(M, n)`` factor.
 
-A :class:`LinearModelCache` memoises the factorisations by caller-chosen
-keys so that Monte-Carlo trials sharing a (case, perturbation) pair pay for
-the Jacobian build and factorisation exactly once; hit/miss/eviction
-counters make the reuse observable and testable.
-
 Shapes used throughout (matching the paper's Section III):
 
 * ``M`` — number of measurements (``2L + N``),
@@ -31,9 +26,8 @@ Shapes used throughout (matching the paper's Section III):
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse
@@ -45,16 +39,12 @@ from repro.estimation.backends import (
     build_backend,
     resolve_backend,
 )
-from repro.exceptions import ConfigurationError, EstimationError
+from repro.exceptions import EstimationError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.config import _STATE as _TELEMETRY
 
 if TYPE_CHECKING:
     from repro.estimation.measurement import MeasurementSystem
-
-#: Internal sentinel distinguishing "absent" from a legitimately cached
-#: falsy value (None, empty array) in :class:`LinearModelCache`.
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -393,119 +383,4 @@ class LinearModel:
         return self.attack_residual_norms(attacks) ** 2
 
 
-class LinearModelCache:
-    """Bounded LRU cache of expensive per-perturbation computations.
-
-    Trials that share a (case, perturbation) pair produce byte-identical
-    measurement Jacobians, so their factorisations — and any value derived
-    purely from them, such as an ensemble's analytic detection
-    probabilities — are interchangeable; the cache makes that reuse
-    explicit.  Keys are chosen by the caller (the engine keys on the
-    perturbed reactance vector's bytes plus the noise level) and must be
-    hashable; values are typically :class:`LinearModel` instances but any
-    deterministic build product may be stored (the effectiveness layer
-    caches per-perturbation probability arrays through the same
-    mechanism).
-
-    Parameters
-    ----------
-    maxsize:
-        Maximum number of retained entries; the least recently used entry
-        is evicted beyond that.  Must be at least 1.
-    telemetry_name:
-        When set, cache traffic is also mirrored into the telemetry
-        counters ``cache.<telemetry_name>.{hits,misses,evictions}`` so it
-        survives the process-pool snapshot merge; ``None`` (the default)
-        keeps the cache invisible to telemetry.
-
-    Attributes
-    ----------
-    hits, misses, evictions:
-        Counters of cache behaviour, exposed via :meth:`stats` and asserted
-        in the tier-1 tests.
-    """
-
-    def __init__(self, maxsize: int = 32, telemetry_name: str | None = None) -> None:
-        if maxsize < 1:
-            raise ConfigurationError(f"maxsize must be at least 1, got {maxsize}")
-        self._maxsize = int(maxsize)
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.telemetry_name = telemetry_name
-        if telemetry_name is None:
-            self._hit_key = self._miss_key = self._evict_key = None
-        else:
-            self._hit_key = f"cache.{telemetry_name}.hits"
-            self._miss_key = f"cache.{telemetry_name}.misses"
-            self._evict_key = f"cache.{telemetry_name}.evictions"
-
-    @property
-    def maxsize(self) -> int:
-        """The configured capacity."""
-        return self._maxsize
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    # ------------------------------------------------------------------
-    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        """Return the value cached under ``key``, building it on a miss.
-
-        Parameters
-        ----------
-        key:
-            Hashable cache key; callers must include everything the value
-            depends on (reactances, noise level, and — when one cache spans
-            several grids — the case identity).
-        builder:
-            Zero-argument callable producing the value on a miss.  Because
-            the cached computations are deterministic, a cache hit is
-            bit-identical to rebuilding.
-
-        Returns
-        -------
-        Any
-            The cached or freshly built value (a :class:`LinearModel` for
-            the engine's factorization cache).
-        """
-        mirror = self._hit_key is not None and _TELEMETRY.enabled
-        value = self._entries.get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if mirror:
-                _metrics.counter(self._hit_key)
-            return value
-        self.misses += 1
-        if mirror:
-            _metrics.counter(self._miss_key)
-        value = builder()
-        self._entries[key] = value
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            if mirror:
-                _metrics.counter(self._evict_key)
-        return value
-
-    def clear(self) -> None:
-        """Drop every cached factorisation (counters are preserved)."""
-        self._entries.clear()
-
-    def stats(self) -> dict[str, Any]:
-        """Hit/miss/eviction counters plus current occupancy."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "maxsize": self._maxsize,
-        }
-
-
-__all__ = ["LinearModel", "LinearModelCache", "BatchStateEstimate"]
+__all__ = ["LinearModel", "BatchStateEstimate"]

@@ -17,23 +17,19 @@ two agree to Monte-Carlo accuracy and are cross-validated in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal
+from typing import Literal
 
 import numpy as np
 
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
 from repro.estimation.backends import BACKEND_AUTO, resolve_backend
-from repro.estimation.linear_model import LinearModel, LinearModelCache
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.network import PowerNetwork
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
-
-#: Bound on the evaluator's per-perturbation memo of analytic results.
-_ANALYTIC_MEMO_MAXSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -127,9 +123,7 @@ class EffectivenessEvaluator:
         ``"auto"`` (default — dense below
         :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, sparse at
         or above), ``"dense"`` or ``"sparse"``.  Resolved once per
-        evaluator; the resolved name participates in both the shared
-        ``model_cache`` keys and the analytic memo keys, so evaluators on
-        different backends never exchange factorizations.
+        evaluator.
     """
 
     def __init__(
@@ -158,14 +152,6 @@ class EffectivenessEvaluator:
         self._alpha = float(false_positive_rate)
         self._pre_system = MeasurementSystem.for_network(
             network, reactances=self._base_reactances, noise_sigma=noise_sigma
-        )
-        # Analytic detection probabilities depend only on the perturbed
-        # reactances (given this evaluator's fixed ensemble and α), so they
-        # are memoised per perturbation.  The memo lives on the evaluator —
-        # exactly the lifetime of the ensemble it is valid for — and reuses
-        # the library's bounded-LRU cache for its eviction/accounting.
-        self._analytic_memo = LinearModelCache(
-            maxsize=_ANALYTIC_MEMO_MAXSIZE, telemetry_name="analytic_memo"
         )
         reference_z = self._pre_system.noiseless_measurements(self._angles)
         self._ensemble = generate_attack_ensemble(
@@ -205,9 +191,11 @@ class EffectivenessEvaluator:
         n_noise_trials: int = 1000,
         operating_angles_rad: np.ndarray | None = None,
         seed: int | np.random.Generator | None = 0,
-        model_cache: LinearModelCache | None = None,
     ) -> EffectivenessResult:
         """Evaluate the detection statistics of one candidate perturbation.
+
+        Builds the post-perturbation :class:`BadDataDetector` and returns
+        its detection probabilities for the evaluator's attack ensemble.
 
         Parameters
         ----------
@@ -225,36 +213,19 @@ class EffectivenessEvaluator:
             method does not depend on the true state.)
         seed:
             Seed for the Monte-Carlo noise streams.
-        model_cache:
-            Optional :class:`~repro.estimation.linear_model.
-            LinearModelCache` from which the perturbation's factorized
-            measurement model is served (and into which a freshly built one
-            is stored).  The batched engine passes one cache per trial
-            batch so trials sharing a (case, perturbation) pair factorize
-            once.  Reuse is bit-identical to rebuilding.
         """
-        x = np.asarray(perturbed_reactances, dtype=float).ravel()
+        if method not in ("analytic", "monte-carlo"):
+            raise ConfigurationError(
+                f"unknown detection method {method!r}; use 'analytic' or 'monte-carlo'"
+            )
+        detector = self._build_detector(perturbed_reactances)
         if method == "analytic":
-            # Memo-first: a hit skips building the measurement system and
-            # its factorization entirely, which is the dominant cost when
-            # trials share a perturbation.  A copy is handed out so callers
-            # can never corrupt the memo.
-            probabilities = self._analytic_memo.get_or_build(
-                (x.tobytes(), self._backend),
-                lambda: self._build_detector(x, model_cache).detection_probabilities(
-                    self._ensemble.attacks
-                ),
-            ).copy()
-        elif method == "monte-carlo":
-            detector = self._build_detector(x, model_cache)
+            probabilities = detector.detection_probabilities(self._ensemble.attacks)
+        else:
             rng = as_generator(seed)
             angles = self._angles if operating_angles_rad is None else np.asarray(operating_angles_rad, dtype=float)
             probabilities = detector.detection_probabilities_monte_carlo(
                 self._ensemble.attacks, angles, n_trials=n_noise_trials, rng=rng
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown detection method {method!r}; use 'analytic' or 'monte-carlo'"
             )
         return EffectivenessResult(
             detection_probabilities=probabilities,
@@ -267,7 +238,6 @@ class EffectivenessEvaluator:
         perturbed_reactances: np.ndarray,
         n_trials: int = 1000,
         seed: int | np.random.Generator | None = 0,
-        model_cache: LinearModelCache | None = None,
     ) -> float:
         """Empirical BDD false-alarm rate of one perturbation, attack-free.
 
@@ -277,53 +247,27 @@ class EffectivenessEvaluator:
         that a perturbation (or a post-contingency topology) keeps the
         BDD's alarm rate at its design level ``α``.
         """
-        x = np.asarray(perturbed_reactances, dtype=float).ravel()
-        detector = self._build_detector(x, model_cache)
+        detector = self._build_detector(perturbed_reactances)
         return float(
             detector.empirical_false_positive_rate(
                 self._angles, n_trials=n_trials, rng=as_generator(seed)
             )
         )
 
-    def _build_detector(
-        self, reactances: np.ndarray, model_cache: LinearModelCache | None
-    ) -> BadDataDetector:
-        """Detector for one perturbation, factorized via ``model_cache`` if given."""
+    def _build_detector(self, perturbed_reactances: np.ndarray) -> BadDataDetector:
+        """The post-perturbation detector of one reactance vector."""
         post_system = MeasurementSystem.for_network(
-            self._network, reactances=reactances, noise_sigma=self._noise_sigma
+            self._network,
+            reactances=np.asarray(perturbed_reactances, dtype=float).ravel(),
+            noise_sigma=self._noise_sigma,
         )
-        model: LinearModel | None = None
-        if model_cache is not None:
-            # The key carries the resolved backend: a shared cache serving
-            # evaluators on different backends must never hand a sparse
-            # factorization to a dense consumer (or vice versa).
-            model = model_cache.get_or_build(
-                (reactances.tobytes(), self._noise_sigma, self._backend),
-                lambda: LinearModel.from_measurement_system(
-                    post_system, backend=self._backend
-                ),
-            )
         return BadDataDetector(
-            post_system,
-            false_positive_rate=self._alpha,
-            model=model,
-            backend=self._backend,
+            post_system, false_positive_rate=self._alpha, backend=self._backend
         )
 
     def evaluate_perturbation(self, perturbation, **kwargs) -> EffectivenessResult:
         """Evaluate a :class:`~repro.mtd.perturbation.ReactancePerturbation`."""
         return self.evaluate(perturbation.perturbed_reactances, **kwargs)
-
-    def cache_stats(self) -> dict[str, dict[str, Any]]:
-        """Accounting for the evaluator's per-perturbation analytic memo.
-
-        Surfaces the previously internal :meth:`LinearModelCache.stats`
-        counters (hits/misses/evictions/occupancy) so run reports and the
-        engine's per-scenario telemetry can attribute reuse to this
-        evaluator.  Keyed by cache name for forward compatibility with
-        evaluators that hold more than one cache.
-        """
-        return {"analytic_memo": self._analytic_memo.stats()}
 
 
 __all__ = [

@@ -16,7 +16,7 @@ registry.  Merging is **exact and deterministic**:
   last-value metric (used for high-water marks such as cache occupancy).
 
 Metric names are dotted strings (``"engine.trials"``,
-``"cache.linear_model.hits"``); optional labels are folded into the key
+``"cache.topology.hits"``); optional labels are folded into the key
 deterministically (``"span.seconds{name=engine.trial}"``).  Serialized
 snapshots sort their keys, so two byte-identical runs produce
 byte-identical telemetry payloads.

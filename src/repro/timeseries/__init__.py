@@ -11,7 +11,7 @@ repository's spec/engine/campaign stack:
   :class:`~repro.engine.spec.ScenarioSpec`;
 * :mod:`repro.timeseries.engine` — :class:`OperationEngine` /
   :func:`run_operation_trial`, executing hours through the scenario
-  engine's pool/cache/batching with seed-spawned per-hour streams
+  engine's pool/cache with seed-spawned per-hour streams
   (parallel bit-identical to serial) and per-hour design memoisation;
 * :mod:`repro.timeseries.results` — :class:`OperationRecord` /
   :class:`OperationResult`, the typed view over the per-hour trials.
@@ -45,8 +45,6 @@ _EXPORTS = {
     "OperationResult": "results",
     "HourContext": "engine",
     "OperationEngine": "engine",
-    "build_operation_context": "engine",
-    "clear_operation_caches": "engine",
     "daily_operation_spec": "engine",
     "run_operation_trial": "engine",
 }

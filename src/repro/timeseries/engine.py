@@ -5,13 +5,15 @@ The engine turns a :class:`~repro.engine.spec.ScenarioSpec` whose
 engine's existing machinery can schedule: **trial ``t`` is hour ``t``** of
 the horizon.  :func:`run_operation_trial` is the unit of work
 (:func:`repro.engine.trial.run_trial` dispatches here), so operated hours
-inherit the process-pool parallelism, trial batching, result caching,
-campaign sharding and resume of ordinary scenarios without new plumbing.
+inherit the process-pool parallelism, result caching, campaign sharding
+and resume of ordinary scenarios without new plumbing.
 
 The deterministic per-horizon context — the hourly loads, the chained
 no-MTD baseline OPFs (with D-FACTS carryover) and each hour's stale
-attacker knowledge — is memoised per process, so a worker pays the serial
-baseline chain once and then evaluates its assigned hours independently.
+attacker knowledge — is memoised per process (cleared by
+:func:`repro.engine.trial.clear_context_caches`), so a worker pays the
+serial baseline chain once and then evaluates its assigned hours
+independently.
 Each hour derives its random streams from ``(base_seed, hour)``, which is
 what makes parallel horizons bit-identical to serial ones.
 
@@ -47,7 +49,6 @@ from repro.engine.spec import (
     ScenarioSpec,
 )
 from repro.engine.trial import network_for_grid
-from repro.estimation.linear_model import LinearModelCache
 from repro.exceptions import ConfigurationError, MTDDesignError, OPFInfeasibleError
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.grid.network import PowerNetwork
@@ -189,15 +190,10 @@ def _build_hours(
 
 
 @lru_cache(maxsize=8)
-def _cached_network(grid: GridSpec) -> PowerNetwork:
-    return network_for_grid(grid)
-
-
-@lru_cache(maxsize=8)
 def _cached_hours(
     grid: GridSpec, operation: OperationSpec, base_seed: int
 ) -> tuple[HourContext, ...]:
-    return _build_hours(_cached_network(grid), grid.baseline, operation, base_seed)
+    return _build_hours(network_for_grid(grid), grid.baseline, operation, base_seed)
 
 
 @lru_cache(maxsize=64)
@@ -214,7 +210,7 @@ def _cached_evaluator(
     hour_context = _cached_hours(grid, operation, base_seed)[hour]
     evaluator_seed, _ = _hour_seeds(base_seed, hour)
     return EffectivenessEvaluator(
-        _cached_network(grid),
+        network_for_grid(grid),
         operating_angles_rad=hour_context.knowledge_angles,
         base_reactances=hour_context.knowledge_reactances,
         noise_sigma=detector.noise_sigma,
@@ -224,13 +220,6 @@ def _cached_evaluator(
         seed=evaluator_seed,
         backend=backend,
     )
-
-
-def clear_operation_caches() -> None:
-    """Drop the per-process horizon/evaluator memoisation (mostly for tests)."""
-    _cached_network.cache_clear()
-    _cached_hours.cache_clear()
-    _cached_evaluator.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +233,6 @@ def _tune_gamma(
     design_method: str,
     preferred_reactances: np.ndarray,
     design_seed: int,
-    model_cache: LinearModelCache | None,
 ) -> tuple[MTDDesignResult, float, float, int]:
     """Select the smallest grid threshold whose design meets the target.
 
@@ -284,9 +272,7 @@ def _tune_gamma(
         except MTDDesignError:
             probes[index] = None
             return None
-        effectiveness = evaluator.evaluate(
-            design.perturbed_reactances, model_cache=model_cache
-        )
+        effectiveness = evaluator.evaluate(design.perturbed_reactances)
         probes[index] = (design, effectiveness.eta(tuning.delta))
         return probes[index]
 
@@ -380,7 +366,6 @@ def _operate_hour(
     network: PowerNetwork,
     hour_context: HourContext,
     evaluator: EffectivenessEvaluator,
-    model_cache: LinearModelCache | None,
 ) -> TrialResult:
     """Tune, price and record one operated hour."""
     operation = _require_operation(spec)
@@ -393,7 +378,6 @@ def _operate_hour(
         spec.mtd.design_method,
         preferred_reactances=hour_context.baseline.reactances,
         design_seed=design_seed,
-        model_cache=model_cache,
     )
     cost = mtd_operational_cost(
         network,
@@ -421,11 +405,7 @@ def _operate_hour(
     return TrialResult(trial_index=hour_context.hour, metrics=metrics)
 
 
-def run_operation_trial(
-    spec: ScenarioSpec,
-    hour: int,
-    model_cache: LinearModelCache | None = None,
-) -> TrialResult:
+def run_operation_trial(spec: ScenarioSpec, hour: int) -> TrialResult:
     """Run hour ``hour`` of an operation scenario (the engine's trial hook).
 
     Self-contained and picklable-by-argument like
@@ -435,7 +415,7 @@ def run_operation_trial(
     execution order, worker count or process boundaries.
     """
     operation = _require_operation(spec)
-    network = _cached_network(spec.grid)
+    network = network_for_grid(spec.grid)
     hours = _cached_hours(spec.grid, operation, spec.base_seed)
     if not (0 <= hour < len(hours)):
         raise ConfigurationError(
@@ -448,11 +428,11 @@ def run_operation_trial(
     if _TELEMETRY.enabled:
         with _span("timeseries.hour", hour=hour):
             _metrics.counter("timeseries.hours")
-            result = _operate_hour(spec, network, hours[hour], evaluator, model_cache)
+            result = _operate_hour(spec, network, hours[hour], evaluator)
         # Hour-granular liveness for long horizons (no-op without a sink).
         _progress.tick(hour=hour, n_hours=len(hours))
         return result
-    return _operate_hour(spec, network, hours[hour], evaluator, model_cache)
+    return _operate_hour(spec, network, hours[hour], evaluator)
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +442,8 @@ class OperationEngine:
     """Executes operation scenarios and returns typed hourly records.
 
     A thin façade over :class:`~repro.engine.runner.ScenarioEngine`: runs
-    inherit its result cache, process-pool parallelism over hours and trial
-    batching, and are wrapped into an :class:`OperationResult`.
+    inherit its result cache and process-pool parallelism over hours, and
+    are wrapped into an :class:`OperationResult`.
 
     Parameters
     ----------
@@ -471,18 +451,14 @@ class OperationEngine:
         ``None``, an existing :class:`ResultCache`, or a directory path.
     n_workers:
         Default worker count; hours of the horizon are the parallel unit.
-    batch_size:
-        Hours per batched-kernel block (shared
-        :class:`~repro.estimation.linear_model.LinearModelCache`).
     """
 
     def __init__(
         self,
         cache: ResultCache | str | Path | None = None,
         n_workers: int = 1,
-        batch_size: int | None = None,
     ) -> None:
-        self._engine = ScenarioEngine(cache=cache, n_workers=n_workers, batch_size=batch_size)
+        self._engine = ScenarioEngine(cache=cache, n_workers=n_workers)
 
     @property
     def engine(self) -> ScenarioEngine:
@@ -494,7 +470,6 @@ class OperationEngine:
         spec: ScenarioSpec,
         n_workers: int | None = None,
         use_cache: bool = True,
-        batch_size: int | None = None,
     ) -> OperationResult:
         """Operate the whole horizon and return the per-hour records.
 
@@ -502,13 +477,11 @@ class OperationEngine:
         ----------
         spec:
             A scenario spec with its ``operation`` component set.
-        n_workers, use_cache, batch_size:
+        n_workers, use_cache:
             Forwarded to :meth:`ScenarioEngine.run`.
         """
         _require_operation(spec)
-        scenario = self._engine.run(
-            spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-        )
+        scenario = self._engine.run(spec, n_workers=n_workers, use_cache=use_cache)
         return OperationResult.from_scenario(scenario)
 
 
@@ -585,14 +558,4 @@ __all__ = [
     "OperationEngine",
     "daily_operation_spec",
     "run_operation_trial",
-    "build_operation_context",
-    "clear_operation_caches",
 ]
-
-
-def build_operation_context(
-    spec: ScenarioSpec, network: PowerNetwork
-) -> tuple[HourContext, ...]:
-    """The per-hour contexts of a spec against an explicit network."""
-    operation = _require_operation(spec)
-    return _build_hours(network, spec.grid.baseline, operation, spec.base_seed)

@@ -3,6 +3,8 @@ parallel determinism, and the ≥100-point acceptance sweep over fig7."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.montecarlo import summarize_values
@@ -24,6 +26,7 @@ from repro.engine import (
     ScenarioSpec,
     scenario_suite,
 )
+from repro.campaign.store import INDEX_NAME, MANIFEST_NAME, SEGMENT_DIR
 from repro.exceptions import ConfigurationError
 
 
@@ -130,6 +133,36 @@ class TestRunAndResume:
         with pytest.raises(ConfigurationError):
             CampaignOrchestrator(tmp_path / "fresh.campaign").resume()
 
+    def test_store_with_retired_batch_size_key_resumes(self, tmp_path):
+        """Manifests and records written while specs carried a
+        ``batch_size`` execution hint still resume and answer queries."""
+        definition = quick_definition()
+        store_dir = tmp_path / "c.campaign"
+        run_campaign(definition, store_dir, shard_limit=1)
+        manifest_path = store_dir / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["definition"]["base"]["batch_size"] = 8
+        manifest_path.write_text(json.dumps(manifest))
+        for segment in (store_dir / SEGMENT_DIR).glob("*.ndjson"):
+            records = [json.loads(line) for line in segment.read_text().splitlines()]
+            for record in records:
+                record["spec"]["batch_size"] = 8
+            segment.write_text("".join(json.dumps(r) + "\n" for r in records))
+        # Record offsets moved: the index is rebuilt from the segments.
+        (store_dir / INDEX_NAME).unlink()
+
+        orchestrator = CampaignOrchestrator(store_dir)
+        report = orchestrator.resume()
+        plan = plan_campaign(definition)
+        assert report.plan_hash == plan.plan_hash
+        assert len(report.skipped) == 2 and len(report.executed) == 4
+        assert report.complete
+        results = query_results(orchestrator.store)
+        assert [r.spec.content_hash() for r in results] == list(plan.items)
+        sweep = {r.spec.content_hash(): r for r in ScenarioEngine().run_sweep(quick_base(), GRID)}
+        for result in results:
+            assert result.trials == sweep[result.spec.content_hash()].trials
+
 
 class TestResultCacheInterop:
     def test_cached_scenarios_are_ingested_not_rerun(self, tmp_path):
@@ -222,7 +255,7 @@ class TestFig7Acceptance:
         assert len(plan.shards) == 13
 
         store_dir = tmp_path / "fig7.campaign"
-        orchestrator = CampaignOrchestrator(store_dir, batch_size=4)
+        orchestrator = CampaignOrchestrator(store_dir)
         interrupted = orchestrator.run(definition, shard_limit=5)
         assert len(interrupted.executed) == 40
         status = orchestrator.status()

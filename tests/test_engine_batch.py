@@ -1,11 +1,11 @@
-"""Tests of the engine's batched execution path.
+"""Tests of the engine's pooled execution path and stored payloads.
 
-The headline contract (and the PR's acceptance criterion): batched trial
-execution is **bit-identical** to the serial per-trial path for the same
-seed, for every detector method and MTD policy, under any chunking, and
-with factorization caching active.  Also covers the ``batch_size`` knob's
-plumbing (spec field, hash exclusion, engine dispatch) and the
-``ResultCache`` corruption/eviction paths.
+The headline contract: pooled trial execution is **bit-identical** to the
+serial per-trial path for the same seed, for every detector method and
+MTD policy, with the pool shipping trials in chunks of several trials.
+Also covers payloads stored before the ``batch_size`` execution hint was
+retired (they load to the same spec and hash) and the ``ResultCache``
+corruption/eviction paths.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from repro.engine import (
     ScenarioEngine,
     ScenarioSpec,
     run_trial,
-    run_trial_batch,
 )
-from repro.estimation.linear_model import LinearModelCache
-from repro.exceptions import ConfigurationError
+from repro.engine.runner import _pool_chunksize
+
+#: Trials per pooled scenario: with two workers the pool's chunk size
+#: ``ceil(n / (4 * workers))`` is 2, so every task carries several trials.
+POOLED_TRIALS = 9
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -48,119 +50,85 @@ def serial_trials(spec):
     return [run_trial(spec, i) for i in range(spec.n_trials)]
 
 
+def assert_pooled_identical(spec):
+    """Two pool workers reproduce the serial trials bit for bit."""
+    serial = serial_trials(spec)
+    pooled = ScenarioEngine(n_workers=2).run(spec)
+    assert [t.metrics for t in pooled.trials] == [t.metrics for t in serial]
+    assert [t.trial_index for t in pooled.trials] == list(range(spec.n_trials))
+    assert pooled.n_workers == 2
+
+
+#: ``small_spec().content_hash()`` as computed (with and without the hint)
+#: by the versions that wrote such payloads.
+STORED_HASH = "b939ed777d228ac812bee36bfa5520365fd6ba29119a70f360772957cac3459c"
+
+
+def parent_shaped(spec: ScenarioSpec) -> dict:
+    """``spec.to_dict()`` as stored by versions with a ``batch_size`` hint."""
+    payload = spec.to_dict()
+    payload["batch_size"] = 8
+    return payload
+
+
 class TestBatchedBitIdentity:
     def test_batched_identical_to_serial(self):
-        spec = small_spec()
-        serial = serial_trials(spec)
-        for batch_size in (2, 3, spec.n_trials):
-            batched = ScenarioEngine(batch_size=batch_size).run(spec)
-            assert [t.metrics for t in batched.trials] == [t.metrics for t in serial]
-            assert [t.trial_index for t in batched.trials] == list(range(spec.n_trials))
+        assert_pooled_identical(small_spec(n_trials=POOLED_TRIALS))
 
     def test_batched_identical_for_monte_carlo_detector(self):
-        spec = small_spec().with_updates(
-            {"detector.method": "monte-carlo", "detector.n_noise_trials": 25}
+        assert_pooled_identical(
+            small_spec(n_trials=POOLED_TRIALS).with_updates(
+                {"detector.method": "monte-carlo", "detector.n_noise_trials": 25}
+            )
         )
-        serial = serial_trials(spec)
-        batched = ScenarioEngine(batch_size=spec.n_trials).run(spec)
-        assert [t.metrics for t in batched.trials] == [t.metrics for t in serial]
 
     def test_batched_identical_for_none_policy(self):
-        spec = small_spec().with_updates({"mtd.policy": "none"})
-        serial = serial_trials(spec)
-        batched = ScenarioEngine(batch_size=spec.n_trials).run(spec)
-        assert [t.metrics for t in batched.trials] == [t.metrics for t in serial]
+        assert_pooled_identical(
+            small_spec(n_trials=POOLED_TRIALS).with_updates({"mtd.policy": "none"})
+        )
 
     def test_batched_identical_with_per_trial_ensembles(self):
-        spec = small_spec().with_updates({"attack.seed": None})
-        serial = serial_trials(spec)
-        batched = ScenarioEngine(batch_size=2).run(spec)
-        assert [t.metrics for t in batched.trials] == [t.metrics for t in serial]
+        assert_pooled_identical(
+            small_spec(n_trials=POOLED_TRIALS).with_updates({"attack.seed": None})
+        )
 
     def test_parallel_batched_identical_to_serial(self):
-        spec = small_spec(n_trials=4)
-        serial = serial_trials(spec)
-        batched = ScenarioEngine(n_workers=2, batch_size=2).run(spec)
-        assert [t.metrics for t in batched.trials] == [t.metrics for t in serial]
-        assert batched.n_workers == 2
+        """Fewer trials than four per worker: one trial per pool task."""
+        assert_pooled_identical(small_spec(n_trials=4))
 
-
-class TestRunTrialBatch:
-    def test_defaults_to_all_trials(self):
-        spec = small_spec(n_trials=3)
-        assert [t.trial_index for t in run_trial_batch(spec)] == [0, 1, 2]
-
-    def test_respects_requested_order(self):
-        spec = small_spec(n_trials=4)
-        results = run_trial_batch(spec, [3, 0])
-        assert [t.trial_index for t in results] == [3, 0]
-        assert results[0].metrics == run_trial(spec, 3).metrics
-
-    def test_rejects_out_of_range_indices(self):
-        spec = small_spec(n_trials=2)
-        with pytest.raises(ConfigurationError):
-            run_trial_batch(spec, [0, 2])
-
-    def test_shares_factorizations_across_trials(self):
-        """'none'-policy trials all price the same reactances: one miss, rest hits.
-
-        The Monte-Carlo detector consults the factorization cache on every
-        trial (the analytic path may be short-circuited by the evaluator's
-        own result memo), so its accounting is the clean observable.
-        """
-        spec = small_spec(n_trials=4).with_updates(
-            {"mtd.policy": "none", "detector.method": "monte-carlo",
-             "detector.n_noise_trials": 10}
-        )
-        cache = LinearModelCache()
-        run_trial_batch(spec, model_cache=cache)
-        assert cache.misses == 1
-        assert cache.hits == spec.n_trials - 1
-
-    def test_random_policy_misses_per_perturbation(self):
-        spec = small_spec(n_trials=3).with_updates(
-            {"detector.method": "monte-carlo", "detector.n_noise_trials": 10}
-        )
-        cache = LinearModelCache()
-        run_trial_batch(spec, model_cache=cache)
-        assert cache.misses == 3
-        assert cache.hits == 0
+    def test_pool_chunksize_follows_multiprocessing_rule(self):
+        assert _pool_chunksize(POOLED_TRIALS, 2) == 2
+        assert _pool_chunksize(4, 2) == 1
+        assert _pool_chunksize(1000, 3) == 84
 
 
 class TestBatchSizeKnob:
+    """The retired ``batch_size`` hint in payloads stored before its removal."""
+
     def test_spec_field_round_trips(self):
-        spec = small_spec(batch_size=8)
-        assert spec.batch_size == 8
-        assert ScenarioSpec.from_dict(spec.to_dict()).batch_size == 8
-        assert ScenarioSpec.from_json(spec.to_json()).batch_size == 8
+        spec = small_spec()
+        assert ScenarioSpec.from_dict(parent_shaped(spec)) == spec
+        assert ScenarioSpec.from_json(json.dumps(parent_shaped(spec))) == spec
+        assert "batch_size" not in spec.to_dict()
 
     def test_batch_size_excluded_from_content_hash(self):
         spec = small_spec()
-        assert spec.content_hash() == spec.with_updates(batch_size=16).content_hash()
-
-    def test_spec_batch_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            small_spec(batch_size=0)
-
-    def test_engine_batch_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioEngine(batch_size=0)
-        engine = ScenarioEngine()
-        with pytest.raises(ConfigurationError):
-            engine.run(small_spec(), batch_size=-1)
-
-    def test_spec_batch_size_drives_engine(self):
-        spec = small_spec(batch_size=2)
-        serial = serial_trials(spec)
-        result = ScenarioEngine().run(spec)
-        assert [t.metrics for t in result.trials] == [t.metrics for t in serial]
+        loaded = ScenarioSpec.from_dict(parent_shaped(spec))
+        assert loaded.content_hash() == spec.content_hash() == STORED_HASH
 
     def test_batched_and_serial_share_cache_entries(self, tmp_path):
+        """A cache entry whose stored spec carries the hint is a hit."""
         cache = ResultCache(tmp_path)
         spec = small_spec()
-        ScenarioEngine(cache=cache, batch_size=2).run(spec)
-        hit = ScenarioEngine(cache=cache).run(spec.with_updates(batch_size=None))
+        first = ScenarioEngine(cache=cache).run(spec)
+        path = cache.path_for(spec)
+        payload = json.loads(path.read_text())
+        payload["spec"]["batch_size"] = 8
+        path.write_text(json.dumps(payload))
+        hit = ScenarioEngine(cache=cache).run(spec)
         assert hit.from_cache
+        assert hit.spec == spec
+        assert hit.trials == first.trials
 
 
 class TestResultCacheCorruption:
@@ -211,7 +179,7 @@ class TestResultCacheCorruption:
 
 
 class TestTelemetryNeutrality:
-    """Telemetry collection must never perturb batched results."""
+    """Telemetry collection must never perturb pooled results."""
 
     @pytest.fixture(autouse=True)
     def _clean_telemetry(self):
@@ -226,31 +194,9 @@ class TestTelemetryNeutrality:
     def test_batched_bit_identical_with_telemetry_enabled(self):
         from repro import telemetry
 
-        spec = small_spec()
+        spec = small_spec(n_trials=POOLED_TRIALS)
         serial = serial_trials(spec)
         telemetry.enable()
-        for batch_size in (1, 2, spec.n_trials):
-            chunks = [
-                list(range(start, min(start + batch_size, spec.n_trials)))
-                for start in range(0, spec.n_trials, batch_size)
-            ]
-            batched = [t for chunk in chunks for t in run_trial_batch(spec, chunk)]
-            assert [t.metrics for t in batched] == [t.metrics for t in serial]
-
-    def test_batch_snapshot_counts_model_cache_traffic(self):
-        from repro import telemetry
-
-        spec = small_spec(mtd=MTDSpec(policy="none"))
-        telemetry.enable()
-        trials, snapshot = run_trial_batch(spec, return_snapshot=True)
-        assert len(trials) == spec.n_trials
-        counters = snapshot["counters"]
-        assert counters["engine.trials"] == spec.n_trials
-        assert counters["engine.batches"] == 1
-        # With the 'none' policy every trial shares one perturbation: at
-        # most one memo miss (zero when the process-global memo is already
-        # warm from earlier tests), every other trial hits.
-        hits = counters.get("cache.analytic_memo.hits", 0)
-        misses = counters.get("cache.analytic_memo.misses", 0)
-        assert hits + misses == spec.n_trials
-        assert hits >= spec.n_trials - 1
+        pooled = ScenarioEngine(n_workers=2).run(spec)
+        assert [t.metrics for t in pooled.trials] == [t.metrics for t in serial]
+        assert pooled.telemetry["counters"]["engine.trials"] == spec.n_trials

@@ -12,10 +12,10 @@ Three families of guarantees from the backend-pluggable refactor:
   file-referenced MATPOWER case, and must raise identical observability
   errors on rank-deficient models.
 * **Plumbing** — the ``backend=`` knob resolves correctly, is excluded
-  from the spec content hash (an execution knob, like ``batch_size``),
-  reaches every factorisation-cache key (so dense and sparse runs never
-  exchange factorisations), and is observable via telemetry and the
-  environment stamp.
+  from the spec content hash (an execution knob), is enforced on models
+  injected into the detector (so dense and sparse runs never exchange
+  factorisations), and is observable via telemetry and the environment
+  stamp.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.engine import (
     MTDSpec,
     ScenarioSpec,
     run_trial,
-    run_trial_batch,
     scenario_suite,
 )
 from repro.estimation.backends import (
@@ -44,7 +43,7 @@ from repro.estimation.backends import (
     resolve_backend,
 )
 from repro.estimation.bdd import BadDataDetector
-from repro.estimation.linear_model import LinearModel, LinearModelCache
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import ConfigurationError, EstimationError
 from repro.grid.cases.registry import available_cases, load_case
@@ -286,17 +285,6 @@ class TestCacheKeys:
         # Matching (or unresolved "auto") injections stay accepted.
         BadDataDetector(measurement14, model=dense, backend="dense")
         BadDataDetector(measurement14, model=dense)
-
-    def test_model_cache_keys_distinct_per_backend(self):
-        cache = LinearModelCache(maxsize=8)
-        run_trial_batch(_spec(backend="dense"), model_cache=cache)
-        misses_dense = cache.misses
-        assert misses_dense > 0
-        # Same grid, same perturbations — a sparse run must not reuse the
-        # dense factorisations (regression: keys lacked the backend).
-        run_trial_batch(_spec(backend="sparse"), model_cache=cache)
-        assert cache.misses == 2 * misses_dense
-        assert len(cache) == 2 * misses_dense
 
     def test_auto_is_dense_below_threshold_bit_identical(self):
         auto = [run_trial(_spec(), i) for i in range(2)]

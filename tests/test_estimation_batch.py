@@ -1,10 +1,9 @@
-"""Tests of the batched estimation kernel: LinearModel and its cache.
+"""Tests of the batched estimation kernel: LinearModel and the detector.
 
-The contract under test is the one the engine's batch mode relies on:
-batched entry points perform the *same arithmetic* as the scalar ones (a
-batch of one is bit-identical), noise batches consume the RNG stream
-exactly like sequential draws, and cached factorizations are
-interchangeable with freshly built ones.
+The contract under test: batched entry points perform the *same
+arithmetic* as the scalar ones (a batch of one is bit-identical), noise
+batches consume the RNG stream exactly like sequential draws, and a model
+injected into the detector is interchangeable with the one it would build.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
-from repro.estimation.linear_model import BatchStateEstimate, LinearModel, LinearModelCache
+from repro.estimation.linear_model import BatchStateEstimate, LinearModel
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
-from repro.exceptions import ConfigurationError, EstimationError
+from repro.exceptions import EstimationError
 
 
 @pytest.fixture(scope="module")
@@ -190,57 +189,9 @@ class TestBatchedDetector:
         )
 
 
-class TestLinearModelCache:
-    def _builder(self, measurement14):
-        return lambda: LinearModel(measurement14.matrix(), measurement14.weights())
-
-    def test_hit_miss_accounting(self, measurement14):
-        cache = LinearModelCache(maxsize=4)
-        build = self._builder(measurement14)
-        first = cache.get_or_build("a", build)
-        assert cache.stats() == {
-            "hits": 0, "misses": 1, "evictions": 0, "entries": 1, "maxsize": 4,
-        }
-        again = cache.get_or_build("a", build)
-        assert again is first  # the very same factorization object
-        assert cache.hits == 1 and cache.misses == 1
-        cache.get_or_build("b", build)
-        assert cache.misses == 2
-        assert len(cache) == 2 and "a" in cache and "b" in cache
-
-    def test_lru_eviction(self, measurement14):
-        cache = LinearModelCache(maxsize=2)
-        build = self._builder(measurement14)
-        a = cache.get_or_build("a", build)
-        cache.get_or_build("b", build)
-        cache.get_or_build("a", build)      # refresh "a" → "b" becomes LRU
-        cache.get_or_build("c", build)      # evicts "b"
-        assert cache.evictions == 1
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert cache.get_or_build("a", build) is a
-
-    def test_clear_preserves_counters(self, measurement14):
-        cache = LinearModelCache(maxsize=2)
-        cache.get_or_build("a", self._builder(measurement14))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.misses == 1
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ConfigurationError):
-            LinearModelCache(maxsize=0)
-
-    def test_falsy_values_are_cached(self):
-        """None/empty build products must hit the cache, not rebuild forever."""
-        cache = LinearModelCache(maxsize=2)
-        calls = []
-        for _ in range(3):
-            cache.get_or_build("k", lambda: calls.append(1))
-        assert len(calls) == 1
-        assert cache.misses == 1 and cache.hits == 2
-
+class TestInjectedModel:
     def test_mismatched_injected_model_rejected(self, measurement14, net30):
-        """A mis-keyed cache entry must not silently corrupt detection stats."""
+        """A model built for another system must not corrupt detection stats."""
         model14 = LinearModel(measurement14.matrix(), measurement14.weights())
         other_sigma = MeasurementSystem.for_network(
             measurement14.network, noise_sigma=2 * measurement14.noise_sigma
@@ -251,39 +202,13 @@ class TestLinearModelCache:
         with pytest.raises(EstimationError, match="shape"):
             BadDataDetector(system30, model=model14)
 
-    def test_cached_model_bit_identical_results(self, evaluator14, net14):
-        """Serving the factorization from the cache must not change results.
-
-        Uses the Monte-Carlo method so the factorization cache is consulted
-        on every call (the analytic path is memoised one level up).
-        """
-        x = net14.reactances() * 0.95
-        cache = LinearModelCache()
-        mc = dict(method="monte-carlo", n_noise_trials=20, seed=3)
-        fresh = evaluator14.evaluate(x, **mc)
-        cached_run = evaluator14.evaluate(x, model_cache=cache, **mc)
-        cached_again = evaluator14.evaluate(x, model_cache=cache, **mc)
+    def test_injected_model_bit_identical_results(self, measurement14, evaluator14):
+        """A detector on an injected model matches the one building its own."""
+        model = LinearModel.from_measurement_system(measurement14)
+        built = BadDataDetector(measurement14)
+        injected = BadDataDetector(measurement14, model=model)
+        attacks = evaluator14.ensemble.attacks
         np.testing.assert_array_equal(
-            fresh.detection_probabilities, cached_run.detection_probabilities
-        )
-        np.testing.assert_array_equal(
-            cached_run.detection_probabilities, cached_again.detection_probabilities
-        )
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_analytic_memo_short_circuits_and_matches(self, evaluator14, net14, rng):
-        """Repeated analytic evaluations of one perturbation hit the memo."""
-        x = net14.reactances() * rng.uniform(0.9, 1.1, net14.n_branches)
-        first = evaluator14.evaluate(x)
-        memo_hits_before = evaluator14._analytic_memo.hits
-        second = evaluator14.evaluate(x)
-        assert evaluator14._analytic_memo.hits == memo_hits_before + 1
-        np.testing.assert_array_equal(
-            first.detection_probabilities, second.detection_probabilities
-        )
-        # Handed-out arrays are copies: mutating one must not poison the memo.
-        second.detection_probabilities[:] = -1.0
-        third = evaluator14.evaluate(x)
-        np.testing.assert_array_equal(
-            first.detection_probabilities, third.detection_probabilities
+            built.detection_probabilities(attacks),
+            injected.detection_probabilities(attacks),
         )

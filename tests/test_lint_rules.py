@@ -310,16 +310,16 @@ class TestSpecHashFields:
             from dataclasses import dataclass
 
             _LABEL_FIELDS = ("name",)
-            _EXECUTION_FIELDS = ("batch_size",)
+            _EXECUTION_FIELDS = ("backend",)
 
             @dataclass(frozen=True)
             class ThingSpec:
                 name: str = ""
-                batch_size: int = 1
+                backend: str = "auto"
                 payload_value: float = 0.0
 
                 def content_hash(self):
-                    data = {"batch_size": self.batch_size, "name": self.name}
+                    data = {"backend": self.backend, "name": self.name}
                     for excluded in _LABEL_FIELDS + _EXECUTION_FIELDS:
                         data.pop(excluded, None)
                     return str(data)

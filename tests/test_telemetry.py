@@ -32,10 +32,8 @@ from repro.engine import (
     ScenarioEngine,
     ScenarioSpec,
     run_trial,
-    run_trial_batch,
 )
 from repro.engine.trial import clear_context_caches
-from repro.estimation.linear_model import LinearModelCache
 from repro.grid.cases import case14
 from repro.opf.reactance_opf import solve_reactance_opf
 from repro.telemetry.metrics import MetricsRegistry, MetricsSnapshot, metric_key
@@ -240,16 +238,16 @@ class TestSpans:
 class TestReports:
     def make_snapshot(self) -> MetricsSnapshot:
         reg = MetricsRegistry()
-        reg.counter("cache.linear_model.hits", 6)
-        reg.counter("cache.linear_model.misses", 2)
+        reg.counter("cache.topology.hits", 6)
+        reg.counter("cache.topology.misses", 2)
         reg.counter("cache.result_cache.misses", 1)
         reg.counter("engine.trials", 8)
         return reg.snapshot()
 
     def test_cache_rates(self):
         rates = telemetry.cache_rates(self.make_snapshot())
-        assert rates["linear_model"]["hits"] == 6
-        assert rates["linear_model"]["hit_rate"] == pytest.approx(0.75)
+        assert rates["topology"]["hits"] == 6
+        assert rates["topology"]["hit_rate"] == pytest.approx(0.75)
         assert rates["result_cache"]["hit_rate"] == 0.0
 
     def test_build_write_read_round_trip(self, tmp_path):
@@ -276,7 +274,7 @@ class TestReports:
             self.make_snapshot(), elapsed_seconds=1.0, executed=3, trials_executed=8
         )
         text = telemetry.format_report(report)
-        assert "cache linear_model" in text
+        assert "cache topology" in text
         assert "trials/sec" in text
         assert "engine.trials = 8" in text
 
@@ -326,41 +324,6 @@ class TestEnvironment:
 
 
 # ----------------------------------------------------------------------
-# instrumented caches
-# ----------------------------------------------------------------------
-class TestCacheInstrumentation:
-    def test_named_cache_mirrors_counters(self):
-        telemetry.enable()
-        cache = LinearModelCache(maxsize=1, telemetry_name="unit")
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("b", lambda: 2)  # evicts "a"
-        counters = telemetry.snapshot().counters
-        assert counters["cache.unit.hits"] == 1
-        assert counters["cache.unit.misses"] == 2
-        assert counters["cache.unit.evictions"] == 1
-
-    def test_unnamed_cache_stays_invisible(self):
-        telemetry.enable()
-        cache = LinearModelCache(maxsize=4)
-        cache.get_or_build("a", lambda: 1)
-        assert not any(
-            k.startswith("cache.") for k in telemetry.snapshot().counters
-        )
-
-    def test_evaluator_surfaces_cache_stats(self):
-        from repro.engine.trial import _shared_evaluator
-
-        spec = small_spec()
-        evaluator = _shared_evaluator(spec.grid, spec.attack, spec.detector)
-        stats = evaluator.cache_stats()
-        assert set(stats) == {"analytic_memo"}
-        assert {"hits", "misses", "evictions", "entries", "maxsize"} <= set(
-            stats["analytic_memo"]
-        )
-
-
-# ----------------------------------------------------------------------
 # engine integration: bit-identity and cross-process merging
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
@@ -369,9 +332,7 @@ class TestEngineIntegration:
         off = [run_trial(spec, i) for i in range(spec.n_trials)]
         telemetry.enable()
         on = [run_trial(spec, i) for i in range(spec.n_trials)]
-        on_batched = run_trial_batch(spec)
         assert [t.metrics for t in on] == [t.metrics for t in off]
-        assert [t.metrics for t in on_batched] == [t.metrics for t in off]
 
     def test_scenario_result_excludes_telemetry_from_payload(self):
         spec = small_spec(n_trials=2)
@@ -385,29 +346,13 @@ class TestEngineIntegration:
         result = ScenarioEngine().run(small_spec(n_trials=2), use_cache=False)
         assert result.telemetry is None
 
-    def test_batch_return_snapshot(self):
-        spec = small_spec(n_trials=3)
-        telemetry.enable()
-        trials, snapshot = run_trial_batch(spec, return_snapshot=True)
-        assert len(trials) == 3
-        assert snapshot["counters"]["engine.trials"] == 3
-        telemetry.disable()
-        trials, snapshot = run_trial_batch(spec, return_snapshot=True)
-        assert len(trials) == 3 and snapshot == {}
-
     def test_pool_counters_equal_serial_counters(self):
         """Cross-process merge: pooled totals == serial totals, exactly."""
         spec = small_spec()
         telemetry.enable()
         serial = ScenarioEngine().run(spec, use_cache=False)
         pooled = ScenarioEngine(n_workers=2).run(spec, use_cache=False)
-        pooled_batched = ScenarioEngine(n_workers=2, batch_size=2).run(
-            spec, use_cache=False
-        )
         assert [t.metrics for t in pooled.trials] == [t.metrics for t in serial.trials]
-        assert [t.metrics for t in pooled_batched.trials] == [
-            t.metrics for t in serial.trials
-        ]
         assert (
             pooled.telemetry["counters"]["engine.trials"]
             == serial.telemetry["counters"]["engine.trials"]
@@ -425,11 +370,11 @@ class TestEngineIntegration:
         """The acceptance check: worker-side cache hits reach the parent."""
         spec = small_spec(mtd=MTDSpec(policy="none"), n_trials=4)
         telemetry.enable()
-        result = ScenarioEngine(n_workers=2, batch_size=2).run(spec, use_cache=False)
+        result = ScenarioEngine(n_workers=2).run(spec, use_cache=False)
         counters = result.telemetry["counters"]
-        # 'none' policy evaluates one perturbation per batch: the second
-        # trial of each batch hits the worker-side linear-model memo.
-        assert counters.get("cache.analytic_memo.hits", 0) >= 1
+        # Every trial builds its detector's measurement matrix from the
+        # shared network, whose topology artifacts the worker has cached.
+        assert counters.get("cache.topology.hits", 0) >= 1
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,9 @@ from repro.timeseries import (
     OperationSpec,
     ProfileSpec,
     TuningSpec,
-    build_operation_context,
     daily_operation_spec,
 )
+from repro.timeseries.engine import _build_hours
 
 #: Default-path records (captured before the compatibility paths were
 #: removed): dispatch-only IEEE 14-bus, loads [205, 212, 220] MW,
@@ -320,7 +320,7 @@ class TestScanVsBisect:
         )
 
 
-class TestParallelBatchCache:
+class TestParallelAndCache:
     def test_parallel_hours_bit_identical_to_serial_multi_day(self):
         """A horizon spanning two (short) days gives the same records on a
         process pool as serially — the seed-spawned per-hour streams make
@@ -339,13 +339,6 @@ class TestParallelBatchCache:
         serial = engine.run(spec, use_cache=False)
         parallel = engine.run(spec, n_workers=2, use_cache=False)
         assert serial.trials == parallel.trials
-
-    def test_batched_hours_bit_identical(self):
-        spec = tiny_spec(name="ts-batch")
-        engine = ScenarioEngine()
-        serial = engine.run(spec, use_cache=False)
-        batched = engine.run(spec, use_cache=False, batch_size=2)
-        assert serial.trials == batched.trials
 
     def test_result_cache_replays_operation_runs(self, tmp_path):
         spec = tiny_spec(name="ts-cache")
@@ -383,7 +376,7 @@ class TestWarmupAndStaleness:
         ).with_updates(
             {f"operation.{key}": value for key, value in operation_overrides.items()}
         )
-        return build_operation_context(spec, net)
+        return _build_hours(net, spec.grid.baseline, spec.operation, spec.base_seed)
 
     def test_wrap_around_uses_previous_days_last_hour(self, net14):
         hours = self._context(net14)
