@@ -48,7 +48,6 @@ from repro.grid import (
 from repro.grid.cases import case4gs, case14, case30, synthetic_case
 from repro.powerflow import (
     bridge_branches,
-    lodf_matrix,
     post_outage_ptdf,
     ptdf_matrix,
     ptdf_with_branch_outage,
@@ -90,9 +89,8 @@ from repro.loads import (
     day_shape,
     multi_day_profile,
     nyiso_like_winter_day,
-    profile_for_network,
 )
-from repro.analysis.montecarlo import MonteCarloSummary, repeat_experiment, summarize_values
+from repro.analysis.montecarlo import MonteCarloSummary, summarize_values
 from repro.engine import (
     AttackSpec,
     ContingencySpec,
@@ -106,8 +104,6 @@ from repro.engine import (
     TrialResult,
     available_scenarios,
     expand_grid,
-    paper_scenarios,
-    run_scenario,
     scenario_suite,
 )
 from repro.campaign import (
@@ -164,7 +160,6 @@ __all__ = [
     # power flow / OPF
     "solve_dc_power_flow",
     "ptdf_matrix",
-    "lodf_matrix",
     "bridge_branches",
     "post_outage_ptdf",
     "ptdf_with_branch_outage",
@@ -202,10 +197,8 @@ __all__ = [
     "available_shapes",
     "day_shape",
     "multi_day_profile",
-    "profile_for_network",
     # analysis
     "MonteCarloSummary",
-    "repeat_experiment",
     "summarize_values",
     # scenario engine
     "ScenarioSpec",
@@ -216,13 +209,11 @@ __all__ = [
     "ContingencySpec",
     "expand_grid",
     "ScenarioEngine",
-    "run_scenario",
     "ResultCache",
     "ScenarioResult",
     "TrialResult",
     "available_scenarios",
     "scenario_suite",
-    "paper_scenarios",
     # campaign orchestration
     "CampaignDefinition",
     "CampaignOrchestrator",

@@ -1,24 +1,17 @@
-"""Analysis helpers: Monte-Carlo drivers, metrics and plain-text reporting.
+"""Analysis helpers: Monte-Carlo summaries, metrics and plain-text reporting.
 
 The :mod:`repro.analysis.lint` subpackage (the ``repro lint`` contract
 checker) is deliberately *not* imported here: it is developer tooling —
 stdlib-only AST analysis — and nothing at runtime depends on it.
 """
 
-from repro.analysis.metrics import (
-    detection_statistics,
-    rank_correlation,
-    summarize_series,
-)
+from repro.analysis.metrics import rank_correlation
 from repro.analysis.reporting import format_table, format_series
-from repro.analysis.montecarlo import MonteCarloSummary, repeat_experiment
+from repro.analysis.montecarlo import MonteCarloSummary
 
 __all__ = [
-    "detection_statistics",
     "rank_correlation",
-    "summarize_series",
     "format_table",
     "format_series",
     "MonteCarloSummary",
-    "repeat_experiment",
 ]

@@ -1,33 +1,9 @@
-"""Statistical summaries used by the benchmark harness and examples."""
+"""Trend statistics the figure benchmarks assert on (Fig. 6 and the SPA ablation)."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import stats
-
-
-def detection_statistics(detection_probabilities: np.ndarray) -> dict[str, float]:
-    """Summary statistics of a per-attack detection-probability array."""
-    probs = np.asarray(detection_probabilities, dtype=float).ravel()
-    if probs.size == 0:
-        return {
-            "count": 0.0,
-            "mean": 0.0,
-            "median": 0.0,
-            "p10": 0.0,
-            "p90": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-        }
-    return {
-        "count": float(probs.size),
-        "mean": float(np.mean(probs)),
-        "median": float(np.median(probs)),
-        "p10": float(np.percentile(probs, 10)),
-        "p90": float(np.percentile(probs, 90)),
-        "min": float(np.min(probs)),
-        "max": float(np.max(probs)),
-    }
 
 
 def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -47,20 +23,6 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float(correlation)
 
 
-def summarize_series(values: np.ndarray) -> dict[str, float]:
-    """Mean / spread summary of an arbitrary numeric series."""
-    series = np.asarray(values, dtype=float).ravel()
-    if series.size == 0:
-        return {"count": 0.0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "count": float(series.size),
-        "mean": float(np.mean(series)),
-        "std": float(np.std(series)),
-        "min": float(np.min(series)),
-        "max": float(np.max(series)),
-    }
-
-
 def monotonicity_fraction(values: np.ndarray) -> float:
     """Fraction of consecutive steps that are non-decreasing.
 
@@ -75,8 +37,6 @@ def monotonicity_fraction(values: np.ndarray) -> float:
 
 
 __all__ = [
-    "detection_statistics",
     "rank_correlation",
-    "summarize_series",
     "monotonicity_fraction",
 ]

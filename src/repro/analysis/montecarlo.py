@@ -1,19 +1,17 @@
-"""Generic Monte-Carlo repetition helper.
+"""Monte-Carlo summaries of per-trial outcomes.
 
 Several of the paper's results are averages over random draws (random
-attacks, random perturbations, random noise).  :func:`repeat_experiment`
-standardises how such repetitions are run and summarised, with independent
-per-trial random streams.
+attacks, random perturbations, random noise).  The scenario engine runs
+those trials, each on its own seed-spawned random stream, and
+:func:`summarize_values` aggregates their outcomes into a
+:class:`MonteCarloSummary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from repro.utils.rng import spawn_generators
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,10 @@ class MonteCarloSummary:
 
 
 def summarize_values(values: np.ndarray | list[float]) -> MonteCarloSummary:
-    """Summarise an existing array of per-trial outcomes.
+    """Summarise an array of per-trial outcomes.
 
-    Shared by :func:`repeat_experiment` and the scenario engine, which runs
-    trials itself (possibly in parallel) and only needs the aggregation.
+    The scenario engine runs the trials itself (possibly in parallel); this
+    is its aggregation step.
     """
     array = np.asarray(values, dtype=float).ravel()
     if array.size == 0:
@@ -78,27 +76,4 @@ def summarize_values(values: np.ndarray | list[float]) -> MonteCarloSummary:
     )
 
 
-def repeat_experiment(
-    experiment: Callable[[np.random.Generator], float],
-    n_trials: int,
-    seed: int | np.random.Generator | None = 0,
-) -> MonteCarloSummary:
-    """Run ``experiment`` ``n_trials`` times with independent random streams.
-
-    Parameters
-    ----------
-    experiment:
-        Callable taking a generator and returning a scalar outcome.
-    n_trials:
-        Number of repetitions (must be positive).
-    seed:
-        Base seed; trials receive statistically independent child streams.
-    """
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    generators = spawn_generators(seed, n_trials)
-    values = np.array([float(experiment(rng)) for rng in generators])
-    return summarize_values(values)
-
-
-__all__ = ["MonteCarloSummary", "repeat_experiment", "summarize_values"]
+__all__ = ["MonteCarloSummary", "summarize_values"]

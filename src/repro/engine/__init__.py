@@ -41,12 +41,8 @@ Quickstart
 
 from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult, TrialResult, merge_metric
-from repro.engine.runner import ScenarioEngine, run_scenario
-from repro.engine.scenarios import (
-    available_scenarios,
-    paper_scenarios,
-    scenario_suite,
-)
+from repro.engine.runner import ScenarioEngine
+from repro.engine.scenarios import available_scenarios, scenario_suite
 from repro.engine.spec import (
     AttackSpec,
     ContingencySpec,
@@ -67,7 +63,6 @@ __all__ = [
     "ContingencySpec",
     "expand_grid",
     "ScenarioEngine",
-    "run_scenario",
     "ResultCache",
     "ScenarioResult",
     "TrialResult",
@@ -77,5 +72,4 @@ __all__ = [
     "clear_context_caches",
     "available_scenarios",
     "scenario_suite",
-    "paper_scenarios",
 ]

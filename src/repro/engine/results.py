@@ -9,7 +9,7 @@ round-trip through plain dicts/JSON, which is what the on-disk cache stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -131,10 +131,6 @@ class ScenarioResult:
             n_workers=int(data.get("n_workers", 1)),
             from_cache=from_cache,
         )
-
-    def as_cached(self) -> "ScenarioResult":
-        """A copy flagged as served from the cache."""
-        return replace(self, from_cache=True)
 
 
 def merge_metric(results: Iterable[ScenarioResult], metric: str | None = None) -> np.ndarray:

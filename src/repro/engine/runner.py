@@ -222,13 +222,4 @@ def _pool_chunksize(n_trials: int, workers: int) -> int:
     return -(-n_trials // (4 * workers))
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    n_workers: int = 1,
-    cache: ResultCache | str | Path | None = None,
-) -> ScenarioResult:
-    """One-shot convenience wrapper around :class:`ScenarioEngine`."""
-    return ScenarioEngine(cache=cache, n_workers=n_workers).run(spec)
-
-
-__all__ = ["ScenarioEngine", "run_scenario"]
+__all__ = ["ScenarioEngine"]

@@ -357,15 +357,9 @@ def scenario_suite(name: str) -> tuple[ScenarioSpec, ...]:
     return _SUITES[key]()
 
 
-def paper_scenarios() -> dict[str, tuple[ScenarioSpec, ...]]:
-    """Every registered suite, keyed by name."""
-    return {name: scenario_suite(name) for name in available_scenarios()}
-
-
 __all__ = [
     "PAPER_DELTAS",
     "GAMMA_GRID",
     "available_scenarios",
     "scenario_suite",
-    "paper_scenarios",
 ]

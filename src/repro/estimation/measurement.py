@@ -166,52 +166,6 @@ class MeasurementSystem:
             z = z + a
         return z
 
-    def measure_batch(
-        self,
-        angles_rad: np.ndarray,
-        n_draws: int,
-        rng: int | np.random.Generator | None = None,
-        attack: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Draw a whole batch of noisy (optionally attacked) measurements.
-
-        Parameters
-        ----------
-        angles_rad:
-            True bus voltage angles (full vector including the slack),
-            shape ``(N,)``.
-        n_draws:
-            Number of measurement vectors to draw.
-        rng:
-            Seed or generator for the measurement noise.  The noise matrix
-            is requested as one ``(n_draws, M)`` normal draw, which consumes
-            the generator's stream identically to ``n_draws`` sequential
-            :meth:`measure` calls — batched and per-draw paths see the same
-            noise bit-for-bit.
-        attack:
-            Optional FDI attack vector ``a`` (shape ``(M,)``) added to every
-            row.
-
-        Returns
-        -------
-        numpy.ndarray
-            Measurement matrix of shape ``(n_draws, M)``; row ``i`` equals
-            the ``i``-th sequential :meth:`measure` draw.
-        """
-        if n_draws <= 0:
-            raise EstimationError(f"n_draws must be positive, got {n_draws}")
-        rng = as_generator(rng)
-        z0 = self.noiseless_measurements(angles_rad)
-        Z = z0[None, :] + rng.normal(0.0, self.noise_sigma, size=(n_draws, z0.shape[0]))
-        if attack is not None:
-            a = np.asarray(attack, dtype=float).ravel()
-            if a.shape[0] != z0.shape[0]:
-                raise EstimationError(
-                    f"attack length {a.shape[0]} does not match measurement count {z0.shape[0]}"
-                )
-            Z = Z + a[None, :]
-        return Z
-
     def with_reactances(self, reactances: np.ndarray) -> "MeasurementSystem":
         """Return a measurement system for a perturbed reactance vector."""
         return MeasurementSystem.for_network(

@@ -446,36 +446,6 @@ class PowerNetwork:
             name=self.name,
         )
 
-    def with_flow_limits(self, limits_mw: Sequence[float] | np.ndarray | Mapping[int, float]) -> "PowerNetwork":
-        """Return a copy of the network with branch flow limits replaced."""
-        current = self.flow_limits_mw()
-        if isinstance(limits_mw, Mapping):
-            new_limits = current.copy()
-            for branch_index, value in limits_mw.items():
-                if branch_index < 0 or branch_index >= self.n_branches:
-                    raise GridModelError(f"unknown branch index {branch_index}")
-                new_limits[branch_index] = float(value)
-        else:
-            new_limits = np.asarray(limits_mw, dtype=float).ravel()
-            if new_limits.shape[0] != self.n_branches:
-                raise GridModelError(
-                    f"expected {self.n_branches} limits, got {new_limits.shape[0]}"
-                )
-        if np.any(new_limits <= 0):
-            raise GridModelError("flow limits must be strictly positive")
-        new_branches = []
-        for branch in self.branches:
-            from dataclasses import replace as dc_replace
-
-            new_branches.append(dc_replace(branch, rate_mw=float(new_limits[branch.index])))
-        return PowerNetwork(
-            buses=self.buses,
-            branches=tuple(new_branches),
-            generators=self.generators,
-            base_mva=self.base_mva,
-            name=self.name,
-        )
-
     def describe(self) -> str:
         """Return a short human-readable summary of the case."""
         return (

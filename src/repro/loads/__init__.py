@@ -6,9 +6,7 @@ from repro.loads.profiles import (
     day_shape,
     nyiso_like_winter_day,
     multi_day_profile,
-    profile_for_network,
     scale_profile_to_band,
-    hourly_loads_for_network,
 )
 
 __all__ = [
@@ -17,7 +15,5 @@ __all__ = [
     "day_shape",
     "nyiso_like_winter_day",
     "multi_day_profile",
-    "profile_for_network",
     "scale_profile_to_band",
-    "hourly_loads_for_network",
 ]

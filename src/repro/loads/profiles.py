@@ -10,14 +10,15 @@ horizons.  Only the shape matters for the reproduced results: the MTD
 operational cost rises with system load because congestion forces
 redispatch, and the daily peak is where the trade-off bites.
 
-Three layers build on the shapes:
+Two layers build on the shapes:
 
 * :func:`day_shape` / :data:`PROFILE_SHAPES` — normalised 24-hour shapes;
 * :func:`multi_day_profile` — concatenate day shapes into an N-day horizon
-  and affinely scale the whole horizon into an absolute MW band;
-* :func:`profile_for_network` — per-case normalisation: express the band as
-  fractions of a network's nominal total load, so the same spec drives any
-  registered case at a comparable stress level.
+  and affinely scale the whole horizon into an absolute MW band.
+
+Per-case normalisation — the band as fractions of a network's nominal total
+load — is :meth:`repro.timeseries.ProfileSpec.totals_mw`, and the operation
+engine scales each hour's total onto the nominal per-bus loads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.grid.network import PowerNetwork
 
 #: Normalised (peak = 1.0) hourly shape of a winter weekday, hour 0 = 1 AM,
 #: mirroring the qualitative shape of the NYISO 25-JAN-2016 trace used in
@@ -227,66 +227,11 @@ def multi_day_profile(
     return scale_profile_to_band(horizon, min_load_mw, peak_load_mw)
 
 
-def profile_for_network(
-    network: PowerNetwork,
-    day_shapes: Sequence[str] = ("winter-weekday",),
-    peak_fraction: float = 1.0,
-    min_fraction: float = 0.65,
-) -> np.ndarray:
-    """Multi-day hourly totals normalised to a network's nominal load.
-
-    The per-case analogue of :func:`multi_day_profile`: the band is
-    expressed as fractions of the network's nominal total load, so one
-    profile specification stresses any registered case at a comparable
-    level (``peak_fraction=1.0`` peaks at the nominal dispatch point).
-    """
-    if peak_fraction <= 0 or min_fraction <= 0:
-        raise ConfigurationError("profile fractions must be positive")
-    nominal_total = network.total_load_mw()
-    if nominal_total <= 0:
-        raise ConfigurationError(
-            "the network has zero total load; cannot normalise a profile to it"
-        )
-    return multi_day_profile(
-        day_shapes,
-        peak_load_mw=nominal_total * peak_fraction,
-        min_load_mw=nominal_total * min_fraction,
-    )
-
-
-def hourly_loads_for_network(
-    network: PowerNetwork,
-    hourly_totals_mw: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Per-bus load vectors for each hour, keeping the nominal proportions.
-
-    Parameters
-    ----------
-    network:
-        Network whose nominal per-bus loads define the spatial distribution.
-    hourly_totals_mw:
-        Hourly total loads; defaults to :func:`nyiso_like_winter_day`.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        One per-bus load vector (MW) per hour.
-    """
-    totals = nyiso_like_winter_day() if hourly_totals_mw is None else np.asarray(hourly_totals_mw, dtype=float)
-    nominal = network.loads_mw()
-    nominal_total = float(np.sum(nominal))
-    if nominal_total <= 0:
-        raise ConfigurationError("the network has zero total load; cannot scale a profile")
-    return [nominal * (total / nominal_total) for total in totals]
-
-
 __all__ = [
     "PROFILE_SHAPES",
     "available_shapes",
     "day_shape",
     "nyiso_like_winter_day",
     "multi_day_profile",
-    "profile_for_network",
     "scale_profile_to_band",
-    "hourly_loads_for_network",
 ]

@@ -27,7 +27,6 @@ from repro.mtd.subspace import (
     largest_principal_angle,
     subspace_angle,
     is_orthogonal_complement,
-    column_space_overlap_dimension,
 )
 from repro.mtd.perturbation import ReactancePerturbation
 from repro.mtd.conditions import (
@@ -56,7 +55,6 @@ __all__ = [
     "largest_principal_angle",
     "subspace_angle",
     "is_orthogonal_complement",
-    "column_space_overlap_dimension",
     "ReactancePerturbation",
     "attack_remains_stealthy",
     "admits_no_undetectable_attacks",

@@ -7,69 +7,35 @@ paper evaluates 500 random perturbations constrained to be within 2 % of the
 optimal reactance values and shows that fewer than 10 % of them achieve
 ``η'(0.9) ≥ 0.9``.
 
-This module reproduces that baseline: it draws random perturbations,
-evaluates their effectiveness with the same ensemble-based metric used for
-the designed MTD, and summarises the keyspace statistics of Fig. 7 / Fig. 8.
+This module reproduces that baseline's sampler: it draws one random
+perturbation at a time.  The scenario engine's ``random`` MTD policy
+evaluates each draw against the shared attack ensemble, and the Fig. 7 /
+Fig. 8 keyspace statistics are its per-trial metrics (for example
+:meth:`~repro.engine.results.ScenarioResult.fraction_meeting`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import MTDDesignError
 from repro.grid.network import PowerNetwork
-from repro.mtd.effectiveness import EffectivenessEvaluator, EffectivenessResult
+from repro.mtd.effectiveness import EffectivenessEvaluator
 from repro.mtd.perturbation import ReactancePerturbation
-from repro.mtd.subspace import subspace_angle
-from repro.utils.rng import as_generator, spawn_generators
-
-
-@dataclass(frozen=True)
-class RandomMTDSample:
-    """One random perturbation together with its evaluation."""
-
-    perturbation: ReactancePerturbation
-    effectiveness: EffectivenessResult
-    spa: float
-
-
-@dataclass
-class RandomMTDKeyspace:
-    """Statistics over a keyspace of random MTD perturbations."""
-
-    samples: list[RandomMTDSample] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def eta_values(self, delta: float) -> np.ndarray:
-        """``η'(δ)`` of every sampled perturbation."""
-        return np.array([sample.effectiveness.eta(delta) for sample in self.samples])
-
-    def fraction_meeting(self, delta: float, eta_target: float = 0.9) -> float:
-        """Fraction of the keyspace with ``η'(δ) ≥ eta_target`` (Fig. 8)."""
-        if not self.samples:
-            return 0.0
-        return float(np.mean(self.eta_values(delta) >= eta_target))
-
-    def spa_values(self) -> np.ndarray:
-        """Achieved SPA of every sampled perturbation."""
-        return np.array([sample.spa for sample in self.samples])
+from repro.utils.rng import as_generator
 
 
 class RandomMTDBaseline:
-    """Generator and evaluator of random MTD perturbations.
+    """Sampler of random MTD perturbations.
 
     Parameters
     ----------
     network:
         The grid under study.
     evaluator:
-        The effectiveness evaluator (fixes the attacker's knowledge and the
-        attack ensemble, so that random and designed MTD are judged against
-        the same attacks).
+        The effectiveness evaluator the draws are judged with; its base
+        reactances (the attacker's knowledge) are the reactances each
+        draw perturbs.
     max_relative_change:
         Maximum relative reactance change of each perturbed line (the paper
         constrains the random perturbations to within 2 % of the optimal
@@ -118,35 +84,5 @@ class RandomMTDBaseline:
             seed=rng,
         )
 
-    def evaluate_sample(
-        self, perturbation: ReactancePerturbation
-    ) -> RandomMTDSample:
-        """Evaluate one perturbation against the shared attack ensemble."""
-        effectiveness = self._evaluator.evaluate(perturbation.perturbed_reactances)
-        spa = subspace_angle(
-            self._evaluator.attacker_matrix, perturbation.post_measurement_matrix()
-        )
-        return RandomMTDSample(
-            perturbation=perturbation, effectiveness=effectiveness, spa=spa
-        )
 
-    def sample_keyspace(
-        self,
-        n_samples: int,
-        seed: int | np.random.Generator | None = 0,
-    ) -> RandomMTDKeyspace:
-        """Draw and evaluate ``n_samples`` random perturbations.
-
-        The paper's Fig. 8 uses 500 samples; benchmark defaults are smaller
-        for runtime and can be raised through an environment knob.
-        """
-        if n_samples <= 0:
-            raise MTDDesignError(f"n_samples must be positive, got {n_samples}")
-        keyspace = RandomMTDKeyspace()
-        for child in spawn_generators(seed, n_samples):
-            perturbation = self.draw_perturbation(seed=child)
-            keyspace.samples.append(self.evaluate_sample(perturbation))
-        return keyspace
-
-
-__all__ = ["RandomMTDBaseline", "RandomMTDKeyspace", "RandomMTDSample"]
+__all__ = ["RandomMTDBaseline"]

@@ -27,7 +27,10 @@ operational design metric :func:`subspace_angle` (and in everything named
 :func:`smallest_principal_angle` and the full spectrum
 :func:`principal_angles` for analysis.  The theoretical results
 (Proposition 1, Theorem 1) are unaffected: they are statements about column
-space membership and orthogonality, not about a specific angle.
+space membership and orthogonality, not about a specific angle.  The
+dimension of ``Col(H) ∩ Col(H')`` — the attacks that stay stealthy under
+Proposition 1 — is the number of (numerically) zero entries of
+:func:`principal_angles`.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ import numpy as np
 import scipy.linalg
 
 from repro.utils.linalg import orthonormal_basis
-
-#: Numerical tolerance used when comparing angles against 0 or π/2.
-ANGLE_TOL: float = 1e-9
 
 
 def principal_angles(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
@@ -94,19 +94,6 @@ def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
     return largest_principal_angle(matrix_a, matrix_b)
 
 
-def column_space_overlap_dimension(
-    matrix_a: np.ndarray, matrix_b: np.ndarray, tol: float = 1e-8
-) -> int:
-    """Dimension of ``Col(A) ∩ Col(B)``.
-
-    Equal to the number of principal angles that are (numerically) zero.
-    Attacks lying in this intersection remain stealthy after the MTD
-    (Proposition 1), so an effective MTD drives this dimension to zero.
-    """
-    angles = principal_angles(matrix_a, matrix_b)
-    return int(np.sum(angles < tol))
-
-
 def is_orthogonal_complement(
     matrix_a: np.ndarray, matrix_b: np.ndarray, tol: float = 1e-8
 ) -> bool:
@@ -125,36 +112,10 @@ def is_orthogonal_complement(
     return bool(np.max(np.abs(cross)) <= tol)
 
 
-def spa_degrees(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
-    """Convenience: the design metric :func:`subspace_angle` in degrees."""
-    return float(np.degrees(subspace_angle(matrix_a, matrix_b)))
-
-
-def spa_profile(matrix_a: np.ndarray, matrix_b: np.ndarray) -> dict[str, float]:
-    """Summary of the separation between two column spaces.
-
-    Returns the smallest, median and largest principal angles and the
-    overlap dimension; used by reporting utilities and ablation benchmarks.
-    """
-    angles = principal_angles(matrix_a, matrix_b)
-    if angles.size == 0:
-        return {"smallest": 0.0, "median": 0.0, "largest": 0.0, "overlap_dimension": 0.0}
-    return {
-        "smallest": float(angles[0]),
-        "median": float(np.median(angles)),
-        "largest": float(angles[-1]),
-        "overlap_dimension": float(np.sum(angles < ANGLE_TOL)),
-    }
-
-
 __all__ = [
     "principal_angles",
     "smallest_principal_angle",
     "largest_principal_angle",
     "subspace_angle",
-    "column_space_overlap_dimension",
     "is_orthogonal_complement",
-    "spa_degrees",
-    "spa_profile",
-    "ANGLE_TOL",
 ]

@@ -140,10 +140,6 @@ class ReactanceOPFProblem:
     #: Objective values around 1e4 $ are rescaled to O(10) for the SQP solver.
     _objective_scale: float = 1e-3
 
-    def cost_from_objective(self, value: float) -> float:
-        """Convert a scaled objective value back to $ per hour."""
-        return float(value) / self._objective_scale
-
     def gradient(self, z: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`objective`: constant, non-zero in ``g`` only."""
         return self._gradient.copy()

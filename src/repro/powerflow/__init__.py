@@ -10,7 +10,6 @@ from repro.powerflow.ptdf import ptdf_matrix, generation_shift_factors
 from repro.powerflow.contingency import (
     ContingencyScreenResult,
     bridge_branches,
-    lodf_matrix,
     post_outage_ptdf,
     ptdf_with_branch_outage,
     screen_branch_outages,
@@ -24,7 +23,6 @@ __all__ = [
     "generation_shift_factors",
     "ContingencyScreenResult",
     "bridge_branches",
-    "lodf_matrix",
     "post_outage_ptdf",
     "ptdf_with_branch_outage",
     "screen_branch_outages",

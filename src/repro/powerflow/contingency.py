@@ -4,7 +4,9 @@ A branch outage changes the network topology, which historically forced a
 full rebuild of every derived matrix (``B``, ``H``, PTDF) per contingency.
 This module provides the *incremental* route: the classical line outage
 distribution factors (LODF) express every post-outage quantity as a rank-1
-update of the base-case PTDF,
+update of the base-case PTDF.  Each outage needs only its own LODF column,
+which :func:`ptdf_with_branch_outage` and :func:`screen_branch_outages`
+compute per outaged branch:
 
 .. math::
 
@@ -127,44 +129,6 @@ def bridge_branches(network: NetworkLike) -> tuple[int, ...]:
                     if low[node] > order[parent]:
                         bridges.append(in_edge)
     return tuple(sorted(bridges))
-
-
-def lodf_matrix(
-    network: NetworkLike,
-    base_ptdf: np.ndarray | None = None,
-    reactances: np.ndarray | None = None,
-) -> np.ndarray:
-    """The ``L x L`` line outage distribution factor matrix.
-
-    Entry ``(l, k)`` is the fraction of branch ``k``'s pre-outage flow
-    that appears on branch ``l`` after ``k`` is outaged.  Columns of
-    bridge branches (whose outage islands the grid — zero denominator)
-    are set to ``NaN``; the diagonal is ``-1`` (the outaged branch loses
-    its own flow).
-
-    Parameters
-    ----------
-    network:
-        The base (pre-outage) network.
-    base_ptdf:
-        Optional precomputed :func:`~repro.powerflow.ptdf.ptdf_matrix` of
-        ``network`` (with the same ``reactances``), to amortise the one
-        factorisation a screen needs.
-    reactances:
-        Optional branch-reactance override, shape ``(L,)``.
-    """
-    phi = ptdf_matrix(network, reactances) if base_ptdf is None else base_ptdf
-    from_bus, to_bus = _branch_terminals(network)
-    # Column k of the numerator: sensitivity of every branch flow to the
-    # injection pair (+1 at i_k, −1 at j_k) — an L x L gather.
-    numerator = phi[:, from_bus] - phi[:, to_bus]
-    d = numerator[np.arange(network.n_branches), np.arange(network.n_branches)]
-    denominator = 1.0 - d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lodf = numerator / denominator[None, :]
-    lodf[:, np.abs(denominator) < ISLANDING_TOL] = np.nan
-    np.fill_diagonal(lodf, -1.0)
-    return lodf
 
 
 def ptdf_with_branch_outage(
@@ -349,7 +313,6 @@ __all__ = [
     "ISLANDING_TOL",
     "ContingencyScreenResult",
     "bridge_branches",
-    "lodf_matrix",
     "ptdf_with_branch_outage",
     "post_outage_ptdf",
     "screen_branch_outages",

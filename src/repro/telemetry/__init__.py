@@ -50,7 +50,7 @@ from repro.telemetry.export import (
     validate_openmetrics,
     write_prometheus,
 )
-from repro.telemetry.log import configure_logging, get_logger, log_event
+from repro.telemetry.log import configure_logging, log_event
 from repro.telemetry.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     MetricsRegistry,
@@ -81,14 +81,7 @@ from repro.telemetry.report import (
     telemetry_path,
     write_report,
 )
-from repro.telemetry.spans import (
-    NULL_SPAN,
-    Span,
-    current_span,
-    drain_spans,
-    root_spans,
-    span,
-)
+from repro.telemetry.spans import NULL_SPAN, Span, drain_spans, span
 
 __all__ = [
     # switch
@@ -114,12 +107,9 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "span",
-    "current_span",
-    "root_spans",
     "drain_spans",
     # logging
     "configure_logging",
-    "get_logger",
     "log_event",
     # environment + reports
     "environment_info",

@@ -1,7 +1,8 @@
 """Structured logging for the telemetry subsystem.
 
 Everything logs through the ``repro.telemetry`` logger.  By default the
-logger is silent (a :class:`logging.NullHandler`); the CLI's
+logger is silent (no handler, and its info-level events sit below the root
+logger's default ``WARNING`` level); the CLI's
 ``--log-level``/``--log-json`` flags call :func:`configure_logging`, which
 attaches either a human-readable or a line-JSON handler to stderr.
 
@@ -30,14 +31,6 @@ _LEVELS = {
     "warning": logging.WARNING,
     "error": logging.ERROR,
 }
-
-
-def get_logger() -> logging.Logger:
-    """The shared ``repro.telemetry`` logger (silent until configured)."""
-    logger = logging.getLogger(LOGGER_NAME)
-    if not logger.handlers:
-        logger.addHandler(logging.NullHandler())
-    return logger
 
 
 class JsonLineFormatter(logging.Formatter):
@@ -113,7 +106,6 @@ __all__ = [
     "LOGGER_NAME",
     "JsonLineFormatter",
     "TextFormatter",
-    "get_logger",
     "configure_logging",
     "parse_level",
     "log_event",

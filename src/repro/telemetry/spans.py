@@ -145,18 +145,6 @@ def span(name: str, **attributes: Any) -> Span | NullSpan:
     return Span(name, attributes)
 
 
-def current_span() -> Span | None:
-    """The innermost open span of this thread, or ``None``."""
-    stack = _COLLECTOR.stack
-    return stack[-1] if stack else None
-
-
-def root_spans() -> list[dict[str, Any]]:
-    """Completed root spans of this process (copies, oldest first)."""
-    with _ROOTS_LOCK:
-        return [dict(record) for record in _ROOTS]
-
-
 def drain_spans() -> list[dict[str, Any]]:
     """Return and clear the completed root spans (report handoff)."""
     global _DROPPED
@@ -177,8 +165,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "span",
-    "current_span",
-    "root_spans",
     "drain_spans",
     "dropped_spans",
 ]

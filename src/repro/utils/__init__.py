@@ -7,18 +7,12 @@ circular dependencies.
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.linalg import orthonormal_basis, is_full_column_rank
-from repro.utils.units import (
-    mw_to_pu,
-    pu_to_mw,
-    DEFAULT_BASE_MVA,
-)
+from repro.utils.units import DEFAULT_BASE_MVA
 
 __all__ = [
     "as_generator",
     "spawn_generators",
     "orthonormal_basis",
     "is_full_column_rank",
-    "mw_to_pu",
-    "pu_to_mw",
     "DEFAULT_BASE_MVA",
 ]

@@ -91,44 +91,8 @@ def spawn_generators(seed: int | np.random.Generator | np.random.SeedSequence | 
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 
-def random_unit_vector(dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a vector uniformly distributed on the unit sphere in ``R^dimension``."""
-    if dimension <= 0:
-        raise ValueError(f"dimension must be positive, got {dimension}")
-    vec = rng.standard_normal(dimension)
-    norm = np.linalg.norm(vec)
-    while norm < 1e-12:  # pragma: no cover - astronomically unlikely
-        vec = rng.standard_normal(dimension)
-        norm = np.linalg.norm(vec)
-    return vec / norm
-
-
-def random_signs(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Return an array of ``count`` independent ±1 values."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return rng.choice(np.array([-1.0, 1.0]), size=count)
-
-
-def permuted_indices(count: int, rng: np.random.Generator, take: int | None = None) -> np.ndarray:
-    """Return a random permutation of ``range(count)`` (optionally truncated).
-
-    Convenience used by the random-MTD baseline to pick the subset of
-    D-FACTS-equipped lines to perturb.
-    """
-    perm = rng.permutation(count)
-    if take is None:
-        return perm
-    if take < 0 or take > count:
-        raise ValueError(f"take must be in [0, {count}], got {take}")
-    return perm[:take]
-
-
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "random_unit_vector",
-    "random_signs",
-    "permuted_indices",
     "SeedLike",
 ]

@@ -1,4 +1,4 @@
-"""Per-unit conversions.
+"""Per-unit conventions.
 
 The library stores network quantities internally in the per-unit (p.u.)
 system on a common MVA base, mirroring MATPOWER.  User-facing case data and
@@ -7,50 +7,10 @@ reported results use engineering units (MW, $/MWh) as in the paper's tables.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 #: Default system base power, in MVA, matching MATPOWER's convention.
 DEFAULT_BASE_MVA: float = 100.0
 
 
-def mw_to_pu(
-    value_mw: float | Sequence[float] | np.ndarray,
-    base_mva: float = DEFAULT_BASE_MVA,
-) -> np.ndarray:
-    """Convert a power value (or array) from MW to per unit."""
-    if base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {base_mva}")
-    return np.asarray(value_mw, dtype=float) / float(base_mva)
-
-
-def pu_to_mw(
-    value_pu: float | Sequence[float] | np.ndarray,
-    base_mva: float = DEFAULT_BASE_MVA,
-) -> np.ndarray:
-    """Convert a power value (or array) from per unit to MW."""
-    if base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {base_mva}")
-    return np.asarray(value_pu, dtype=float) * float(base_mva)
-
-
-def dollars_per_mwh_to_per_pu_hour(cost_per_mwh: float, base_mva: float = DEFAULT_BASE_MVA) -> float:
-    """Convert a marginal cost from $/MWh to $/(p.u.·h).
-
-    Linear generation costs ``c_i G_i`` keep the same optimum regardless of
-    the unit system, but the OPF solvers work in per unit internally, so the
-    cost coefficients must be scaled consistently to report dollar figures
-    that match the paper's tables.
-    """
-    if base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {base_mva}")
-    return float(cost_per_mwh) * float(base_mva)
-
-
 __all__ = [
     "DEFAULT_BASE_MVA",
-    "mw_to_pu",
-    "pu_to_mw",
-    "dollars_per_mwh_to_per_pu_hour",
 ]

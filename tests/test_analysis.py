@@ -1,32 +1,16 @@
-"""Tests for the analysis helpers (metrics, reporting, Monte-Carlo driver)."""
+"""Tests for the analysis helpers (metrics, reporting, Monte-Carlo summaries)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    detection_statistics,
-    monotonicity_fraction,
-    rank_correlation,
-    summarize_series,
-)
-from repro.analysis.montecarlo import repeat_experiment
+from repro.analysis.metrics import monotonicity_fraction, rank_correlation
+from repro.analysis.montecarlo import summarize_values
 from repro.analysis.reporting import format_series, format_table
 
 
 class TestMetrics:
-    def test_detection_statistics_keys(self):
-        stats = detection_statistics(np.array([0.1, 0.5, 0.9]))
-        assert stats["count"] == 3
-        assert stats["min"] == pytest.approx(0.1)
-        assert stats["max"] == pytest.approx(0.9)
-        assert stats["mean"] == pytest.approx(0.5)
-
-    def test_detection_statistics_empty(self):
-        stats = detection_statistics(np.array([]))
-        assert stats["count"] == 0
-
     def test_rank_correlation_perfect(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert rank_correlation(x, 2 * x) == pytest.approx(1.0)
@@ -38,14 +22,6 @@ class TestMetrics:
 
     def test_rank_correlation_short_series_nan(self):
         assert np.isnan(rank_correlation(np.array([1.0]), np.array([2.0])))
-
-    def test_summarize_series(self):
-        summary = summarize_series(np.array([1.0, 3.0]))
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["count"] == 2
-
-    def test_summarize_empty_series(self):
-        assert summarize_series(np.array([]))["count"] == 0
 
     def test_monotonicity_fraction(self):
         assert monotonicity_fraction(np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0)
@@ -81,8 +57,10 @@ class TestReporting:
 
 
 class TestMonteCarlo:
+    """:func:`summarize_values`, the aggregation of per-trial outcomes."""
+
     def test_constant_experiment(self):
-        summary = repeat_experiment(lambda rng: 2.0, n_trials=10, seed=0)
+        summary = summarize_values(np.full(10, 2.0))
         assert summary.mean == pytest.approx(2.0)
         assert summary.std == pytest.approx(0.0)
         assert summary.n_trials == 10
@@ -90,21 +68,20 @@ class TestMonteCarlo:
         assert low == pytest.approx(2.0)
         assert high == pytest.approx(2.0)
 
-    def test_random_experiment_reproducible(self):
-        a = repeat_experiment(lambda rng: float(rng.normal()), n_trials=50, seed=3)
-        b = repeat_experiment(lambda rng: float(rng.normal()), n_trials=50, seed=3)
-        np.testing.assert_allclose(a.values, b.values)
-
     def test_mean_estimate_converges(self):
-        summary = repeat_experiment(lambda rng: float(rng.normal(5.0, 1.0)), n_trials=400, seed=1)
+        values = np.random.default_rng(1).normal(5.0, 1.0, size=400)
+        summary = summarize_values(values)
         assert summary.mean == pytest.approx(5.0, abs=0.2)
+        assert summary.confidence_halfwidth == pytest.approx(
+            1.96 * np.std(values, ddof=1) / np.sqrt(400)
+        )
         assert summary.confidence_halfwidth < 0.2
 
     def test_invalid_trial_count(self):
         with pytest.raises(ValueError):
-            repeat_experiment(lambda rng: 0.0, n_trials=0)
+            summarize_values([])
 
     def test_single_trial_has_zero_spread(self):
-        summary = repeat_experiment(lambda rng: 1.0, n_trials=1, seed=0)
+        summary = summarize_values([1.0])
         assert summary.std == pytest.approx(0.0)
         assert summary.confidence_halfwidth == pytest.approx(0.0)

@@ -109,7 +109,8 @@ class TestAgreement:
         det_dense = BadDataDetector(system, backend="dense")
         det_sparse = BadDataDetector(system, backend="sparse")
         assert det_dense.threshold == det_sparse.threshold
-        Z = system.measure_batch(opf14.angles_rad, n_draws=32, rng=3)
+        rng = np.random.default_rng(3)
+        Z = np.stack([system.measure(opf14.angles_rad, rng=rng) for _ in range(32)])
         assert np.array_equal(
             det_dense.raises_alarms(Z), det_sparse.raises_alarms(Z)
         )

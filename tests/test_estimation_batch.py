@@ -134,22 +134,28 @@ class TestBatchedDetector:
         for i, z in enumerate(measurements14):
             assert alarms[i] == detector.raises_alarm(z)
 
-    def test_measure_batch_stream_identical_to_sequential(self, measurement14, opf14):
-        r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
-        sequential = np.stack(
-            [measurement14.measure(opf14.angles_rad, rng=r1) for _ in range(7)]
-        )
-        batched = measurement14.measure_batch(opf14.angles_rad, 7, rng=r2)
-        np.testing.assert_array_equal(sequential, batched)
-
-    def test_measure_batch_with_attack(self, measurement14, opf14, evaluator14):
+    def test_monte_carlo_alarm_fraction_matches_sequential_measure_draws(
+        self, net14, opf14, evaluator14
+    ):
+        """The detector's one ``(n, M)`` noise draw per attack consumes the
+        stream like ``n`` sequential :meth:`MeasurementSystem.measure` calls,
+        so its alarm fraction is the fraction over those draws."""
+        x = net14.reactances()
+        x[list(net14.dfacts_branches)] *= 1.5
+        system = MeasurementSystem.for_network(net14, reactances=x)
+        detector = BadDataDetector(system)
+        # Analytic detection probability about 0.67: some draws alarm, some not.
         attack = evaluator14.ensemble.attacks[0]
-        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        sequential = np.stack(
-            [measurement14.measure(opf14.angles_rad, rng=r1, attack=attack) for _ in range(4)]
+        n = 40
+        (probability,) = detector.detection_probabilities_monte_carlo(
+            attack[None, :], opf14.angles_rad, n_trials=n, rng=np.random.default_rng(9)
         )
-        batched = measurement14.measure_batch(opf14.angles_rad, 4, rng=r2, attack=attack)
-        np.testing.assert_array_equal(sequential, batched)
+        rng = np.random.default_rng(9)
+        draws = np.stack(
+            [system.measure(opf14.angles_rad, rng=rng, attack=attack) for _ in range(n)]
+        )
+        assert 0.0 < probability < 1.0
+        assert probability == np.count_nonzero(detector.raises_alarms(draws)) / n
 
     def test_monte_carlo_batched_matches_sequential_stream(self, measurement14, opf14, evaluator14):
         detector = BadDataDetector(

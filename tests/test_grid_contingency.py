@@ -29,7 +29,6 @@ from repro import (
     PowerNetwork,
     bridge_branches,
     load_case,
-    lodf_matrix,
     measurement_matrix,
     post_outage_ptdf,
     ptdf_matrix,
@@ -50,7 +49,6 @@ from repro.engine import (
 from repro.engine.scenarios import _screenable_branches
 from repro.engine.trial import apply_contingency, run_trial
 from repro.exceptions import ConfigurationError, GridModelError, PowerFlowError
-from repro.grid.io import network_from_dict, network_to_dict
 from repro.grid.matrices import (
     branch_susceptance_matrix,
     reduced_susceptance_matrix,
@@ -282,14 +280,6 @@ class TestBranchStatusDerivation:
         with pytest.raises(GridModelError):
             network.with_generator_status({99: False})
 
-    def test_io_round_trip_preserves_status(self):
-        network = base_network("ieee14").with_branch_outages([4])
-        derived = network.with_generator_status({1: False})
-        restored = network_from_dict(network_to_dict(derived))
-        assert not restored.branches[4].in_service
-        assert not restored.generators[1].in_service
-        np.testing.assert_array_equal(restored.branch_status(), derived.branch_status())
-
 
 class TestLODF:
     """Rank-1 LODF updates agree with the full-rebuild reference."""
@@ -317,30 +307,6 @@ class TestLODF:
         assert excinfo.value.branches == (bridge,)
         with pytest.raises(PowerFlowError, match="unknown branch"):
             ptdf_with_branch_outage(network, 999)
-
-    @pytest.mark.parametrize("case", ("case4gs", "ieee14", "ieee30"))
-    def test_lodf_matrix_structure(self, case):
-        network = base_network(case)
-        lodf = lodf_matrix(network)
-        assert lodf.shape == (network.n_branches, network.n_branches)
-        np.testing.assert_array_equal(np.diag(lodf), -1.0)
-        bridges = bridge_branches(network)
-        for k in bridges:
-            column = np.delete(lodf[:, k], k)
-            assert np.all(np.isnan(column)), f"bridge {k} column must be NaN"
-        for k in sampled_outages(case):
-            assert not np.any(np.isnan(lodf[:, k]))
-
-    def test_lodf_flow_transfer_matches_rebuilt_flows(self):
-        network = base_network("ieee14")
-        injections = opf_injections(network)
-        lodf = lodf_matrix(network)
-        base_flows = ptdf_matrix(network) @ injections
-        for k in sampled_outages("ieee14"):
-            predicted = base_flows + lodf[:, k] * base_flows[k]
-            predicted[k] = 0.0
-            rebuilt = ptdf_matrix(network.with_branch_outages([k])) @ injections
-            np.testing.assert_allclose(predicted, rebuilt, atol=1e-8)
 
     def test_post_outage_ptdf_routes(self):
         network = base_network("ieee14")

@@ -1,112 +1,9 @@
-"""Tests for repro.grid.io and repro.grid.validation."""
+"""Tests for repro.grid.validation."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.exceptions import GridModelError
-from repro.grid.cases import case4gs, case14
-from repro.grid.io import (
-    SCHEMA_VERSION,
-    load_network,
-    network_from_dict,
-    network_to_dict,
-    save_network,
-)
+from repro.grid.cases import case14
 from repro.grid.validation import validate_for_operation
-
-
-class TestNetworkDictRoundTrip:
-    def test_round_trip_preserves_structure(self, net14):
-        rebuilt = network_from_dict(network_to_dict(net14))
-        assert rebuilt.n_buses == net14.n_buses
-        assert rebuilt.n_branches == net14.n_branches
-        assert rebuilt.n_generators == net14.n_generators
-        np.testing.assert_allclose(rebuilt.reactances(), net14.reactances())
-        np.testing.assert_allclose(rebuilt.loads_mw(), net14.loads_mw())
-        assert rebuilt.dfacts_branches == net14.dfacts_branches
-
-    def test_round_trip_preserves_flow_limits(self, net4):
-        rebuilt = network_from_dict(network_to_dict(net4))
-        np.testing.assert_allclose(rebuilt.flow_limits_mw(), net4.flow_limits_mw())
-
-    def test_infinite_rate_serialised_as_null(self):
-        net = case4gs().with_flow_limits([1e9, 1e9, 1e9, 1e9])
-        data = network_to_dict(net)
-        assert all(entry["rate_mw"] is not None for entry in data["branch"])
-
-    def test_schema_version_recorded(self, net4):
-        assert network_to_dict(net4)["schema_version"] == SCHEMA_VERSION
-
-    def test_unsupported_schema_rejected(self, net4):
-        data = network_to_dict(net4)
-        data["schema_version"] = 999
-        with pytest.raises(GridModelError):
-            network_from_dict(data)
-
-    def test_missing_field_rejected(self, net4):
-        data = network_to_dict(net4)
-        del data["gen"][0]["p_max_mw"]
-        with pytest.raises(GridModelError):
-            network_from_dict(data)
-
-
-class TestDuplicateIndexRejection:
-    """Duplicated indices fail fast with the offending index named, not
-    with the contiguity error the structural validation would raise later."""
-
-    def test_duplicate_bus_index_named(self, net14):
-        data = network_to_dict(net14)
-        data["bus"][3]["index"] = data["bus"][2]["index"]
-        with pytest.raises(GridModelError, match="duplicate bus index 2"):
-            network_from_dict(data)
-
-    def test_duplicate_branch_index_named(self, net14):
-        data = network_to_dict(net14)
-        data["branch"][5]["index"] = 0
-        with pytest.raises(GridModelError, match="duplicate branch index 0"):
-            network_from_dict(data)
-
-    def test_duplicate_generator_index_named(self, net14):
-        data = network_to_dict(net14)
-        data["gen"][1]["index"] = data["gen"][0]["index"]
-        with pytest.raises(GridModelError, match="duplicate generator index 0"):
-            network_from_dict(data)
-
-    def test_unique_indices_still_accepted(self, net14):
-        # the regression's other direction: valid dictionaries parse as before
-        assert network_from_dict(network_to_dict(net14)) == net14
-
-    def test_shuffled_records_load_in_index_order(self, net14):
-        # record order in the dictionary is presentation, not semantics:
-        # components are rebuilt ordered by their explicit "index" fields
-        data = network_to_dict(net14)
-        data["bus"] = list(reversed(data["bus"]))
-        data["branch"] = data["branch"][5:] + data["branch"][:5]
-        data["gen"] = list(reversed(data["gen"]))
-        assert network_from_dict(data) == net14
-
-    def test_malformed_index_reported_by_parse_not_dup_check(self, net14):
-        data = network_to_dict(net14)
-        del data["bus"][0]["index"]
-        with pytest.raises(GridModelError, match="missing required field"):
-            network_from_dict(data)
-
-
-class TestFileRoundTrip:
-    def test_save_and_load(self, tmp_path, net14):
-        path = tmp_path / "ieee14.json"
-        save_network(net14, path)
-        loaded = load_network(path)
-        np.testing.assert_allclose(loaded.reactances(), net14.reactances())
-        assert loaded.name == net14.name
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(GridModelError):
-            load_network(path)
 
 
 class TestOperationalValidation:

@@ -170,11 +170,3 @@ class TestCopyWithChanges:
     def test_with_dfacts_unknown_branch(self):
         with pytest.raises(GridModelError):
             _toy_network().with_dfacts_on([9], 0.8, 1.2)
-
-    def test_with_flow_limits(self):
-        net = _toy_network().with_flow_limits({1: 10.0})
-        np.testing.assert_allclose(net.flow_limits_mw(), [100.0, 10.0, 100.0])
-
-    def test_with_flow_limits_non_positive(self):
-        with pytest.raises(GridModelError):
-            _toy_network().with_flow_limits([0.0, 10.0, 10.0])

@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.loads.profiles import (
-    hourly_loads_for_network,
-    nyiso_like_winter_day,
-    scale_profile_to_band,
-)
+from repro.loads.profiles import nyiso_like_winter_day, scale_profile_to_band
 from repro.timeseries import (
     OperationEngine,
     ProfileSpec,
     TuningSpec,
     daily_operation_spec,
 )
+from repro.timeseries.engine import _build_hours
 
 
 def explicit_profile(*totals_mw: float) -> ProfileSpec:
@@ -65,22 +62,32 @@ class TestLoadProfiles:
             scale_profile_to_band(np.array([]), 0.0, 1.0)
 
     def test_hourly_loads_keep_proportions(self, net14):
-        totals = np.array([150.0, 200.0])
-        loads = hourly_loads_for_network(net14, totals)
-        assert len(loads) == 2
-        for hour, total in enumerate(totals):
-            assert loads[hour].sum() == pytest.approx(total)
+        """The operation engine scales each hour's total onto the nominal
+        per-bus loads."""
+        totals = (150.0, 200.0)
+        spec = daily_operation_spec(
+            case="ieee14",
+            profile=explicit_profile(*totals),
+            cost_baseline="dispatch-only",
+            n_attacks=8,
+        )
+        hours = _build_hours(net14, spec.grid.baseline, spec.operation, spec.base_seed)
+        assert len(hours) == 2
+        for hour, total in zip(hours, totals):
+            assert hour.loads.sum() == pytest.approx(total)
             # Proportions match the nominal distribution.
             nominal = net14.loads_mw()
             mask = nominal > 0
             np.testing.assert_allclose(
-                loads[hour][mask] / nominal[mask],
+                hour.loads[mask] / nominal[mask],
                 np.full(mask.sum(), total / nominal.sum()),
             )
 
-    def test_hourly_loads_default_profile(self, net14):
-        loads = hourly_loads_for_network(net14)
-        assert len(loads) == 24
+    def test_hourly_loads_default_profile(self):
+        """The default profile is one NYISO-like winter weekday."""
+        totals = ProfileSpec().totals_mw()
+        assert totals.shape == (24,)
+        np.testing.assert_array_equal(totals, nyiso_like_winter_day())
 
 
 class TestDailyScheduler:

@@ -17,12 +17,7 @@ from repro.campaign.suites import campaign_from_suite
 from repro.engine import ResultCache, ScenarioEngine, ScenarioSpec, scenario_suite
 from repro.engine.trial import run_trial
 from repro.exceptions import ConfigurationError
-from repro.loads.profiles import (
-    available_shapes,
-    day_shape,
-    multi_day_profile,
-    profile_for_network,
-)
+from repro.loads.profiles import available_shapes, day_shape, multi_day_profile
 from repro.timeseries import (
     OperationEngine,
     OperationResult,
@@ -146,11 +141,6 @@ class TestSeasonalProfiles:
             multi_day_profile([], 220.0, 143.0)
         with pytest.raises(ConfigurationError):
             multi_day_profile(["winter-weekday"], 100.0, 150.0)
-
-    def test_profile_for_network_normalises_per_case(self, net14):
-        profile = profile_for_network(net14, peak_fraction=1.0, min_fraction=0.65)
-        assert profile.max() == pytest.approx(net14.total_load_mw())
-        assert profile.min() == pytest.approx(0.65 * net14.total_load_mw())
 
 
 class TestProfileSpec:

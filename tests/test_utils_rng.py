@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    permuted_indices,
-    random_signs,
-    random_unit_vector,
-    spawn_generators,
-)
+from repro.utils.rng import as_generator, spawn_generators
 
 
 class TestAsGenerator:
@@ -61,38 +55,6 @@ class TestSpawnGenerators:
     def test_generator_seed_supported(self):
         children = spawn_generators(np.random.default_rng(5), 2)
         assert len(children) == 2
-
-
-class TestRandomHelpers:
-    def test_unit_vector_has_unit_norm(self, rng):
-        vec = random_unit_vector(17, rng)
-        assert vec.shape == (17,)
-        assert np.isclose(np.linalg.norm(vec), 1.0)
-
-    def test_unit_vector_rejects_bad_dimension(self, rng):
-        with pytest.raises(ValueError):
-            random_unit_vector(0, rng)
-
-    def test_random_signs_are_plus_minus_one(self, rng):
-        signs = random_signs(50, rng)
-        assert set(np.unique(signs)).issubset({-1.0, 1.0})
-
-    def test_random_signs_rejects_negative_count(self, rng):
-        with pytest.raises(ValueError):
-            random_signs(-2, rng)
-
-    def test_permuted_indices_full(self, rng):
-        perm = permuted_indices(10, rng)
-        assert sorted(perm.tolist()) == list(range(10))
-
-    def test_permuted_indices_truncated(self, rng):
-        perm = permuted_indices(10, rng, take=4)
-        assert len(perm) == 4
-        assert len(set(perm.tolist())) == 4
-
-    def test_permuted_indices_invalid_take(self, rng):
-        with pytest.raises(ValueError):
-            permuted_indices(5, rng, take=9)
 
 
 class TestSpawnGeneratorsStateless:

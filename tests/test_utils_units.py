@@ -2,40 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.utils.units import (
-    DEFAULT_BASE_MVA,
-    dollars_per_mwh_to_per_pu_hour,
-    mw_to_pu,
-    pu_to_mw,
-)
+from repro.utils.units import DEFAULT_BASE_MVA
 
 
-class TestConversions:
-    def test_round_trip(self):
-        values = np.array([0.0, 50.0, 123.4])
-        np.testing.assert_allclose(pu_to_mw(mw_to_pu(values)), values)
-
+class TestPerUnitBase:
     def test_default_base(self):
-        assert mw_to_pu(100.0) == pytest.approx(1.0)
         assert DEFAULT_BASE_MVA == pytest.approx(100.0)
-
-    def test_custom_base(self):
-        assert mw_to_pu(50.0, base_mva=200.0) == pytest.approx(0.25)
-        assert pu_to_mw(0.25, base_mva=200.0) == pytest.approx(50.0)
-
-    def test_invalid_base_rejected(self):
-        with pytest.raises(ValueError):
-            mw_to_pu(1.0, base_mva=0.0)
-        with pytest.raises(ValueError):
-            pu_to_mw(1.0, base_mva=-5.0)
-
-    def test_cost_conversion(self):
-        # 20 $/MWh on a 100 MVA base is 2000 $ per p.u.-hour.
-        assert dollars_per_mwh_to_per_pu_hour(20.0) == pytest.approx(2000.0)
-
-    def test_cost_conversion_invalid_base(self):
-        with pytest.raises(ValueError):
-            dollars_per_mwh_to_per_pu_hour(20.0, base_mva=0.0)
