@@ -134,12 +134,26 @@ class TestBatchedDetector:
         for i, z in enumerate(measurements14):
             assert alarms[i] == detector.raises_alarm(z)
 
-    def test_monte_carlo_alarm_fraction_matches_sequential_measure_draws(
-        self, net14, opf14, evaluator14
-    ):
+    def test_measure_batch_stream_identical_to_sequential(self, measurement14, opf14):
+        """The detector's attack-free ``(n, M)`` measurement batch consumes
+        the stream like ``n`` sequential :meth:`MeasurementSystem.measure`
+        calls, so its alarm fraction is the fraction over those draws."""
+        # A high FP rate so that some attack-free draws alarm and some not.
+        detector = BadDataDetector(measurement14, false_positive_rate=0.5)
+        n = 40
+        r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
+        fraction = detector.empirical_false_positive_rate(
+            opf14.angles_rad, n_trials=n, rng=r1
+        )
+        draws = np.stack([measurement14.measure(opf14.angles_rad, rng=r2) for _ in range(n)])
+        assert r1.bit_generator.state == r2.bit_generator.state
+        assert 0.0 < fraction < 1.0
+        assert fraction == np.count_nonzero(detector.raises_alarms(draws)) / n
+
+    def test_measure_batch_with_attack(self, net14, opf14, evaluator14):
         """The detector's one ``(n, M)`` noise draw per attack consumes the
-        stream like ``n`` sequential :meth:`MeasurementSystem.measure` calls,
-        so its alarm fraction is the fraction over those draws."""
+        stream like ``n`` sequential ``measure(..., attack=a)`` calls, so its
+        alarm fraction is the fraction over those draws."""
         x = net14.reactances()
         x[list(net14.dfacts_branches)] *= 1.5
         system = MeasurementSystem.for_network(net14, reactances=x)
@@ -147,13 +161,14 @@ class TestBatchedDetector:
         # Analytic detection probability about 0.67: some draws alarm, some not.
         attack = evaluator14.ensemble.attacks[0]
         n = 40
+        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
         (probability,) = detector.detection_probabilities_monte_carlo(
-            attack[None, :], opf14.angles_rad, n_trials=n, rng=np.random.default_rng(9)
+            attack[None, :], opf14.angles_rad, n_trials=n, rng=r1
         )
-        rng = np.random.default_rng(9)
         draws = np.stack(
-            [system.measure(opf14.angles_rad, rng=rng, attack=attack) for _ in range(n)]
+            [system.measure(opf14.angles_rad, rng=r2, attack=attack) for _ in range(n)]
         )
+        assert r1.bit_generator.state == r2.bit_generator.state
         assert 0.0 < probability < 1.0
         assert probability == np.count_nonzero(detector.raises_alarms(draws)) / n
 
