@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import AttackConstructionError
-from repro.attacks.fdi import stealthy_attack
 from repro.attacks.scaling import (
     DEFAULT_MEASUREMENT_RATIO,
     scale_attack_to_measurement_ratio,
@@ -100,21 +99,14 @@ def generate_attack_ensemble(
             f"reference measurement length {z.shape[0]} does not match matrix rows {H.shape[0]}"
         )
     rng = as_generator(seed)
-    n_states = H.shape[1]
-
-    biases = np.empty((n_attacks, n_states))
-    attacks = np.empty((n_attacks, H.shape[0]))
-    for k in range(n_attacks):
-        c = rng.standard_normal(n_states)
-        # Guard against the (measure-zero) event of an all-zero draw.
-        while not np.any(np.abs(c) > 1e-12):  # pragma: no cover
-            c = rng.standard_normal(n_states)
-        raw = stealthy_attack(H, c)
-        scaled = scale_attack_to_measurement_ratio(raw, z, target_ratio)
-        # Record the bias consistent with the applied scaling.
-        scale = np.sum(np.abs(scaled)) / np.sum(np.abs(raw))
-        biases[k] = c * scale
-        attacks[k] = scaled
+    # One (n_attacks, n) block takes the same normals, in the same order,
+    # as one standard_normal(n) draw per attack, and one product with H
+    # forms every raw attack a = Hc.
+    biases = rng.standard_normal((n_attacks, H.shape[1]))
+    raw = biases @ H.T
+    attacks = scale_attack_to_measurement_ratio(raw, z, target_ratio)
+    # Record the biases consistent with the applied scaling.
+    biases *= (np.sum(np.abs(attacks), axis=1) / np.sum(np.abs(raw), axis=1))[:, None]
     return AttackEnsemble(
         attacks=attacks,
         state_biases=biases,

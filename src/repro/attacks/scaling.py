@@ -26,7 +26,8 @@ def scale_attack_to_measurement_ratio(
     Parameters
     ----------
     attack:
-        The unscaled attack vector ``a``.
+        The unscaled attack vector ``a``, or a ``(B, M)`` stack of attacks
+        each scaled on its own.
     measurements:
         The legitimate measurement vector ``z`` the ratio is taken against.
     target_ratio:
@@ -35,26 +36,30 @@ def scale_attack_to_measurement_ratio(
     Returns
     -------
     numpy.ndarray
-        The rescaled attack.  Scaling preserves the attack's direction, so a
-        stealthy attack stays stealthy.
+        The rescaled attack (or stack, one ratio per row).  Scaling
+        preserves each attack's direction, so a stealthy attack stays
+        stealthy.
     """
-    a = np.asarray(attack, dtype=float).ravel()
+    a = np.asarray(attack, dtype=float)
+    if a.ndim != 2:
+        a = a.ravel()
     z = np.asarray(measurements, dtype=float).ravel()
-    if a.shape[0] != z.shape[0]:
+    if a.shape[-1] != z.shape[0]:
         raise AttackConstructionError(
-            f"attack length {a.shape[0]} does not match measurement count {z.shape[0]}"
+            f"attack length {a.shape[-1]} does not match measurement count {z.shape[0]}"
         )
     if target_ratio <= 0:
         raise AttackConstructionError(
             f"target_ratio must be strictly positive, got {target_ratio}"
         )
-    attack_norm = float(np.sum(np.abs(a)))
+    attack_norms = np.sum(np.abs(a), axis=-1)
     measurement_norm = float(np.sum(np.abs(z)))
-    if attack_norm <= 0:
+    if np.any(attack_norms <= 0):
         raise AttackConstructionError("cannot scale an all-zero attack vector")
     if measurement_norm <= 0:
         raise AttackConstructionError("measurement vector has zero L1 norm")
-    return a * (target_ratio * measurement_norm / attack_norm)
+    factors = target_ratio * measurement_norm / attack_norms
+    return a * (factors[:, None] if a.ndim == 2 else factors)
 
 
 def attack_measurement_ratio(attack: np.ndarray, measurements: np.ndarray) -> float:

@@ -37,7 +37,6 @@ from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation
 from repro.mtd.effectiveness import EffectivenessEvaluator
 from repro.mtd.random_mtd import RandomMTDBaseline
-from repro.mtd.subspace import subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import solve_reactance_opf
 from repro.opf.result import OPFResult
@@ -228,7 +227,7 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
             backend=spec.backend,
         )
 
-    reactances, spa = _apply_policy(
+    reactances, policy_spa = _apply_policy(
         spec, network, baseline, evaluator, np.random.Generator(np.random.PCG64(mtd_seq))
     )
     if spec.detector.method == "monte-carlo":
@@ -247,7 +246,7 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     probs = effectiveness.detection_probabilities
     metrics["mean_detection_probability"] = float(np.mean(probs)) if probs.size else 0.0
     metrics["undetectable_fraction"] = effectiveness.undetectable_fraction()
-    metrics["spa"] = float(spa)
+    metrics["spa"] = float(effectiveness.spa if policy_spa is None else policy_spa)
 
     if false_alarm_seq is not None:
         # Post-contingency BDD health check: the empirical false-alarm
@@ -293,11 +292,12 @@ def _apply_policy(
     baseline: OPFResult,
     evaluator: EffectivenessEvaluator,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | None]:
     """Select the post-perturbation reactances according to the MTD policy.
 
     Returns the reactance vector together with the achieved subspace angle
-    against the attacker's matrix.
+    against the attacker's matrix, or ``None`` when the trial reads the
+    angle from its evaluation of the reactances (the random policy).
     """
     mtd = spec.mtd
     if mtd.policy == "none":
@@ -333,11 +333,7 @@ def _apply_policy(
             max_relative_change=mtd.max_relative_change,
             perturb_all_dfacts=mtd.perturb_all_dfacts,
         )
-        perturbation = sampler.draw_perturbation(seed=rng)
-        spa = subspace_angle(
-            evaluator.attacker_matrix, perturbation.post_measurement_matrix()
-        )
-        return perturbation.perturbed_reactances, float(spa)
+        return sampler.draw_perturbation(seed=rng).perturbed_reactances, None
     raise ConfigurationError(f"unknown MTD policy {mtd.policy!r}")
 
 

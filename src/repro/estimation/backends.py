@@ -6,8 +6,11 @@ A :class:`FactorizationBackend` owns everything a
 accessors it answers two batched kernels: the state estimate
 (:meth:`FactorizationBackend.estimate`) and the weighted projection onto
 the column space (:meth:`FactorizationBackend.project_weighted`), from
-which the model derives every residual norm and attack residual.  Two
-first-class implementations exist:
+which the model derives every residual norm and attack residual.  A third
+query, :meth:`FactorizationBackend.residual_gram`, gives the ``k × k``
+matrix from which :func:`~repro.mtd.subspace.subspace_angle` reads the
+SPA against the factored column space.  Two first-class implementations
+exist:
 
 ``dense`` — :class:`DenseQRBackend`
     The original path: SVD observability guard, then the thin QR
@@ -175,6 +178,15 @@ class FactorizationBackend(abc.ABC):
         """
 
     @abc.abstractmethod
+    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
+        """``S = Bᵀ(I − P)B`` for an orthonormal ``(M, k)`` basis ``B``.
+
+        ``P`` projects onto ``Col(W^{1/2}H)``; ``S`` is ``(k, k)``, and its
+        largest eigenvalue is ``sin²`` of the largest principal angle
+        between ``Col(B)`` and that column space.
+        """
+
+    @abc.abstractmethod
     def gain_cholesky(self) -> np.ndarray:
         """Upper Cholesky factor ``U`` of ``G = HᵀWH`` (``UᵀU = G``)."""
 
@@ -260,6 +272,11 @@ class DenseQRBackend(FactorizationBackend):
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return (weighted @ self._q) @ self._q.T
 
+    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
+        # Sine form E = B − Q(QᵀB): S = EᵀE keeps its digits at small angles.
+        residual = basis - self._q @ (self._q.T @ basis)
+        return residual.T @ residual
+
     def gain_cholesky(self) -> np.ndarray:
         signs = np.where(np.diag(self._r) < 0.0, -1.0, 1.0)
         return np.asarray(signs[:, None] * self._r)
@@ -343,6 +360,12 @@ class SparseQlessBackend(FactorizationBackend):
 
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return np.asarray((self._Hw @ self._solve_gain(weighted)).T)
+
+    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
+        # P = H_w G⁻¹ H_wᵀ, so BᵀPB = XᵀG⁻¹X with X = H_wᵀB (k columns),
+        # solved through the gain LU: no dense (M, n) factor.
+        cross = np.asarray(self._Hw.T @ basis)
+        return np.eye(basis.shape[1]) - cross.T @ self._lu.solve(cross)
 
     def gain_cholesky(self) -> np.ndarray:
         # Diagnostic accessor: densifies the (n, n) gain matrix — small

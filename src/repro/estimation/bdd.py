@@ -24,6 +24,8 @@ bit-identical by construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import stats
 
@@ -35,6 +37,17 @@ from repro.utils.rng import as_generator
 
 #: False-positive rate used throughout the paper's simulations.
 DEFAULT_FALSE_POSITIVE_RATE: float = 5e-4
+
+
+@lru_cache(maxsize=64)
+def _residual_threshold(false_positive_rate: float, dof: int) -> float:
+    """Threshold ``τ`` on the weighted residual norm for FP rate ``α``.
+
+    ``r² = ‖W^{1/2}(z − Hθ̂)‖² ~ χ²(dof)`` under H0, so ``τ`` is the square
+    root of the χ² quantile.  A pure function of ``(α, dof)``, computed
+    once per pair: the quantile costs more than many a detector build.
+    """
+    return float(np.sqrt(stats.chi2.ppf(1.0 - false_positive_rate, dof)))
 
 
 class BadDataDetector:
@@ -111,9 +124,7 @@ class BadDataDetector:
                 "the measurement set has no redundancy; bad-data detection is impossible"
             )
         self._dof = dof
-        # r² = ‖W^{1/2}(z − Hθ̂)‖² ~ χ²(dof) under H0, so the threshold on the
-        # norm is the square root of the χ² quantile.
-        self._threshold = float(np.sqrt(stats.chi2.ppf(1.0 - self._alpha, dof)))
+        self._threshold = _residual_threshold(self._alpha, dof)
 
     # ------------------------------------------------------------------
     @property

@@ -234,6 +234,42 @@ class LinearModel:
             self._gain_chol = self._fact.gain_cholesky()
         return self._gain_chol
 
+    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
+        """``S = Bᵀ(I − P)B`` for an orthonormal basis ``B`` of another space.
+
+        Parameters
+        ----------
+        basis:
+            Orthonormal columns, shape ``(M, k)``.
+
+        Returns
+        -------
+        numpy.ndarray
+            ``(k, k)`` matrix, with ``P`` the orthogonal projector onto
+            ``Col(H)``; ``λ_max(S)`` is ``sin²`` of the largest principal
+            angle between ``Col(B)`` and ``Col(H)``.  The dense backend
+            forms it from its own ``Q``, the sparse backend through its
+            gain LU — neither builds nor refactors ``H``.
+
+        Raises
+        ------
+        EstimationError
+            If ``basis`` is not ``(M, k)``, or the weights are not uniform:
+            the factorization then spans ``Col(W^{1/2}H)``, which is not
+            ``Col(H)``.
+        """
+        B = np.asarray(basis, dtype=float)
+        if B.ndim != 2 or B.shape[0] != self.n_measurements:
+            raise EstimationError(
+                f"expected a basis of shape ({self.n_measurements}, k), got {B.shape}"
+            )
+        if np.any(self._sqrt_w != self._sqrt_w[0]):
+            raise EstimationError(
+                "residual_gram needs uniform weights: a weighted factorization "
+                "does not span Col(H)"
+            )
+        return self._fact.residual_gram(B)
+
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         """Noiseless measurements ``Hθ`` of a state vector or stack.
 

@@ -12,12 +12,16 @@ paper).  For each attack the detection probability can be computed either in
 closed form (noncentral-χ², see :class:`repro.estimation.bdd.BadDataDetector`)
 or by the paper's Monte-Carlo procedure (1000 noisy measurement draws); the
 two agree to Monte-Carlo accuracy and are cross-validated in the tests.
+Each evaluation also reports the perturbation's subspace angle
+``γ(H, H')`` (Section V-C), read from the detector's own factorization of
+``H'`` when first asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from repro.estimation.backends import BACKEND_AUTO, resolve_backend
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.network import PowerNetwork
+from repro.mtd.subspace import subspace_angle
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
@@ -45,11 +50,22 @@ class EffectivenessResult:
         The BDD false-positive rate ``α`` used.
     method:
         ``"analytic"`` or ``"monte-carlo"``.
+    spa_source:
+        Zero-argument callable giving :attr:`spa`.  It runs on the first
+        read of :attr:`spa` only, so a caller that never reads the angle
+        does not pay for it.
     """
 
     detection_probabilities: np.ndarray
     false_positive_rate: float
     method: str
+    spa_source: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def spa(self) -> float:
+        """The subspace angle ``γ(H, H')`` (radians) between the attacker's
+        matrix and the evaluated post-perturbation matrix."""
+        return float(self.spa_source())
 
     def eta(self, delta: float) -> float:
         """The effectiveness ``η'(δ)``: fraction of attacks with ``P'_D ≥ δ``."""
@@ -94,7 +110,9 @@ class EffectivenessEvaluator:
 
     The evaluator is bound to the *attacker's view*: the pre-perturbation
     reactances (hence measurement matrix ``H``) and the operating point used
-    to scale attack magnitudes.  Each call to :meth:`evaluate` then prices a
+    to scale attack magnitudes.  ``H`` is assembled once, read-only, and
+    shared by the attack ensemble, the reference measurements and
+    :attr:`attacker_matrix`.  Each call to :meth:`evaluate` then prices a
     candidate post-perturbation reactance vector.
 
     Parameters
@@ -150,12 +168,16 @@ class EffectivenessEvaluator:
         )
         self._noise_sigma = float(noise_sigma)
         self._alpha = float(false_positive_rate)
-        self._pre_system = MeasurementSystem.for_network(
+        pre_system = MeasurementSystem.for_network(
             network, reactances=self._base_reactances, noise_sigma=noise_sigma
         )
-        reference_z = self._pre_system.noiseless_measurements(self._angles)
+        # Read-only: shared evaluators are memoised across trials, so a
+        # caller writing into H would corrupt every later trial.
+        self._attacker_matrix = pre_system.matrix()
+        self._attacker_matrix.flags.writeable = False
+        reference_z = self._attacker_matrix @ pre_system.reduce_angles(self._angles)
         self._ensemble = generate_attack_ensemble(
-            measurement_matrix=self._pre_system.matrix(),
+            measurement_matrix=self._attacker_matrix,
             reference_measurements=reference_z,
             n_attacks=n_attacks,
             target_ratio=attack_ratio,
@@ -170,8 +192,8 @@ class EffectivenessEvaluator:
 
     @property
     def attacker_matrix(self) -> np.ndarray:
-        """The attacker's (pre-perturbation) measurement matrix ``H``."""
-        return self._pre_system.matrix()
+        """The attacker's (pre-perturbation) measurement matrix ``H``, read-only."""
+        return self._attacker_matrix
 
     @property
     def base_reactances(self) -> np.ndarray:
@@ -195,7 +217,10 @@ class EffectivenessEvaluator:
         """Evaluate the detection statistics of one candidate perturbation.
 
         Builds the post-perturbation :class:`BadDataDetector` and returns
-        its detection probabilities for the evaluator's attack ensemble.
+        its detection probabilities for the evaluator's attack ensemble,
+        together with the subspace angle ``γ(H, H')``, read from the
+        detector's factorization of ``H'`` on first access of
+        :attr:`EffectivenessResult.spa`.
 
         Parameters
         ----------
@@ -231,6 +256,9 @@ class EffectivenessEvaluator:
             detection_probabilities=probabilities,
             false_positive_rate=self._alpha,
             method=method,
+            # Lazy: only the random policy reads the angle, so callers that
+            # never do (designed policies, tuning probes) skip its cost.
+            spa_source=partial(subspace_angle, self._attacker_matrix, detector.model),
         )
 
     def false_alarm_rate(

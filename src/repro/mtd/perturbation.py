@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.exceptions import MTDDesignError
 from repro.grid.arrays import NetworkArrays
-from repro.grid.matrices import reduced_measurement_matrix
 from repro.grid.network import PowerNetwork
 from repro.utils.rng import as_generator
 
@@ -201,14 +200,6 @@ class ReactancePerturbation:
         all, and the topology cache is shared with the base network.
         """
         return self.network.arrays.with_reactances(self.perturbed_reactances)
-
-    def pre_measurement_matrix(self) -> np.ndarray:
-        """Reduced measurement matrix ``H`` of the pre-perturbation system."""
-        return reduced_measurement_matrix(self.network, self.base_reactances)
-
-    def post_measurement_matrix(self) -> np.ndarray:
-        """Reduced measurement matrix ``H'`` of the post-perturbation system."""
-        return reduced_measurement_matrix(self.network, self.perturbed_reactances)
 
 
 __all__ = ["ReactancePerturbation"]

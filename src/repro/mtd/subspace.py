@@ -31,6 +31,31 @@ space membership and orthogonality, not about a specific angle.  The
 dimension of ``Col(H) ∩ Col(H')`` — the attacks that stay stealthy under
 Proposition 1 — is the number of (numerically) zero entries of
 :func:`principal_angles`.
+
+The largest-angle kernel
+------------------------
+:func:`largest_principal_angle` follows MATLAB ``subspace``: orthonormal
+bases ``Q_a`` and ``Q_b`` (thin QR here), with ``Q_b`` the narrower one,
+then the residual ``E = Q_b − Q_a(Q_aᵀQ_b)`` of projecting ``Q_b`` onto
+``Col(Q_a)``.  The Björck–Golub sine form gives ``sin²γ = λ_max(EᵀE)``
+from a small ``k × k`` Gram matrix, and stays accurate at small angles;
+above ``π/4`` the kernel switches to the cosine ``σ_min(Q_aᵀQ_b)``, which
+is the accurate side there.  No SVD of an ``(M, k)`` matrix is taken.
+
+The thin QR does not pivot, so it cannot drop a dependent column the way
+an SVD basis (:func:`scipy.linalg.orth`) would: both inputs must have full
+column rank, as every measurement matrix of an observable network does.
+A rank-deficient input raises :class:`ValueError` instead of being
+measured against a spurious direction.
+
+:func:`subspace_angle` also accepts the post-perturbation side as the
+:class:`~repro.estimation.linear_model.LinearModel` that already factors
+it (the BDD's own model), and then reads ``sin²γ`` from the model's
+:meth:`~repro.estimation.linear_model.LinearModel.residual_gram` — the
+same ``k × k`` matrix without building ``H'`` or factoring it a second
+time.  :func:`principal_angles` and :func:`smallest_principal_angle` keep
+scipy's rank-revealing full spectrum, because Proposition 1 counts its
+zeros.
 """
 
 from __future__ import annotations
@@ -38,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from repro.estimation.linear_model import LinearModel
 from repro.utils.linalg import orthonormal_basis
 
 
@@ -49,14 +75,7 @@ def principal_angles(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
     ``min(rank(A), rank(B))`` entries in ``[0, π/2]`` sorted from the
     smallest to the largest angle.
     """
-    A = np.asarray(matrix_a, dtype=float)
-    B = np.asarray(matrix_b, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("principal_angles expects two 2-D matrices")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(
-            f"matrices must live in the same ambient space, got {A.shape[0]} and {B.shape[0]} rows"
-        )
+    A, B = _matrix_pair(matrix_a, matrix_b)
     angles = scipy.linalg.subspace_angles(A, B)
     # scipy returns the angles in descending order; we standardise on
     # ascending so that index 0 is always the smallest principal angle.
@@ -72,14 +91,33 @@ def smallest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> floa
 
 
 def largest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
-    """The largest principal angle, a complementary separation measure."""
-    angles = principal_angles(matrix_a, matrix_b)
-    if angles.size == 0:
-        return 0.0
-    return float(angles[-1])
+    """The largest principal angle between two full-column-rank matrices.
+
+    Sine form ``sin²γ = λ_max(EᵀE)`` with ``E = Q_b − Q_a(Q_aᵀQ_b)`` and
+    ``Q_b`` the narrower basis; cosine form ``cos γ = σ_min(Q_aᵀQ_b)``
+    once ``γ > π/4`` (see the module docstring).
+
+    Raises
+    ------
+    ValueError
+        If the inputs are not 2-D matrices with the same number of rows,
+        or either one is rank deficient.
+    """
+    A, B = _matrix_pair(matrix_a, matrix_b)
+    basis_a = _orthonormal_factor(A)
+    basis_b = _orthonormal_factor(B)
+    if basis_a.shape[1] < basis_b.shape[1]:
+        basis_a, basis_b = basis_b, basis_a
+    cross = basis_a.T @ basis_b
+    residual = basis_b - basis_a @ cross
+    angle = _angle_from_residual_gram(residual.T @ residual)
+    if angle > np.pi / 4:
+        cosine = float(scipy.linalg.svdvals(cross).min())
+        angle = float(np.arccos(min(cosine, 1.0)))
+    return angle
 
 
-def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
+def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray | LinearModel) -> float:
     """The operational subspace-separation metric ``γ(A, B)`` in radians.
 
     This is the quantity used as the MTD design criterion throughout the
@@ -90,7 +128,23 @@ def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
     vice versa), i.e. when the perturbation leaves every attack stealthy,
     and grows towards ``π/2`` as the perturbation pushes the measurement
     matrix away from the attacker's knowledge.
+
+    Parameters
+    ----------
+    matrix_a:
+        The attacker's matrix ``H``, shape ``(M, n)``, full column rank.
+    matrix_b:
+        The post-perturbation matrix ``H'`` as an ``(M, n')`` array, or as
+        the :class:`~repro.estimation.linear_model.LinearModel` that
+        factors it.  A model must have uniform weights; its side is read
+        from :meth:`~repro.estimation.linear_model.LinearModel.residual_gram`
+        without building ``H'``.
     """
+    if isinstance(matrix_b, LinearModel):
+        A = np.asarray(matrix_a, dtype=float)
+        if A.ndim != 2:
+            raise ValueError("subspace_angle expects a 2-D matrix")
+        return _angle_from_residual_gram(matrix_b.residual_gram(_orthonormal_factor(A)))
     return largest_principal_angle(matrix_a, matrix_b)
 
 
@@ -110,6 +164,42 @@ def is_orthogonal_complement(
         return True
     cross = basis_a.T @ basis_b
     return bool(np.max(np.abs(cross)) <= tol)
+
+
+def _matrix_pair(matrix_a: np.ndarray, matrix_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two 2-D float matrices over the same ambient space."""
+    A = np.asarray(matrix_a, dtype=float)
+    B = np.asarray(matrix_b, dtype=float)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError("principal angles need two 2-D matrices")
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(
+            f"matrices must live in the same ambient space, got {A.shape[0]} and {B.shape[0]} rows"
+        )
+    return A, B
+
+
+def _orthonormal_factor(matrix: np.ndarray) -> np.ndarray:
+    """The thin-QR factor ``Q`` of a full-column-rank matrix.
+
+    The rank test is the reciprocal condition estimate of ``R`` against
+    the cut-off :func:`scipy.linalg.orth` applies to singular values,
+    ``max(M, k)·ε``.
+    """
+    q, r = np.linalg.qr(matrix)
+    rcond, _ = scipy.linalg.lapack.dtrcon(r)
+    if not rcond > max(matrix.shape) * np.finfo(float).eps:
+        raise ValueError(
+            f"principal angles need a full-column-rank matrix; the {matrix.shape} "
+            f"input has reciprocal condition {rcond:.3g}"
+        )
+    return q
+
+
+def _angle_from_residual_gram(gram: np.ndarray) -> float:
+    """``γ = arcsin √λ_max(S)`` for the residual Gram matrix ``S``."""
+    sine_squared = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+    return float(np.arcsin(min(np.sqrt(max(sine_squared, 0.0)), 1.0)))
 
 
 __all__ = [

@@ -99,6 +99,21 @@ class TestScaling:
         with pytest.raises(AttackConstructionError):
             scale_attack_to_measurement_ratio(rng.standard_normal(5), rng.standard_normal(6))
 
+    def test_stack_scales_each_row_like_a_vector(self, opf14, measurement14, rng):
+        z = measurement14.noiseless_measurements(opf14.angles_rad)
+        stack = rng.standard_normal((6, 13)) @ measurement14.matrix().T
+        scaled = scale_attack_to_measurement_ratio(stack, z, target_ratio=0.07)
+        assert scaled.shape == stack.shape
+        for row, attack in zip(scaled, stack):
+            assert np.array_equal(row, scale_attack_to_measurement_ratio(attack, z, 0.07))
+
+    def test_stack_with_a_zero_row_rejected(self, opf14, measurement14, rng):
+        z = measurement14.noiseless_measurements(opf14.angles_rad)
+        stack = rng.standard_normal((4, 54))
+        stack[2] = 0.0
+        with pytest.raises(AttackConstructionError, match="all-zero"):
+            scale_attack_to_measurement_ratio(stack, z)
+
 
 class TestEnsemble:
     def test_ensemble_size_and_shapes(self, opf14, measurement14):
@@ -140,6 +155,38 @@ class TestEnsemble:
         z = measurement14.noiseless_measurements(opf14.angles_rad)
         with pytest.raises(AttackConstructionError):
             generate_attack_ensemble(measurement14.matrix(), z, n_attacks=0)
+
+    def test_matches_per_row_reference(self, opf14, measurement14):
+        """One block draw and one product equal the per-attack loop."""
+        H = measurement14.matrix()
+        z = measurement14.noiseless_measurements(opf14.angles_rad)
+        rng = np.random.default_rng(21)
+        ensemble = generate_attack_ensemble(H, z, n_attacks=40, target_ratio=0.08, seed=rng)
+        reference = np.random.default_rng(21)
+        biases, attacks = [], []
+        for _ in range(40):
+            c = reference.standard_normal(13)
+            raw = stealthy_attack(H, c)
+            scaled = scale_attack_to_measurement_ratio(raw, z, 0.08)
+            biases.append(c * (np.sum(np.abs(scaled)) / np.sum(np.abs(raw))))
+            attacks.append(scaled)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # Relative to each row: gemm and gemv round entries that cancel
+        # to near zero differently.
+        for got, expected in ((ensemble.attacks, attacks), (ensemble.state_biases, biases)):
+            expected = np.array(expected)
+            gap = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+            assert gap.max() <= 1e-14
+
+    def test_scaling_checks_raise(self, opf14, measurement14):
+        H = measurement14.matrix()
+        z = measurement14.noiseless_measurements(opf14.angles_rad)
+        with pytest.raises(AttackConstructionError, match="target_ratio"):
+            generate_attack_ensemble(H, z, n_attacks=3, target_ratio=0.0)
+        with pytest.raises(AttackConstructionError, match="zero L1 norm"):
+            generate_attack_ensemble(H, np.zeros_like(z), n_attacks=3)
+        with pytest.raises(AttackConstructionError, match="all-zero"):
+            generate_attack_ensemble(np.zeros_like(H), z, n_attacks=3)
 
 
 class TestImpact:

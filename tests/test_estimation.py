@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.estimation.bdd import BadDataDetector
 from repro.estimation.linear_model import LinearModel
@@ -175,6 +176,12 @@ class TestBadDataDetector:
         strict = BadDataDetector(measurement14, false_positive_rate=1e-4)
         loose = BadDataDetector(measurement14, false_positive_rate=1e-1)
         assert strict.threshold > loose.threshold > 0.0
+
+    def test_threshold_is_the_chi2_quantile_bit_for_bit(self, measurement14):
+        for alpha in (5e-4, 1e-2, 5e-4):
+            detector = BadDataDetector(measurement14, false_positive_rate=alpha)
+            dof = detector.degrees_of_freedom
+            assert detector.threshold == float(np.sqrt(stats.chi2.ppf(1.0 - alpha, dof)))
 
     def test_invalid_trial_counts_rejected(self, opf14, measurement14):
         detector = BadDataDetector(measurement14)

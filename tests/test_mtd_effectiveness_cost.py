@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation
 from repro.mtd.effectiveness import EffectivenessEvaluator, EffectivenessResult
+from repro.mtd.subspace import subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 
 
@@ -18,6 +20,7 @@ class TestEffectivenessResult:
             detection_probabilities=np.array([0.1, 0.6, 0.95, 0.99]),
             false_positive_rate=5e-4,
             method="analytic",
+            spa_source=lambda: 0.0,
         )
         assert result.eta(0.5) == pytest.approx(0.75)
         assert result.eta(0.9) == pytest.approx(0.5)
@@ -28,6 +31,7 @@ class TestEffectivenessResult:
             detection_probabilities=np.array([0.2, 0.8]),
             false_positive_rate=5e-4,
             method="analytic",
+            spa_source=lambda: 0.0,
         )
         np.testing.assert_allclose(
             result.eta_curve([0.1, 0.5, 0.9]), [1.0, 0.5, 0.0]
@@ -38,6 +42,7 @@ class TestEffectivenessResult:
             detection_probabilities=np.array([0.5]),
             false_positive_rate=5e-4,
             method="analytic",
+            spa_source=lambda: 0.0,
         )
         with pytest.raises(ConfigurationError):
             result.eta(1.5)
@@ -47,6 +52,7 @@ class TestEffectivenessResult:
             detection_probabilities=np.array([5e-4, 0.9]),
             false_positive_rate=5e-4,
             method="analytic",
+            spa_source=lambda: 0.0,
         )
         assert result.undetectable_fraction() == pytest.approx(0.5)
 
@@ -55,6 +61,7 @@ class TestEffectivenessResult:
             detection_probabilities=np.array([0.5, 0.7]),
             false_positive_rate=5e-4,
             method="analytic",
+            spa_source=lambda: 0.0,
         )
         summary = result.summary()
         assert summary["n_attacks"] == 2
@@ -114,6 +121,45 @@ class TestEffectivenessEvaluator:
     def test_wrong_angle_length_rejected(self, net14):
         with pytest.raises(ConfigurationError):
             EffectivenessEvaluator(net14, operating_angles_rad=np.zeros(3))
+
+    @pytest.mark.parametrize("method", ["analytic", "monte-carlo"])
+    def test_spa_is_the_angle_to_the_post_matrix(self, net14, opf14, method):
+        evaluator = EffectivenessEvaluator(
+            net14, operating_angles_rad=opf14.angles_rad, n_attacks=10, seed=3
+        )
+        x = net14.reactances()
+        x[np.array(net14.dfacts_branches)] *= np.linspace(0.8, 1.2, len(net14.dfacts_branches))
+        result = evaluator.evaluate(x, method=method, n_noise_trials=20)
+        expected = subspace_angle(
+            evaluator.attacker_matrix, reduced_measurement_matrix(net14, x)
+        )
+        assert expected > 0.05
+        assert abs(result.spa - expected) <= 1e-12
+
+    def test_spa_is_computed_once_and_only_when_read(self, net14, evaluator14, monkeypatch):
+        import repro.mtd.effectiveness as effectiveness_module
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return subspace_angle(*args)
+
+        monkeypatch.setattr(effectiveness_module, "subspace_angle", counting)
+        x = net14.reactances()
+        x[np.array(net14.dfacts_branches)] *= 1.1
+        result = evaluator14.evaluate(x)
+        assert calls == []
+        first = result.spa
+        assert result.spa == first
+        assert len(calls) == 1
+
+    def test_attacker_matrix_is_read_only(self, net14, evaluator14):
+        H = evaluator14.attacker_matrix
+        with pytest.raises(ValueError, match="read-only"):
+            H[0, 0] = 1.0
+        assert evaluator14.attacker_matrix is H
+        assert np.array_equal(H, reduced_measurement_matrix(net14, evaluator14.base_reactances))
 
     def test_evaluate_perturbation_wrapper(self, net14, evaluator14):
         from repro.mtd.perturbation import ReactancePerturbation

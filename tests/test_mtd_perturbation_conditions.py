@@ -92,7 +92,8 @@ class TestReactancePerturbation:
         x[index] *= 1.4
         perturbation = ReactancePerturbation.from_perturbed(net14, x)
         assert not np.allclose(
-            perturbation.pre_measurement_matrix(), perturbation.post_measurement_matrix()
+            reduced_measurement_matrix(net14, perturbation.base_reactances),
+            reduced_measurement_matrix(net14, perturbation.perturbed_reactances),
         )
 
     def test_wrong_vector_length_rejected(self, net14):
@@ -130,7 +131,7 @@ class TestProposition1:
         stealthy = {}
         for line in range(4):
             perturbation = ReactancePerturbation.single_line(net4, line, 0.2)
-            H_post = perturbation.post_measurement_matrix()
+            H_post = reduced_measurement_matrix(net4, perturbation.perturbed_reactances)
             stealthy[line] = (
                 attack_remains_stealthy(attack_1, H_post),
                 attack_remains_stealthy(attack_2, H_post),

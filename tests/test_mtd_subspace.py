@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from repro.estimation.linear_model import LinearModel
+from repro.estimation.measurement import MeasurementSystem
+from repro.exceptions import EstimationError
+from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.subspace import (
     is_orthogonal_complement,
@@ -112,6 +117,131 @@ class TestDesignMetric:
                 x[index] *= factor
             angles.append(subspace_angle(H, reduced_measurement_matrix(net14, x)))
         assert angles[0] < angles[1] < angles[2]
+
+
+def _rotated_pair(rng, n_rows, width, angle):
+    """Two bases whose largest principal angle is exactly ``angle``.
+
+    ``B`` turns one direction of ``Col(A)`` by ``angle`` towards a direction
+    orthogonal to it; both are then mixed by random invertible matrices so
+    neither input is orthonormal.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((n_rows, width + 1)))
+    base, normal = q[:, :width], q[:, width]
+    turned = base.copy()
+    turned[:, 0] = np.cos(angle) * base[:, 0] + np.sin(angle) * normal
+    mix_a = rng.standard_normal((width, width)) + 3.0 * np.eye(width)
+    mix_b = rng.standard_normal((width, width)) + 3.0 * np.eye(width)
+    return base @ mix_a, turned @ mix_b
+
+
+def _scipy_largest(A, B):
+    return float(scipy.linalg.subspace_angles(A, B).max())
+
+
+class TestLargestAngleKernel:
+    """The Gram-matrix kernel against scipy's SVD-based spectrum."""
+
+    def test_agrees_with_scipy_on_unequal_widths(self, rng):
+        for _ in range(60):
+            n_rows = int(rng.integers(6, 40))
+            width_a = int(rng.integers(1, n_rows))
+            width_b = int(rng.integers(1, n_rows))
+            A = rng.standard_normal((n_rows, width_a))
+            B = rng.standard_normal((n_rows, width_b))
+            expected = _scipy_largest(A, B)
+            assert abs(largest_principal_angle(A, B) - expected) <= 1e-12
+            assert abs(largest_principal_angle(B, A) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+    def test_agrees_with_scipy_on_near_identical_spaces(self, rng, angle):
+        for width in (1, 4, 13):
+            A, B = _rotated_pair(rng, 54, width, angle)
+            gamma = subspace_angle(A, B)
+            assert abs(gamma - _scipy_largest(A, B)) <= 1e-12
+            assert abs(gamma - angle) <= 1e-12
+            # A narrower space inside Col(B), as either argument.
+            narrow = B[:, : (width + 1) // 2]
+            for pair in ((A, narrow), (narrow, A)):
+                assert abs(subspace_angle(*pair) - _scipy_largest(*pair)) <= 1e-12
+
+    @pytest.mark.parametrize("angle", [0.8, 1.0, 1.3, 1.5])
+    def test_agrees_with_scipy_beyond_a_quarter_turn(self, rng, angle):
+        for width in (1, 4, 13):
+            A, B = _rotated_pair(rng, 54, width, angle)
+            gamma = largest_principal_angle(A, B)
+            assert abs(gamma - _scipy_largest(A, B)) <= 1e-12
+            assert abs(gamma - angle) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [1e-5, 1e-7])
+    def test_exact_next_to_a_right_angle(self, rng, offset):
+        """The cosine branch keeps its digits where a sine loses them.
+
+        scipy reads about 2e-9 rad off at ``π/2 − 1e-7``, so the check here
+        is against the constructed angle.
+        """
+        for width in (1, 4, 13):
+            A, B = _rotated_pair(rng, 54, width, np.pi / 2 - offset)
+            assert abs(largest_principal_angle(A, B) - (np.pi / 2 - offset)) <= 1e-12
+
+    def test_rank_deficient_input_raises(self, rng):
+        A = rng.standard_normal((20, 5))
+        A[:, 4] = A[:, 1]
+        B = rng.standard_normal((20, 5))
+        with pytest.raises(ValueError, match="full-column-rank"):
+            largest_principal_angle(A, B)
+        with pytest.raises(ValueError, match="full-column-rank"):
+            subspace_angle(B, A)
+        model = LinearModel(B, np.ones(20))
+        with pytest.raises(ValueError, match="full-column-rank"):
+            subspace_angle(A, model)
+
+    def test_full_spectrum_stays_scipy(self, rng):
+        A = rng.standard_normal((15, 5))
+        B = rng.standard_normal((15, 4))
+        expected = np.sort(scipy.linalg.subspace_angles(A, B))
+        assert np.array_equal(principal_angles(A, B), expected)
+        assert smallest_principal_angle(A, B) == expected[0]
+
+
+class TestFactorizedSide:
+    """``subspace_angle(H, model)`` reads the model's own factorization."""
+
+    @pytest.mark.parametrize(
+        "case, backend",
+        [("ieee14", "dense"), ("ieee30", "dense"), ("synthetic300", "sparse")],
+    )
+    def test_model_form_agrees_with_array_form(self, case, backend):
+        network = load_case(case)
+        rng = np.random.default_rng(17)
+        x = network.reactances()
+        H = reduced_measurement_matrix(network, x)
+        dfacts = np.array(network.dfacts_branches)
+        for relative_change in (0.02, 0.2):
+            x_post = x.copy()
+            x_post[dfacts] *= 1.0 + rng.uniform(-relative_change, relative_change, dfacts.size)
+            system = MeasurementSystem.for_network(network, reactances=x_post)
+            model = LinearModel.from_measurement_system(system)
+            assert model.backend == backend
+            expected = subspace_angle(H, reduced_measurement_matrix(network, x_post))
+            assert abs(subspace_angle(H, model) - expected) <= 1e-12
+
+    def test_sparse_and_dense_residual_grams_agree(self, net30, rng):
+        x = net30.reactances()
+        x[np.array(net30.dfacts_branches)] *= 1.3
+        H_post = reduced_measurement_matrix(net30, x)
+        basis, _ = np.linalg.qr(reduced_measurement_matrix(net30))
+        weights = np.full(H_post.shape[0], 4.0)
+        dense = LinearModel(H_post, weights, backend="dense").residual_gram(basis)
+        sparse = LinearModel(H_post, weights, backend="sparse").residual_gram(basis)
+        np.testing.assert_allclose(sparse, dense, rtol=0.0, atol=1e-12)
+
+    def test_non_uniform_weights_raise(self, net14):
+        H = reduced_measurement_matrix(net14)
+        weights = np.linspace(1.0, 2.0, H.shape[0])
+        model = LinearModel(H, weights)
+        with pytest.raises(EstimationError, match="uniform weights"):
+            subspace_angle(H, model)
 
 
 class TestOrthogonality:
