@@ -17,6 +17,12 @@ suite's case ladder (IEEE 14 → synthetic 300 → synthetic 1354 bus):
   estimate_batch` over ``B`` measurement rows (states + residual norms +
   fitted measurements), the per-trial cost.
 
+Each case also records an end-to-end number, ``warm_trial_seconds``: the
+median wall time of a warm :func:`~repro.engine.run_trial` of the scale
+suite's ``scale-<case>`` scenario (a random perturbation, a fresh
+200-attack ensemble, its BDD evaluation and SPA), timed after one
+warm-up trial has built the scenario context.
+
 Correctness is cross-checked in the same run: the dense backend must be
 *bit-identical* to an inline reference of the pre-backend arithmetic
 (``np.linalg.qr`` of ``W^{1/2}H`` + triangular solve), and the sparse
@@ -33,6 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.analysis.reporting import format_table
+from repro.engine import run_trial, scenario_suite
 from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.grid.cases.registry import load_case
@@ -60,6 +67,10 @@ LARGE_CASE_BUSES = 1000
 #: Measurement rows per batched solve, by scale name.
 N_TRIALS = {"smoke": 16, "quick": 64, "full": 256}
 
+#: Warm ``run_trial`` calls timed per case, by scale name (the scale
+#: scenarios have 8 trials; trial 0 is the untimed warm-up).
+N_WARM_TRIALS = {"smoke": 2, "quick": 3, "full": 5}
+
 #: Agreement tolerance between the backends (relative, on states and
 #: residual norms).  Documented in docs/architecture.md and pinned tighter
 #: by tests/test_estimation_backends.py.
@@ -76,6 +87,13 @@ def _reference_dense(system: MeasurementSystem, Z: np.ndarray) -> dict:
     theta = scipy.linalg.solve_triangular(r, coeffs.T).T
     residual_norms = np.linalg.norm(weighted - coeffs @ q.T, axis=1)
     return {"q": q, "r": r, "theta": theta, "residual_norms": residual_norms}
+
+
+def warm_trial_seconds(case: str, n_trials: int) -> float:
+    """Median wall time of ``n_trials`` warm trials of ``scale-<case>``."""
+    (spec,) = [s for s in scenario_suite("scale") if s.name == f"scale-{case}"]
+    run_trial(spec, 0)
+    return float(np.median([time_call(run_trial, spec, i)[1] for i in range(1, n_trials + 1)]))
 
 
 def compare_backends(case: str, n_trials: int) -> dict:
@@ -149,12 +167,15 @@ def bench_scale(benchmark, scale):
     """Time dense-QR vs sparse Q-less factorize + solve across case sizes."""
     cases = CASES.get(scale.name, CASES["quick"])
     n_trials = N_TRIALS.get(scale.name, N_TRIALS["quick"])
+    n_warm = N_WARM_TRIALS.get(scale.name, N_WARM_TRIALS["quick"])
     results, total_seconds = benchmark.pedantic(
         time_call,
         args=(lambda: [compare_backends(case, n_trials) for case in cases],),
         rounds=1,
         iterations=1,
     )
+    for r in results:
+        r["warm_trial_seconds"] = warm_trial_seconds(r["case"], n_warm)
 
     print_banner(
         f"Factorization backends — factorize + {n_trials}-row batched solve "
@@ -170,6 +191,7 @@ def bench_scale(benchmark, scale):
                 "dense solve (s)",
                 "sparse solve (s)",
                 "speedup",
+                "warm trial (s)",
             ],
             [
                 [
@@ -180,6 +202,7 @@ def bench_scale(benchmark, scale):
                     f"{r['dense_solve_seconds']:.4f}",
                     f"{r['sparse_solve_seconds']:.4f}",
                     f"{r['speedup']:.1f}x",
+                    f"{r['warm_trial_seconds']:.4f}",
                 ]
                 for r in results
             ],
@@ -187,11 +210,13 @@ def bench_scale(benchmark, scale):
     )
     print(
         "The sparse backend factorises the gain matrix G = HᵀWH with a "
-        "COLAMD-ordered sparse LU and never materialises Q or a dense H; "
-        "the dense backend keeps the original SVD-guarded thin QR.  Small "
-        "cases favour dense (which is why backend='auto' keeps them on "
-        "it); at 1000+ buses the sparse path wins on both factorize and "
-        "end-to-end cost."
+        "sparse LU in a symmetric minimum-degree ordering (diagonal "
+        "pivots) and never materialises Q or a dense H; the dense backend "
+        "keeps the original SVD-guarded thin QR.  Small cases favour dense "
+        "(which is why backend='auto' keeps them on it); at 1000+ buses "
+        "the sparse path wins on both factorize and end-to-end cost.  The "
+        f"warm trial is the median of {n_warm} warm run_trial calls of the "
+        "case's scale-suite scenario."
     )
 
     # Headline metric: end-to-end speedup on the largest benchmarked case.
@@ -201,6 +226,7 @@ def bench_scale(benchmark, scale):
         {
             "scale": scale.name,
             "n_trials": n_trials,
+            "n_warm_trials": n_warm,
             "total_seconds": total_seconds,
             "speedup": headline,
             "cases": results,

@@ -30,18 +30,12 @@ class AttackEnsemble:
         Array of shape ``(n_attacks, M)``; each row is one attack vector.
     state_biases:
         Array of shape ``(n_attacks, N−1)``; the corresponding ``c`` vectors.
-    measurement_matrix:
-        The attacker's measurement matrix ``H`` the attacks were built from.
-    reference_measurements:
-        The legitimate measurement vector the magnitudes were scaled against.
     target_ratio:
         The ``‖a‖₁/‖z‖₁`` ratio the attacks were scaled to.
     """
 
     attacks: np.ndarray
     state_biases: np.ndarray
-    measurement_matrix: np.ndarray
-    reference_measurements: np.ndarray
     target_ratio: float
 
     def __len__(self) -> int:
@@ -56,8 +50,6 @@ class AttackEnsemble:
         return AttackEnsemble(
             attacks=self.attacks[idx],
             state_biases=self.state_biases[idx],
-            measurement_matrix=self.measurement_matrix,
-            reference_measurements=self.reference_measurements,
             target_ratio=self.target_ratio,
         )
 
@@ -110,8 +102,6 @@ def generate_attack_ensemble(
     return AttackEnsemble(
         attacks=attacks,
         state_biases=biases,
-        measurement_matrix=H.copy(),
-        reference_measurements=z.copy(),
         target_ratio=float(target_ratio),
     )
 

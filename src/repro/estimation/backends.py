@@ -23,9 +23,14 @@ exist:
 ``sparse`` — :class:`SparseQlessBackend`
     The scale path: ``H`` stays CSR, the sparse gain matrix ``G = HᵀWH``
     (shape ``(n, n)``, ~``O(nnz)`` memory) is factorised once with a
-    permutation-ordered sparse LU (:func:`scipy.sparse.linalg.splu`,
-    COLAMD column ordering), and **no dense ``(M, n)`` factor is ever
-    materialised** — neither ``Q`` nor a densified ``H``.  States are two
+    permutation-ordered sparse LU (:func:`scipy.sparse.linalg.splu`), and
+    **no dense ``(M, n)`` factor is ever materialised** — neither ``Q``
+    nor a densified ``H``.  ``G`` is symmetric positive definite, so the
+    LU uses a symmetric minimum-degree ordering on the pattern of ``G``
+    with diagonal pivots (``perm_r == perm_c``).  COLAMD, SuperLU's
+    default, orders for the pattern of ``GᵀG`` instead, and leaves about
+    twice the fill: nnz(L + U) 54,827 against 26,326 at 300 buses and
+    1,075,863 against 448,880 at 1354.  States are two
     sparse-triangular solves through the LU, the projection is evaluated
     directly as the fitted measurements ``W^{1/2}Hθ̂`` (mathematically
     identical to the projector form; the tier-1 agreement tests pin the
@@ -286,10 +291,17 @@ class SparseQlessBackend(FactorizationBackend):
     """Sparse Q-less factorisation via LU of the gain matrix.
 
     Keeps ``H`` and ``W^{1/2}H`` in CSR, factorises the sparse gain matrix
-    ``G = HᵀWH`` once with COLAMD-ordered :func:`scipy.sparse.linalg.splu`
-    and answers every query through the LU solve — no ``(M, n)`` dense
-    array is ever formed.  Memory is ``O(nnz(H) + nnz(L + U))`` versus the
-    dense backend's ``O(M·n)`` for ``Q`` alone.
+    ``G = HᵀWH`` once with :func:`scipy.sparse.linalg.splu` and answers
+    every query through the LU solve — no ``(M, n)`` dense array is ever
+    formed.  Memory is ``O(nnz(H) + nnz(L + U))`` versus the dense
+    backend's ``O(M·n)`` for ``Q`` alone.
+
+    The LU is ordered for a symmetric matrix: minimum degree on the
+    pattern of ``G`` (``permc_spec="MMD_AT_PLUS_A"``), applied to rows and
+    columns alike, with diagonal pivots (``diag_pivot_thresh=0``,
+    ``SymmetricMode``).  Diagonal pivots are stable because ``G`` is
+    positive definite, and the ordering leaves about half the fill of
+    COLAMD, which orders the columns for ``GᵀG``.
 
     The observability guard comes from the factorisation itself: an
     exactly singular ``G`` aborts inside ``splu`` and a numerically
@@ -311,7 +323,12 @@ class SparseQlessBackend(FactorizationBackend):
         self._Hw = H.multiply(sqrt_weights[:, None]).tocsr()
         gain = (self._Hw.T @ self._Hw).tocsc()
         try:
-            self._lu = scipy.sparse.linalg.splu(gain, permc_spec="COLAMD")
+            self._lu = scipy.sparse.linalg.splu(
+                gain,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             # SuperLU reports exact singularity ("Factor is exactly
             # singular") — the sparse equivalent of the SVD guard firing.

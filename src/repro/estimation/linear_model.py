@@ -103,10 +103,13 @@ class LinearModel:
     * gain-matrix Cholesky: ``G = HᵀWH = RᵀR``, so the upper Cholesky
       factor of ``G`` is ``R`` with rows sign-normalised.
 
-    The sparse backend factorises ``G = HᵀWH`` directly (COLAMD-ordered
-    sparse LU) and evaluates the same quantities without materialising
-    ``Q``; results agree with the dense backend to solver tolerance (the
-    tier-1 agreement tests pin the bound).
+    The sparse backend factorises ``G = HᵀWH`` directly and evaluates the
+    same quantities without materialising ``Q``; results agree with the
+    dense backend to solver tolerance (the tier-1 agreement tests pin the
+    bound).  Its sparse LU takes a symmetric minimum-degree ordering of
+    ``G`` with diagonal pivots, which ``G`` being positive definite makes
+    stable; it leaves about half the fill of a COLAMD column ordering,
+    which is meant for unsymmetric matrices.
     """
 
     def __init__(

@@ -36,7 +36,7 @@ from repro.exceptions import MTDDesignError, OPFConvergenceError, OPFInfeasibleE
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.grid.network import PowerNetwork
 from repro.mtd.perturbation import ReactancePerturbation
-from repro.mtd.subspace import subspace_angle
+from repro.mtd.subspace import FactoredMatrix, subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import solve_reactance_opf
 from repro.opf.result import OPFResult
@@ -139,14 +139,16 @@ class MTDDesignResult:
 
 def spa_of_reactances(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: np.ndarray | FactoredMatrix,
     reactances: np.ndarray,
 ) -> float:
     """``γ(H_t, H(x))`` for a candidate reactance vector ``x``.
 
     Uses the operational subspace-angle metric (see
     :func:`repro.mtd.subspace.subspace_angle` for why this is the largest
-    principal angle).
+    principal angle).  ``attacker_matrix`` is ``H_t`` as an array or as a
+    :class:`~repro.mtd.subspace.FactoredMatrix`; the design search passes
+    the latter, so ``H_t`` is factored once per search, not per candidate.
     """
     candidate = reduced_measurement_matrix(network, np.asarray(reactances, dtype=float))
     return subspace_angle(attacker_matrix, candidate)
@@ -219,7 +221,6 @@ def design_mtd_perturbation(
         raise MTDDesignError("the network has no D-FACTS devices; MTD is impossible")
 
     base_x = network.reactances() if attacker_reactances is None else np.asarray(attacker_reactances, dtype=float)
-    attacker_matrix = reduced_measurement_matrix(network, base_x)
     loads = network.loads_mw() if loads_mw is None else np.asarray(loads_mw, dtype=float)
     preferred = None if preferred_reactances is None else np.asarray(preferred_reactances, dtype=float)
 
@@ -232,6 +233,7 @@ def design_mtd_perturbation(
             context=context,
         )
 
+    attacker_matrix = FactoredMatrix(reduced_measurement_matrix(network, base_x))
     two_stage = _two_stage_design(
         network, attacker_matrix, base_x, loads, gamma_threshold,
         preferred=preferred, seed=seed, context=context,
@@ -279,7 +281,7 @@ def max_spa_perturbation(
     if not network.dfacts_branches:
         raise MTDDesignError("the network has no D-FACTS devices; MTD is impossible")
     base_x = network.reactances() if attacker_reactances is None else np.asarray(attacker_reactances, dtype=float)
-    attacker_matrix = reduced_measurement_matrix(network, base_x)
+    attacker_matrix = FactoredMatrix(reduced_measurement_matrix(network, base_x))
     loads = network.loads_mw() if loads_mw is None else np.asarray(loads_mw, dtype=float)
 
     best_x, best_spa = _maximize_spa_memoized(
@@ -343,7 +345,7 @@ _MAX_ENUMERATED_DFACTS: int = 8
 
 def _maximize_spa(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: FactoredMatrix,
     base_x: np.ndarray,
     n_starts: int,
     seed: int | np.random.Generator | None,
@@ -404,7 +406,7 @@ def _maximize_spa(
 
 def _maximize_spa_memoized(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: FactoredMatrix,
     base_x: np.ndarray,
     n_starts: int,
     seed: int | np.random.Generator | None,
@@ -429,7 +431,7 @@ _TWO_STAGE_DIRECTIONS: int = 12
 
 def _two_stage_design(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: FactoredMatrix,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,
@@ -596,7 +598,7 @@ def _backtrack_to_threshold(
 
 def _joint_design(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: FactoredMatrix,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,

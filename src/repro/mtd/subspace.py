@@ -56,9 +56,19 @@ same ``k × k`` matrix without building ``H'`` or factoring it a second
 time.  :func:`principal_angles` and :func:`smallest_principal_angle` keep
 scipy's rank-revealing full spectrum, because Proposition 1 counts its
 zeros.
+
+The attacker's side of the angle is usually fixed while the other side
+varies: one ``H_t`` is priced against every perturbation of a scenario or
+of a design search.  :func:`subspace_angle` therefore also accepts its
+first argument as a :class:`FactoredMatrix`, which holds ``H_t`` read-only
+and computes its basis ``Q_t`` (thin QR, rank test included) on first use
+and keeps it.  The results are bit-identical to passing the array, which
+takes the same QR in every call.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -104,20 +114,54 @@ def largest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float
         or either one is rank deficient.
     """
     A, B = _matrix_pair(matrix_a, matrix_b)
-    basis_a = _orthonormal_factor(A)
-    basis_b = _orthonormal_factor(B)
-    if basis_a.shape[1] < basis_b.shape[1]:
-        basis_a, basis_b = basis_b, basis_a
-    cross = basis_a.T @ basis_b
-    residual = basis_b - basis_a @ cross
-    angle = _angle_from_residual_gram(residual.T @ residual)
-    if angle > np.pi / 4:
-        cosine = float(scipy.linalg.svdvals(cross).min())
-        angle = float(np.arccos(min(cosine, 1.0)))
-    return angle
+    return _largest_angle_of_bases(_orthonormal_factor(A), _orthonormal_factor(B))
 
 
-def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray | LinearModel) -> float:
+class FactoredMatrix:
+    """A read-only full-column-rank matrix whose orthonormal basis is kept.
+
+    Pass it as the first argument of :func:`subspace_angle` when one side
+    of the angle is priced against many others: the thin-QR basis is
+    computed on the first call, through the same rank test as the array
+    form, and reused by every later call.  Nothing is factored at
+    construction, so a wrapper that is never measured costs nothing.
+
+    Parameters
+    ----------
+    matrix:
+        The ``(M, n)`` matrix.  It is held through a read-only view, not
+        copied; the wrapped array must not be written afterwards.
+
+    Raises
+    ------
+    ValueError
+        At construction if ``matrix`` is not 2-D; on first use of
+        :attr:`basis` if it is rank deficient (again on every later use).
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        view = np.asarray(matrix, dtype=float).view()
+        if view.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {view.shape}")
+        view.flags.writeable = False
+        self._matrix = view
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The wrapped matrix, read-only."""
+        return self._matrix
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The thin-QR factor ``Q`` of :attr:`matrix`, read-only, computed once."""
+        basis = _orthonormal_factor(self._matrix)
+        basis.flags.writeable = False
+        return basis
+
+
+def subspace_angle(
+    matrix_a: np.ndarray | FactoredMatrix, matrix_b: np.ndarray | LinearModel
+) -> float:
     """The operational subspace-separation metric ``γ(A, B)`` in radians.
 
     This is the quantity used as the MTD design criterion throughout the
@@ -132,7 +176,9 @@ def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray | LinearModel) -> 
     Parameters
     ----------
     matrix_a:
-        The attacker's matrix ``H``, shape ``(M, n)``, full column rank.
+        The attacker's matrix ``H``, shape ``(M, n)``, full column rank, as
+        an array or as a :class:`FactoredMatrix` that keeps its basis
+        across calls.  Either form gives bit-identical results.
     matrix_b:
         The post-perturbation matrix ``H'`` as an ``(M, n')`` array, or as
         the :class:`~repro.estimation.linear_model.LinearModel` that
@@ -140,12 +186,11 @@ def subspace_angle(matrix_a: np.ndarray, matrix_b: np.ndarray | LinearModel) -> 
         from :meth:`~repro.estimation.linear_model.LinearModel.residual_gram`
         without building ``H'``.
     """
+    side_a = matrix_a if isinstance(matrix_a, FactoredMatrix) else FactoredMatrix(matrix_a)
     if isinstance(matrix_b, LinearModel):
-        A = np.asarray(matrix_a, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("subspace_angle expects a 2-D matrix")
-        return _angle_from_residual_gram(matrix_b.residual_gram(_orthonormal_factor(A)))
-    return largest_principal_angle(matrix_a, matrix_b)
+        return _angle_from_residual_gram(matrix_b.residual_gram(side_a.basis))
+    _, B = _matrix_pair(side_a.matrix, matrix_b)
+    return _largest_angle_of_bases(side_a.basis, _orthonormal_factor(B))
 
 
 def is_orthogonal_complement(
@@ -196,6 +241,19 @@ def _orthonormal_factor(matrix: np.ndarray) -> np.ndarray:
     return q
 
 
+def _largest_angle_of_bases(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
+    """The largest principal angle between two orthonormal bases."""
+    if basis_a.shape[1] < basis_b.shape[1]:
+        basis_a, basis_b = basis_b, basis_a
+    cross = basis_a.T @ basis_b
+    residual = basis_b - basis_a @ cross
+    angle = _angle_from_residual_gram(residual.T @ residual)
+    if angle > np.pi / 4:
+        cosine = float(scipy.linalg.svdvals(cross).min())
+        angle = float(np.arccos(min(cosine, 1.0)))
+    return angle
+
+
 def _angle_from_residual_gram(gram: np.ndarray) -> float:
     """``γ = arcsin √λ_max(S)`` for the residual Gram matrix ``S``."""
     sine_squared = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
@@ -203,6 +261,7 @@ def _angle_from_residual_gram(gram: np.ndarray) -> float:
 
 
 __all__ = [
+    "FactoredMatrix",
     "principal_angles",
     "smallest_principal_angle",
     "largest_principal_angle",

@@ -5,13 +5,12 @@ scipy) so that every other subpackage can import them without creating
 circular dependencies.
 """
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.linalg import orthonormal_basis, is_full_column_rank
 from repro.utils.units import DEFAULT_BASE_MVA
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "orthonormal_basis",
     "is_full_column_rank",
     "DEFAULT_BASE_MVA",

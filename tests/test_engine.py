@@ -20,6 +20,7 @@ from repro.engine import (
     ScenarioSpec,
     TrialResult,
     available_scenarios,
+    clear_context_caches,
     expand_grid,
     run_trial,
     scenario_suite,
@@ -28,6 +29,8 @@ from repro.engine import (
 from repro.engine.results import merge_metric
 from repro.exceptions import ConfigurationError
 from repro.grid.cases import available_cases, load_case
+from repro.mtd.effectiveness import EffectivenessEvaluator
+from repro.mtd.random_mtd import RandomMTDBaseline
 from repro.opf import solve_dc_opf
 
 
@@ -151,6 +154,95 @@ class TestTrialSeeding:
     def test_trial_index_bounds(self):
         with pytest.raises(ConfigurationError):
             run_trial(small_spec(), 4)
+
+
+class TestAttackerSide:
+    """Every trial of a scenario context shares one attacker side."""
+
+    def test_unpinned_trials_build_h_and_its_basis_once(self, monkeypatch):
+        import repro.estimation.measurement as measurement_module
+        import repro.mtd.subspace as subspace_module
+
+        (spec,) = [s for s in scenario_suite("scale") if s.name == "scale-synthetic118"]
+        spec = spec.with_updates({"attack.n_attacks": 16})
+        assert spec.attack.seed is None
+        counts = {"H": 0, "QR": 0}
+        assemble = measurement_module.reduced_measurement_matrix
+        factor = subspace_module._orthonormal_factor
+
+        def counting_assembly(*args, **kwargs):
+            counts["H"] += 1
+            return assemble(*args, **kwargs)
+
+        def counting_factor(matrix):
+            counts["QR"] += 1
+            return factor(matrix)
+
+        evaluators = []
+        evaluate = EffectivenessEvaluator.evaluate
+
+        def recording(evaluator, *args, **kwargs):
+            evaluators.append(evaluator)
+            return evaluate(evaluator, *args, **kwargs)
+
+        monkeypatch.setattr(measurement_module, "reduced_measurement_matrix", counting_assembly)
+        monkeypatch.setattr(subspace_module, "_orthonormal_factor", counting_factor)
+        monkeypatch.setattr(EffectivenessEvaluator, "evaluate", recording)
+
+        clear_context_caches()
+        for index in range(3):
+            run_trial(spec, index)
+        assert counts == {"H": 1, "QR": 1}
+        shared = evaluators[0].attacker_matrix
+        assert evaluators[0].backend == "sparse"
+        assert len({id(e) for e in evaluators}) == 3
+        assert all(e.attacker_matrix is shared for e in evaluators)
+        assert not shared.flags.writeable
+
+        clear_context_caches()
+        run_trial(spec, 3)
+        assert counts == {"H": 2, "QR": 2}
+        assert evaluators[-1].attacker_matrix is not shared
+        clear_context_caches()
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("method", ["analytic", "monte-carlo"])
+    @pytest.mark.parametrize("attack_seed", [1, None])
+    def test_trials_match_the_public_constructor(self, attack_seed, method, backend):
+        spec = small_spec(
+            attack=AttackSpec(n_attacks=16, seed=attack_seed),
+            detector=DetectorSpec(method=method, n_noise_trials=50),
+            backend=backend,
+            n_trials=3,
+        )
+        network = load_case("ieee14")
+        baseline = solve_dc_opf(network)
+        for index in range(spec.n_trials):
+            attack_seq, mtd_seq, noise_seq = trial_seed_sequence(spec.base_seed, index).spawn(3)
+            evaluator = EffectivenessEvaluator(
+                network,
+                operating_angles_rad=baseline.angles_rad,
+                base_reactances=baseline.reactances,
+                noise_sigma=spec.detector.noise_sigma,
+                false_positive_rate=spec.detector.false_positive_rate,
+                n_attacks=spec.attack.n_attacks,
+                attack_ratio=spec.attack.ratio,
+                seed=attack_seed if attack_seed is not None else np.random.default_rng(attack_seq),
+                backend=backend,
+            )
+            sampler = RandomMTDBaseline(network, evaluator, max_relative_change=0.2)
+            x = sampler.draw_perturbation(seed=np.random.default_rng(mtd_seq)).perturbed_reactances
+            if method == "monte-carlo":
+                result = evaluator.evaluate(
+                    x, method=method, n_noise_trials=50, seed=np.random.default_rng(noise_seq)
+                )
+            else:
+                result = evaluator.evaluate(x)
+            expected = {f"eta({delta:g})": result.eta(delta) for delta in spec.deltas}
+            expected["mean_detection_probability"] = float(np.mean(result.detection_probabilities))
+            expected["undetectable_fraction"] = result.undetectable_fraction()
+            expected["spa"] = result.spa
+            assert repr(dict(run_trial(spec, index).metrics)) == repr(expected)
 
 
 class TestEngineExecution:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from repro import telemetry
 from repro.engine import (
@@ -128,6 +129,19 @@ class TestAgreement:
             LinearModel(H, w, backend="dense")
         with pytest.raises(EstimationError, match="unobservable"):
             LinearModel(H, w, backend="sparse")
+
+
+class TestGainOrdering:
+    def test_symmetric_ordering_with_less_fill_than_colamd(self):
+        """The gain LU pivots on the diagonal of a symmetric ordering, and
+        fills in less than SuperLU's COLAMD ordering of the same ``G``."""
+        system = MeasurementSystem.for_network(load_case("synthetic300"))
+        backend = SparseQlessBackend(system.matrix_sparse(), np.sqrt(system.weights()))
+        lu = backend._lu
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        weighted = system.matrix_sparse().multiply(np.sqrt(system.weights())[:, None]).tocsr()
+        colamd = scipy.sparse.linalg.splu((weighted.T @ weighted).tocsc(), permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 # ----------------------------------------------------------------------

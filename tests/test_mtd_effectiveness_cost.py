@@ -9,7 +9,11 @@ from repro.exceptions import ConfigurationError
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation
-from repro.mtd.effectiveness import EffectivenessEvaluator, EffectivenessResult
+from repro.mtd.effectiveness import (
+    AttackerSide,
+    EffectivenessEvaluator,
+    EffectivenessResult,
+)
 from repro.mtd.subspace import subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 
@@ -160,6 +164,19 @@ class TestEffectivenessEvaluator:
             H[0, 0] = 1.0
         assert evaluator14.attacker_matrix is H
         assert np.array_equal(H, reduced_measurement_matrix(net14, evaluator14.base_reactances))
+
+    def test_attacker_side_is_read_only(self, net14, opf14):
+        side = AttackerSide.build(net14, opf14.angles_rad)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=10, seed=3)
+        x = net14.reactances()
+        x[np.array(net14.dfacts_branches)] *= 1.1
+        assert evaluator.evaluate(x).spa > 0.0
+        assert evaluator.attacker_matrix is side.matrix.matrix
+        for array in (side.matrix.matrix, side.matrix.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            side.reference_measurements[0] = 1.0
 
     def test_evaluate_perturbation_wrapper(self, net14, evaluator14):
         from repro.mtd.perturbation import ReactancePerturbation

@@ -12,6 +12,7 @@ from repro.exceptions import EstimationError
 from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.subspace import (
+    FactoredMatrix,
     is_orthogonal_complement,
     largest_principal_angle,
     principal_angles,
@@ -242,6 +243,52 @@ class TestFactorizedSide:
         model = LinearModel(H, weights)
         with pytest.raises(EstimationError, match="uniform weights"):
             subspace_angle(H, model)
+
+
+class TestFactoredMatrix:
+    """``subspace_angle(FactoredMatrix(H), ·)`` keeps the basis of ``H``."""
+
+    @pytest.mark.parametrize(
+        "case, backend", [("ieee14", "dense"), ("synthetic300", "sparse")]
+    )
+    def test_bit_identical_to_the_array_forms(self, case, backend):
+        network = load_case(case)
+        rng = np.random.default_rng(23)
+        x = network.reactances()
+        H = reduced_measurement_matrix(network, x)
+        factored = FactoredMatrix(H)
+        dfacts = np.array(network.dfacts_branches)
+        for relative_change in (0.02, 0.2):
+            x_post = x.copy()
+            x_post[dfacts] *= 1.0 + rng.uniform(-relative_change, relative_change, dfacts.size)
+            H_post = reduced_measurement_matrix(network, x_post)
+            model = LinearModel.from_measurement_system(
+                MeasurementSystem.for_network(network, reactances=x_post)
+            )
+            assert model.backend == backend
+            assert subspace_angle(factored, model) == subspace_angle(H, model)
+            assert subspace_angle(factored, H_post) == subspace_angle(H, H_post)
+            assert subspace_angle(factored, H_post) == largest_principal_angle(H, H_post)
+
+    def test_rank_deficient_input_raises_on_first_use(self, rng):
+        A = rng.standard_normal((20, 5))
+        A[:, 4] = A[:, 1]
+        B = rng.standard_normal((20, 5))
+        factored = FactoredMatrix(A)
+        with pytest.raises(ValueError, match="full-column-rank"):
+            subspace_angle(factored, B)
+        with pytest.raises(ValueError, match="full-column-rank"):
+            subspace_angle(factored, LinearModel(B, np.ones(20)))
+
+    def test_matrix_and_basis_are_read_only(self, rng):
+        A = rng.standard_normal((20, 5))
+        factored = FactoredMatrix(A)
+        basis = factored.basis
+        assert factored.basis is basis
+        for array in (factored.matrix, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert A.flags.writeable
 
 
 class TestOrthogonality:
