@@ -209,10 +209,9 @@ def bench_scale(benchmark, scale):
         )
     )
     print(
-        "The sparse backend factorises the gain matrix G = HᵀWH with a "
-        "sparse LU in a symmetric minimum-degree ordering (diagonal "
-        "pivots) and never materialises Q or a dense H; the dense backend "
-        "keeps the original SVD-guarded thin QR.  Small cases favour dense "
+        "The sparse backend factorises the n × n gain matrix G = HᵀWH "
+        "with a dense Cholesky and never materialises Q or a dense H; the "
+        "dense backend keeps the original SVD-guarded thin QR.  Small cases favour dense "
         "(which is why backend='auto' keeps them on it); at 1000+ buses "
         "the sparse path wins on both factorize and end-to-end cost.  The "
         f"warm trial is the median of {n_warm} warm run_trial calls of the "

@@ -41,25 +41,59 @@ def scale_attack_to_measurement_ratio(
         stealthy.
     """
     a = np.asarray(attack, dtype=float)
-    if a.ndim != 2:
-        a = a.ravel()
+    stack = a if a.ndim == 2 else a.ravel()[None, :]
+    scaled = stack * measurement_ratio_factors(stack, measurements, target_ratio)[:, None]
+    return scaled if a.ndim == 2 else scaled[0]
+
+
+def measurement_ratio_factors(
+    attacks: np.ndarray,
+    measurements: np.ndarray,
+    target_ratio: float = DEFAULT_MEASUREMENT_RATIO,
+) -> np.ndarray:
+    """The factor that brings each attack row to ``‖a‖₁ / ‖z‖₁ = target_ratio``.
+
+    :func:`scale_attack_to_measurement_ratio` multiplies each row by it;
+    a caller that also holds what the attacks were made from (the state
+    biases ``c`` of ``a = Hc``) rescales that by the same factors.
+
+    Parameters
+    ----------
+    attacks:
+        The unscaled attacks, shape ``(B, M)``.
+    measurements:
+        The legitimate measurement vector ``z``, shape ``(M,)``.
+    target_ratio:
+        Desired value of ``‖a‖₁ / ‖z‖₁``.
+
+    Returns
+    -------
+    numpy.ndarray
+        One factor per row, shape ``(B,)``.
+
+    Raises
+    ------
+    AttackConstructionError
+        If the lengths disagree, ``target_ratio ≤ 0``, an attack row is
+        all zero or ``z`` has zero L1 norm.
+    """
     z = np.asarray(measurements, dtype=float).ravel()
-    if a.shape[-1] != z.shape[0]:
+    if attacks.shape[-1] != z.shape[0]:
         raise AttackConstructionError(
-            f"attack length {a.shape[-1]} does not match measurement count {z.shape[0]}"
+            f"attack length {attacks.shape[-1]} does not match measurement count {z.shape[0]}"
         )
     if target_ratio <= 0:
         raise AttackConstructionError(
             f"target_ratio must be strictly positive, got {target_ratio}"
         )
-    attack_norms = np.sum(np.abs(a), axis=-1)
+    attack_norms = np.sum(np.abs(attacks), axis=-1)
     measurement_norm = float(np.sum(np.abs(z)))
     if np.any(attack_norms <= 0):
         raise AttackConstructionError("cannot scale an all-zero attack vector")
     if measurement_norm <= 0:
         raise AttackConstructionError("measurement vector has zero L1 norm")
-    factors = target_ratio * measurement_norm / attack_norms
-    return a * (factors[:, None] if a.ndim == 2 else factors)
+    factors: np.ndarray = target_ratio * measurement_norm / attack_norms
+    return factors
 
 
 def attack_measurement_ratio(attack: np.ndarray, measurements: np.ndarray) -> float:
@@ -74,6 +108,7 @@ def attack_measurement_ratio(attack: np.ndarray, measurements: np.ndarray) -> fl
 
 __all__ = [
     "scale_attack_to_measurement_ratio",
+    "measurement_ratio_factors",
     "attack_measurement_ratio",
     "DEFAULT_MEASUREMENT_RATIO",
 ]

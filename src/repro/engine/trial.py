@@ -95,9 +95,11 @@ def _grid_context(
     """The (deterministic) post-contingency network, no-MTD operating point
     and the attacker's side at that point.
 
-    The side holds ``H_t`` (and, after the first SPA, its basis ``Q_t``):
-    two dense ``(M, n)`` arrays per memoised context, about 6.6 MB at 300
-    buses and 135 MB at 1354.
+    The side holds ``H_t`` (and, after the first analytic evaluation or
+    SPA, its thin-QR factors ``Q_t`` and ``R_t``): two dense ``(M, n)``
+    arrays per memoised context, about 6.6 MB at 300 buses and 135 MB at
+    1354, plus the ``(n, n)`` ``R_t`` (0.7 and 14.6 MB) and a CSR copy of
+    ``H_t``.
     """
     network = apply_contingency(network_for_grid(grid), contingency)
     if grid.baseline == "reactance-opf":

@@ -12,8 +12,8 @@ Implements the DC-model supervisory stack of Section III of the paper:
   perturbation and applied to whole ``(B, M)`` measurement/attack batches
   with single BLAS calls.
 * :mod:`~repro.estimation.backends` — pluggable factorization backends
-  behind the model: dense QR (the original arithmetic) and a sparse
-  Q-less gain-matrix LU for 1000+ bus cases, selected per model via
+  behind the model: dense QR (the original arithmetic) and a Q-less
+  gain-matrix Cholesky for 1000+ bus cases, selected per model via
   ``backend="auto"``.
 * :class:`~repro.estimation.bdd.BadDataDetector` — the residual-based
   detector holding one model, with a threshold calibrated to a target

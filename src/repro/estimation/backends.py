@@ -8,8 +8,10 @@ accessors it answers two batched kernels: the state estimate
 the column space (:meth:`FactorizationBackend.project_weighted`), from
 which the model derives every residual norm and attack residual.  A third
 query, :meth:`FactorizationBackend.residual_gram`, gives the ``k × k``
-matrix from which :func:`~repro.mtd.subspace.subspace_angle` reads the
-SPA against the factored column space.  Two first-class implementations
+matrix ``S`` of an orthonormal basis against the factored column space:
+:func:`~repro.mtd.subspace.subspace_angle` reads the SPA from its largest
+eigenvalue, and the detector prices attacks given as coordinates in that
+basis by its quadratic form.  Two first-class implementations
 exist:
 
 ``dense`` — :class:`DenseQRBackend`
@@ -21,23 +23,22 @@ exist:
     (golden-pinned by the tier-1 tests).
 
 ``sparse`` — :class:`SparseQlessBackend`
-    The scale path: ``H`` stays CSR, the sparse gain matrix ``G = HᵀWH``
-    (shape ``(n, n)``, ~``O(nnz)`` memory) is factorised once with a
-    permutation-ordered sparse LU (:func:`scipy.sparse.linalg.splu`), and
-    **no dense ``(M, n)`` factor is ever materialised** — neither ``Q``
-    nor a densified ``H``.  ``G`` is symmetric positive definite, so the
-    LU uses a symmetric minimum-degree ordering on the pattern of ``G``
-    with diagonal pivots (``perm_r == perm_c``).  COLAMD, SuperLU's
-    default, orders for the pattern of ``GᵀG`` instead, and leaves about
-    twice the fill: nnz(L + U) 54,827 against 26,326 at 300 buses and
-    1,075,863 against 448,880 at 1354.  States are two
-    sparse-triangular solves through the LU, the projection is evaluated
-    directly as the fitted measurements ``W^{1/2}Hθ̂`` (mathematically
-    identical to the projector form; the tier-1 agreement tests pin the
-    two paths to ~1e-9 relative tolerance), and the observability guard
-    is derived from the factorisation itself — a zero/vanishing pivot on
-    the diagonal of ``U`` — instead of a dense SVD, so the guard stops
-    being the O(M·n²) bottleneck.
+    The scale path: ``H`` stays CSR, the gain matrix ``G = HᵀWH`` (shape
+    ``(n, n)``) is assembled from the sparse product, densified and
+    factorised once by a dense Cholesky ``G = LLᵀ``, and **no dense
+    ``(M, n)`` factor is ever materialised** — neither ``Q`` nor a
+    densified ``H``.  Memory is ``O(nnz(H) + n²)``: the dense ``L`` is
+    14.6 MB at 1354 buses, the size of every ``n × n`` Gram the analytic
+    queries form anyway.  States are two dense triangular solves through
+    ``L``, the projection is evaluated directly as the fitted
+    measurements ``W^{1/2}Hθ̂`` (mathematically identical to the
+    projector form; the tier-1 agreement tests pin the two paths to
+    ~1e-9 relative tolerance), and the residual Gram is
+    ``S = I − WᵀW`` with ``W = L⁻¹H_wᵀB``: one BLAS-3 triangular solve
+    and one symmetric product.  The observability guard is derived from
+    the factorisation itself — a ``G`` that is not positive definite, or
+    a vanishing pivot ``diag(L)²`` — instead of a dense SVD, so the guard
+    stops being the O(M·n²) bottleneck.
 
 ``auto`` resolves per model: sparse at or above
 :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses (the same
@@ -58,7 +59,6 @@ from typing import Any, Union
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.exceptions import ConfigurationError, EstimationError
 from repro.grid.matrices import SPARSE_BUS_THRESHOLD
@@ -73,15 +73,16 @@ MatrixLike = Union[np.ndarray, "scipy.sparse.spmatrix"]
 BACKEND_AUTO = "auto"
 #: The original dense-QR path (byte-for-byte pre-backend arithmetic).
 BACKEND_DENSE = "dense"
-#: The Q-less sparse-LU path for large cases.
+#: The Q-less gain-Cholesky path for large cases.
 BACKEND_SPARSE = "sparse"
 
 #: Every accepted value of a ``backend=`` knob.
 BACKEND_CHOICES = (BACKEND_AUTO, BACKEND_DENSE, BACKEND_SPARSE)
 
 #: Relative pivot tolerance of the sparse observability guard: the model
-#: is rejected as rank deficient when ``min|diag(U)| ≤ rtol · max|diag(U)|``
-#: for the LU factor ``U`` of ``G = HᵀWH``.  ``G`` squares ``H``'s
+#: is rejected as rank deficient when ``min diag(L)² ≤ rtol · max diag(L)²``
+#: for the Cholesky factor ``L`` of ``G = HᵀWH`` (``diag(L)²`` are the
+#: pivots of ``G``'s unpivoted elimination).  ``G`` squares ``H``'s
 #: condition number, so this is deliberately looser than the SVD guard's
 #: machine-epsilon criterion; a network unobservable in exact arithmetic
 #: produces an exactly (or catastrophically) singular ``G`` either way.
@@ -288,26 +289,21 @@ class DenseQRBackend(FactorizationBackend):
 
 
 class SparseQlessBackend(FactorizationBackend):
-    """Sparse Q-less factorisation via LU of the gain matrix.
+    """Q-less factorisation via a dense Cholesky of the gain matrix.
 
-    Keeps ``H`` and ``W^{1/2}H`` in CSR, factorises the sparse gain matrix
-    ``G = HᵀWH`` once with :func:`scipy.sparse.linalg.splu` and answers
-    every query through the LU solve — no ``(M, n)`` dense array is ever
-    formed.  Memory is ``O(nnz(H) + nnz(L + U))`` versus the dense
+    Keeps ``H`` and ``W^{1/2}H`` in CSR, forms ``G = HᵀWH`` from the
+    sparse product, and factorises it once as ``G = LLᵀ`` with a dense
+    Cholesky.  Every query goes through ``L``: no ``(M, n)`` dense array
+    is ever formed.  Memory is ``O(nnz(H) + n²)`` versus the dense
     backend's ``O(M·n)`` for ``Q`` alone.
 
-    The LU is ordered for a symmetric matrix: minimum degree on the
-    pattern of ``G`` (``permc_spec="MMD_AT_PLUS_A"``), applied to rows and
-    columns alike, with diagonal pivots (``diag_pivot_thresh=0``,
-    ``SymmetricMode``).  Diagonal pivots are stable because ``G`` is
-    positive definite, and the ordering leaves about half the fill of
-    COLAMD, which orders the columns for ``GᵀG``.
-
-    The observability guard comes from the factorisation itself: an
-    exactly singular ``G`` aborts inside ``splu`` and a numerically
-    rank-deficient one surfaces as a vanishing pivot on ``diag(U)``
-    (relative tolerance :data:`SPARSE_RANK_RTOL`), replacing the dense-SVD
-    check that would otherwise dominate the sparse path's cost.
+    The observability guard comes from the factorisation itself: a ``G``
+    that is not positive definite aborts the Cholesky, and a numerically
+    rank-deficient one surfaces as a vanishing pivot ``diag(L)²``
+    (relative tolerance :data:`SPARSE_RANK_RTOL`), replacing the
+    dense-SVD check that would otherwise dominate the sparse path's cost.
+    Both raise the dense backend's
+    :class:`~repro.exceptions.EstimationError`.
     """
 
     name = BACKEND_SPARSE
@@ -321,21 +317,20 @@ class SparseQlessBackend(FactorizationBackend):
             H = scipy.sparse.csr_matrix(np.asarray(matrix, dtype=float))
         self._H = H
         self._Hw = H.multiply(sqrt_weights[:, None]).tocsr()
-        gain = (self._Hw.T @ self._Hw).tocsc()
+        gain = (self._Hw.T @ self._Hw).toarray()
         try:
-            self._lu = scipy.sparse.linalg.splu(
-                gain,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+            chol = scipy.linalg.cholesky(
+                gain, lower=True, overwrite_a=True, check_finite=False
             )
-        except RuntimeError as exc:
-            # SuperLU reports exact singularity ("Factor is exactly
-            # singular") — the sparse equivalent of the SVD guard firing.
+        except np.linalg.LinAlgError as exc:
+            # A leading minor that is not positive: G is singular (or
+            # indefinite by rounding) — the SVD guard firing, sparse side.
             raise EstimationError(_RANK_DEFICIENT_MSG) from exc
-        pivots = np.abs(np.asarray(self._lu.U.diagonal(), dtype=float))
+        pivots = np.diag(chol) ** 2
         if pivots.size == 0 or not np.all(pivots > pivots.max() * SPARSE_RANK_RTOL):
             raise EstimationError(_RANK_DEFICIENT_MSG)
+        chol.flags.writeable = False
+        self._chol = chol
 
     @property
     def n_measurements(self) -> int:
@@ -361,7 +356,9 @@ class SparseQlessBackend(FactorizationBackend):
     def _solve_gain(self, weighted: np.ndarray) -> np.ndarray:
         """``G⁻¹HᵀW^{1/2}·`` for weighted rows: states as ``(n, B)``."""
         rhs = np.asarray(self._Hw.T @ weighted.T)
-        solved: np.ndarray = self._lu.solve(rhs)
+        solved: np.ndarray = scipy.linalg.cho_solve(
+            (self._chol, True), rhs, overwrite_b=True, check_finite=False
+        )
         return solved
 
     def estimate(
@@ -379,16 +376,16 @@ class SparseQlessBackend(FactorizationBackend):
         return np.asarray((self._Hw @ self._solve_gain(weighted)).T)
 
     def residual_gram(self, basis: np.ndarray) -> np.ndarray:
-        # P = H_w G⁻¹ H_wᵀ, so BᵀPB = XᵀG⁻¹X with X = H_wᵀB (k columns),
-        # solved through the gain LU: no dense (M, n) factor.
-        cross = np.asarray(self._Hw.T @ basis)
-        return np.eye(basis.shape[1]) - cross.T @ self._lu.solve(cross)
+        # P = H_w G⁻¹ H_wᵀ with G = LLᵀ, so BᵀPB = WᵀW for W = L⁻¹H_wᵀB:
+        # one triangular solve with k right-hand sides, no (M, n) factor.
+        whitened = scipy.linalg.solve_triangular(
+            self._chol, np.asarray(self._Hw.T @ basis),
+            lower=True, overwrite_b=True, check_finite=False,
+        )
+        return np.eye(basis.shape[1]) - whitened.T @ whitened
 
     def gain_cholesky(self) -> np.ndarray:
-        # Diagnostic accessor: densifies the (n, n) gain matrix — small
-        # next to any (M, n) dense factor — and Cholesky-factorises it.
-        gain = (self._Hw.T @ self._Hw).toarray()
-        return np.asarray(scipy.linalg.cholesky(gain, lower=False))
+        return self._chol.T
 
 
 def build_backend(

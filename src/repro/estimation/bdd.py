@@ -20,6 +20,15 @@ detector's factorized :class:`~repro.estimation.linear_model.LinearModel`;
 the scalar methods are thin wrappers over a batch of one (the empirical
 false-positive rate is the zero attack), so scalar and batched results are
 bit-identical by construction.
+
+Attacks built as ``a = H_t b`` from a known matrix ``H_t = Q_tR_t`` can
+also be handed over in the *basis form*: their coordinates ``y = R_t b``
+in the orthonormal basis ``Q_t``.  The noncentralities are then quadratic
+forms ``σ⁻² yᵀSy`` of one ``n × n`` matrix ``S = Q_tᵀ(I − P)Q_t``
+(:meth:`~repro.estimation.linear_model.LinearModel.residual_gram`), and no
+attack is projected in measurement space.  Both forms give the same
+probabilities to rounding; the measurement-space form stays the general
+one (learned attacks, Monte Carlo).
 """
 
 from __future__ import annotations
@@ -188,13 +197,22 @@ class BadDataDetector:
         a = np.asarray(attack, dtype=float).ravel()
         return float(self.detection_probabilities(a[None, :])[0])
 
-    def detection_probabilities(self, attacks: np.ndarray) -> np.ndarray:
+    def detection_probabilities(
+        self, attacks: np.ndarray, basis: np.ndarray | None = None
+    ) -> np.ndarray:
         """Closed-form detection probabilities of a whole attack batch.
 
         Parameters
         ----------
         attacks:
-            Stacked attack vectors, shape ``(B, M)``.
+            Stacked attack vectors, shape ``(B, M)``; with ``basis``, their
+            coordinates ``y_i`` in it, shape ``(B, k)``, with
+            ``a_i = basis @ y_i``.
+        basis:
+            Optional orthonormal ``(M, k)`` basis of the attacks (the basis
+            form, see the module docstring).  A read-only basis lets the
+            model keep the ``k × k`` Gram for a later
+            :func:`~repro.mtd.subspace.subspace_angle` of the same basis.
 
         Returns
         -------
@@ -209,7 +227,7 @@ class BadDataDetector:
         noncentral-χ² survival evaluation — the per-attack Python loop of
         the reference implementation is gone.
         """
-        lams = self._model.attack_noncentralities(attacks)
+        lams = self._model.attack_noncentralities(attacks, basis=basis)
         probabilities = np.full(lams.shape, self._alpha)
         visible = lams > 0.0
         if np.any(visible):

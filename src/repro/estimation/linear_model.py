@@ -13,7 +13,7 @@ The factorisation itself is pluggable (see
 :mod:`repro.estimation.backends`): the default ``backend="auto"`` keeps
 the original dense QR path — byte-for-byte unchanged — below
 :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses and switches to a
-sparse Q-less gain-matrix LU above it, so 1000+ bus cases never
+Q-less Cholesky of the gain matrix above it, so 1000+ bus cases never
 materialise a dense ``(M, n)`` factor.
 
 Shapes used throughout (matching the paper's Section III):
@@ -82,7 +82,7 @@ class LinearModel:
         Factorisation backend: ``"auto"`` (default — dense below
         :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, sparse at
         or above it), ``"dense"`` (thin QR, the original golden-pinned
-        arithmetic) or ``"sparse"`` (Q-less gain-matrix LU; see
+        arithmetic) or ``"sparse"`` (Q-less gain-matrix Cholesky; see
         :mod:`repro.estimation.backends`).
 
     Raises
@@ -103,13 +103,18 @@ class LinearModel:
     * gain-matrix Cholesky: ``G = HᵀWH = RᵀR``, so the upper Cholesky
       factor of ``G`` is ``R`` with rows sign-normalised.
 
-    The sparse backend factorises ``G = HᵀWH`` directly and evaluates the
-    same quantities without materialising ``Q``; results agree with the
-    dense backend to solver tolerance (the tier-1 agreement tests pin the
-    bound).  Its sparse LU takes a symmetric minimum-degree ordering of
-    ``G`` with diagonal pivots, which ``G`` being positive definite makes
-    stable; it leaves about half the fill of a COLAMD column ordering,
-    which is meant for unsymmetric matrices.
+    The sparse backend factorises ``G = HᵀWH = LLᵀ`` directly (a dense
+    Cholesky of the ``n × n`` gain) and evaluates the same quantities
+    without materialising ``Q``; results agree with the dense backend to
+    solver tolerance (the tier-1 agreement tests pin the bound).
+
+    For attacks ``a_i = B c_i`` given as coordinates in an orthonormal
+    basis ``B`` (the attacker's ``Q_t``), every noncentrality is a
+    quadratic form of one ``k × k`` matrix, ``λ_i = σ⁻² c_iᵀ S c_i`` with
+    ``S = Bᵀ(I − P)B`` from :meth:`residual_gram`, and ``sin²`` of the
+    largest principal angle is ``λ_max(S)``.  The model keeps the last
+    ``S`` it formed for a read-only basis, so the BDD and the SPA of one
+    perturbation share one Gram.
     """
 
     def __init__(
@@ -151,6 +156,8 @@ class LinearModel:
             _metrics.counter(f"estimation.backend.{resolved}")
             _metrics.histogram("estimation.factorize_seconds", elapsed)
         self._gain_chol: np.ndarray | None = None
+        # (basis, S) of the last residual_gram() call on a read-only basis.
+        self._kept_gram: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -229,9 +236,9 @@ class LinearModel:
         numpy.ndarray
             Upper-triangular ``(n, n)`` matrix ``U`` with positive diagonal
             and ``UᵀU = G``; on the dense backend derived from the QR
-            factor for free (``G = RᵀR``), on the sparse backend via a
-            dense ``(n, n)`` Cholesky of the gain matrix.  Cached after
-            the first call.
+            factor for free (``G = RᵀR``), on the sparse backend the
+            transpose of the Cholesky factor it already holds (read-only).
+            Cached after the first call.
         """
         if self._gain_chol is None:
             self._gain_chol = self._fact.gain_cholesky()
@@ -252,7 +259,13 @@ class LinearModel:
             ``Col(H)``; ``λ_max(S)`` is ``sin²`` of the largest principal
             angle between ``Col(B)`` and ``Col(H)``.  The dense backend
             forms it from its own ``Q``, the sparse backend through its
-            gain LU — neither builds nor refactors ``H``.
+            gain Cholesky — neither builds nor refactors ``H``.
+
+            A read-only ``basis`` is taken to be immutable: the model
+            keeps the last ``S`` formed for one, read-only too, and
+            returns it again while the same basis object is passed.  A
+            writeable basis is never answered from the kept ``S``, and
+            gets a fresh, writeable one.
 
         Raises
         ------
@@ -261,6 +274,9 @@ class LinearModel:
             the factorization then spans ``Col(W^{1/2}H)``, which is not
             ``Col(H)``.
         """
+        kept = self._kept_gram
+        if kept is not None and kept[0] is basis and not basis.flags.writeable:
+            return kept[1]
         B = np.asarray(basis, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.n_measurements:
             raise EstimationError(
@@ -271,7 +287,11 @@ class LinearModel:
                 "residual_gram needs uniform weights: a weighted factorization "
                 "does not span Col(H)"
             )
-        return self._fact.residual_gram(B)
+        gram = self._fact.residual_gram(B)
+        if B is basis and not B.flags.writeable:
+            gram.flags.writeable = False
+            self._kept_gram = (B, gram)
+        return gram
 
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         """Noiseless measurements ``Hθ`` of a state vector or stack.
@@ -368,7 +388,7 @@ class LinearModel:
         (``r = ‖(I − QQᵀ)W^{1/2}z‖``) — one ``(B, M) @ (M, n)`` product
         and one ``(B, n) @ (n, M)`` product; the sparse backend evaluates
         the mathematically identical fitted measurements ``W^{1/2}Hθ̂``
-        through the gain-matrix LU.
+        through the gain-matrix Cholesky.
         """
         residuals, _ = self._weighted_residuals(measurements, "measurements")
         return np.linalg.norm(residuals, axis=1)
@@ -406,20 +426,39 @@ class LinearModel:
         residuals, _ = self._weighted_residuals(attacks, "attacks")
         return np.linalg.norm(residuals, axis=1)
 
-    def attack_noncentralities(self, attacks: np.ndarray) -> np.ndarray:
+    def attack_noncentralities(
+        self, attacks: np.ndarray, basis: np.ndarray | None = None
+    ) -> np.ndarray:
         """Noncentrality parameters ``λ_i = ‖W^{1/2}(I − Γ)a_i‖²``.
 
         Parameters
         ----------
         attacks:
-            Attack vectors, shape ``(B, M)``.
+            Attack vectors, shape ``(B, M)``; with ``basis``, their
+            coordinates ``c_i`` in it instead, shape ``(B, k)``, so that
+            ``a_i = basis @ c_i``.
+        basis:
+            Optional orthonormal ``(M, k)`` basis the coordinates refer
+            to.  The noncentralities are then the quadratic forms
+            ``w c_iᵀ S c_i`` of :meth:`residual_gram`'s ``S`` (which needs
+            uniform weights ``w``), and no attack is projected in
+            measurement space.
 
         Returns
         -------
         numpy.ndarray
             Noncentralities of the residual χ² statistic, shape ``(B,)``.
         """
-        return self.attack_residual_norms(attacks) ** 2
+        if basis is None:
+            return self.attack_residual_norms(attacks) ** 2
+        gram = self.residual_gram(basis)
+        C = np.asarray(attacks, dtype=float)
+        if C.ndim != 2 or C.shape[1] != gram.shape[0]:
+            raise EstimationError(
+                f"expected coordinates of shape (B, {gram.shape[0]}), got {C.shape}"
+            )
+        weight = self._sqrt_w[0] ** 2
+        return weight * np.einsum("ij,ij->i", C @ gram, C)
 
 
 __all__ = ["LinearModel", "BatchStateEstimate"]

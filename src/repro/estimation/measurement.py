@@ -113,9 +113,15 @@ class MeasurementSystem:
     def matrix_sparse(self):
         """The reduced measurement matrix ``H`` in CSR form.
 
-        Same entries as :meth:`matrix` but built through the grid layer's
-        sparse assembly, so the sparse factorization backend never forms
-        the dense ``(M, N−1)`` array.
+        Built through the grid layer's sparse assembly, so the sparse
+        factorization backend never forms the dense ``(M, N−1)`` array.
+        Its entries equal :meth:`matrix`'s to rounding, not bit for bit:
+        the two builders sum an injection row's branch terms in different
+        orders, so a few injection-row entries differ by 1–2 ulp (2 of
+        ieee30's, 35 of synthetic300's, 98 of synthetic1354's).  A CSR
+        copy that must match the dense ``H`` exactly — the attacker's,
+        whose attacks and QR factors must come from one matrix — is
+        converted from :meth:`matrix` instead.
         """
         return reduced_measurement_matrix_sparse(self.network, self.reactance_vector())
 

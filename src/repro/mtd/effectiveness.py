@@ -16,9 +16,17 @@ Each evaluation also reports the perturbation's subspace angle
 ``γ(H, H')`` (Section V-C), read from the detector's own factorization of
 ``H'`` when first asked for.
 
-Everything an evaluator knows before its ensemble — the attacker's ``H``,
-the reference measurements ``z`` and, on first use, the basis of ``H`` —
-is an :class:`AttackerSide`.  It depends only on the network, the
+Both come from one ``n × n`` matrix per perturbation.  With the thin QR
+``H = QR`` of the attacker's matrix, every attack ``a_k = Hb_k`` is
+``Q y_k`` with ``y_k = R b_k``; an analytic evaluation hands the detector
+these coordinates, which prices them as ``σ⁻² y_kᵀSy_k`` from
+``S = Qᵀ(I − P')Q``, and the angle is ``arcsin √λ_max(S)`` of the same
+``S``, kept by the detector's model.
+
+Everything an evaluator knows before its ensemble — the attacker's ``H``
+(dense, and a CSR copy for the ensemble product), the reference
+measurements ``z`` and, on first use, the factors ``Q`` and ``R`` of
+``H`` — is an :class:`AttackerSide`.  It depends only on the network, the
 attacker's reactances and the operating angles, so the scenario engine
 builds it once per scenario context and every trial's evaluator shares it
 (:meth:`EffectivenessEvaluator.for_attacker_side`).
@@ -31,6 +39,7 @@ from functools import cached_property, partial
 from typing import Callable, Literal
 
 import numpy as np
+import scipy.sparse
 
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
@@ -123,7 +132,8 @@ class AttackerSide:
 
     Memory: :attr:`matrix` holds two dense ``(M, n)`` arrays once its basis
     has been read — ``H`` and ``Q`` — about 6.6 MB at 300 buses and 135 MB
-    at 1354.
+    at 1354, plus the ``(n, n)`` factor ``R`` (0.7 and 14.6 MB);
+    :attr:`sparse_matrix` adds ``O(nnz(H))``.
 
     Attributes
     ----------
@@ -135,8 +145,13 @@ class AttackerSide:
         The true bus angles of the operating point, shape ``(N,)``.
     matrix:
         The attacker's measurement matrix ``H`` (``matrix.matrix``) with its
-        thin-QR basis (``matrix.basis``), computed on the first
-        :func:`~repro.mtd.subspace.subspace_angle` call that reads it.
+        thin-QR factors ``Q`` (``matrix.basis``) and ``R``
+        (``matrix.triangular``), computed on the first read of either.
+    sparse_matrix:
+        A CSR copy of the same ``H``, for the ensemble product ``a = Hb``.
+        It is converted from the dense array, not assembled by the grid's
+        sparse builder (whose entries may differ by an ulp), so the
+        attacks, ``Q`` and ``R`` all come from one matrix.
     reference_measurements:
         The noiseless measurements ``z = Hθ`` the attack magnitudes are
         scaled against.
@@ -146,6 +161,7 @@ class AttackerSide:
     base_reactances: np.ndarray
     operating_angles: np.ndarray
     matrix: FactoredMatrix
+    sparse_matrix: scipy.sparse.csr_matrix
     reference_measurements: np.ndarray
 
     @classmethod
@@ -169,9 +185,12 @@ class AttackerSide:
         base = network.reactances() if base_reactances is None else np.asarray(base_reactances, dtype=float)
         system = MeasurementSystem.for_network(network, reactances=base)
         matrix = FactoredMatrix(system.matrix())
+        sparse = scipy.sparse.csr_matrix(matrix.matrix)
+        for array in (sparse.data, sparse.indices, sparse.indptr):
+            array.flags.writeable = False
         reference = matrix.matrix @ system.reduce_angles(angles)
         reference.flags.writeable = False
-        return cls(network, base, angles, matrix, reference)
+        return cls(network, base, angles, matrix, sparse, reference)
 
 
 class EffectivenessEvaluator:
@@ -268,12 +287,17 @@ class EffectivenessEvaluator:
         self._noise_sigma = float(noise_sigma)
         self._alpha = float(false_positive_rate)
         self._ensemble = generate_attack_ensemble(
-            measurement_matrix=side.matrix.matrix,
+            measurement_matrix=side.sparse_matrix,
             reference_measurements=side.reference_measurements,
             n_attacks=n_attacks,
             target_ratio=attack_ratio,
             seed=seed,
         )
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
+        """The ensemble's attacks in the basis ``Q``: rows ``y_k = R b_k``."""
+        return self._ensemble.state_biases @ self._side.matrix.triangular.T
 
     # ------------------------------------------------------------------
     @property
@@ -311,7 +335,10 @@ class EffectivenessEvaluator:
         its detection probabilities for the evaluator's attack ensemble,
         together with the subspace angle ``γ(H, H')``, read from the
         detector's factorization of ``H'`` on first access of
-        :attr:`EffectivenessResult.spa`.
+        :attr:`EffectivenessResult.spa`.  The analytic method prices the
+        attacks by their coordinates in the basis of ``H``, so it forms
+        the ``n × n`` matrix the angle is read from, and reading the angle
+        afterwards costs one eigenvalue.
 
         Parameters
         ----------
@@ -336,7 +363,9 @@ class EffectivenessEvaluator:
             )
         detector = self._build_detector(perturbed_reactances)
         if method == "analytic":
-            probabilities = detector.detection_probabilities(self._ensemble.attacks)
+            probabilities = detector.detection_probabilities(
+                self._coordinates, basis=self._side.matrix.basis
+            )
         else:
             rng = as_generator(seed)
             angles = (
@@ -351,8 +380,9 @@ class EffectivenessEvaluator:
             detection_probabilities=probabilities,
             false_positive_rate=self._alpha,
             method=method,
-            # Lazy: only the random policy reads the angle, so callers that
-            # never do (designed policies, tuning probes) skip its cost.
+            # Lazy: only the random policy reads the angle.  After an
+            # analytic evaluation it is one eigenvalue of the Gram the
+            # detector's model kept; a Monte-Carlo one forms it on read.
             spa_source=partial(subspace_angle, self._side.matrix, detector.model),
         )
 

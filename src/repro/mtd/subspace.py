@@ -61,9 +61,14 @@ The attacker's side of the angle is usually fixed while the other side
 varies: one ``H_t`` is priced against every perturbation of a scenario or
 of a design search.  :func:`subspace_angle` therefore also accepts its
 first argument as a :class:`FactoredMatrix`, which holds ``H_t`` read-only
-and computes its basis ``Q_t`` (thin QR, rank test included) on first use
-and keeps it.  The results are bit-identical to passing the array, which
-takes the same QR in every call.
+and computes its thin QR ``H_t = Q_tR_t`` (rank test included) on first
+use and keeps both factors.  The results are bit-identical to passing the
+array, which takes the same QR in every call.  The kept ``R_t`` turns
+attacks ``a = H_t b`` into their coordinates ``y = R_t b`` in ``Q_t``,
+the form in which the detector prices them from the same ``k × k`` matrix
+this module reads the angle from: a model keeps the last Gram it formed
+for a read-only basis such as ``Q_t``, so pricing a perturbation and
+measuring its angle form that matrix once.
 """
 
 from __future__ import annotations
@@ -114,17 +119,18 @@ def largest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float
         or either one is rank deficient.
     """
     A, B = _matrix_pair(matrix_a, matrix_b)
-    return _largest_angle_of_bases(_orthonormal_factor(A), _orthonormal_factor(B))
+    return _largest_angle_of_bases(_orthonormal_factor(A)[0], _orthonormal_factor(B)[0])
 
 
 class FactoredMatrix:
-    """A read-only full-column-rank matrix whose orthonormal basis is kept.
+    """A read-only full-column-rank matrix whose thin QR is kept.
 
     Pass it as the first argument of :func:`subspace_angle` when one side
-    of the angle is priced against many others: the thin-QR basis is
-    computed on the first call, through the same rank test as the array
-    form, and reused by every later call.  Nothing is factored at
-    construction, so a wrapper that is never measured costs nothing.
+    of the angle is priced against many others: the thin QR
+    ``matrix = basis @ triangular`` is computed on the first read of
+    either factor, through the same rank test as the array form, and
+    reused by every later call.  Nothing is factored at construction, so
+    a wrapper that is never measured costs nothing.
 
     Parameters
     ----------
@@ -136,7 +142,8 @@ class FactoredMatrix:
     ------
     ValueError
         At construction if ``matrix`` is not 2-D; on first use of
-        :attr:`basis` if it is rank deficient (again on every later use).
+        :attr:`basis` or :attr:`triangular` if it is rank deficient (again
+        on every later use).
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -152,11 +159,22 @@ class FactoredMatrix:
         return self._matrix
 
     @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        factors = _orthonormal_factor(self._matrix)
+        for factor in factors:
+            factor.flags.writeable = False
+        return factors
+
+    @property
     def basis(self) -> np.ndarray:
         """The thin-QR factor ``Q`` of :attr:`matrix`, read-only, computed once."""
-        basis = _orthonormal_factor(self._matrix)
-        basis.flags.writeable = False
-        return basis
+        return self._factors[0]
+
+    @property
+    def triangular(self) -> np.ndarray:
+        """The ``(n, n)`` thin-QR factor ``R`` (``matrix = basis @ triangular``),
+        read-only, computed with :attr:`basis`."""
+        return self._factors[1]
 
 
 def subspace_angle(
@@ -184,13 +202,15 @@ def subspace_angle(
         the :class:`~repro.estimation.linear_model.LinearModel` that
         factors it.  A model must have uniform weights; its side is read
         from :meth:`~repro.estimation.linear_model.LinearModel.residual_gram`
-        without building ``H'``.
+        without building ``H'``, and with a :class:`FactoredMatrix` it is
+        the Gram the model kept when its detector priced attacks in the
+        basis ``Q`` (only the eigenvalue is computed here).
     """
     side_a = matrix_a if isinstance(matrix_a, FactoredMatrix) else FactoredMatrix(matrix_a)
     if isinstance(matrix_b, LinearModel):
         return _angle_from_residual_gram(matrix_b.residual_gram(side_a.basis))
     _, B = _matrix_pair(side_a.matrix, matrix_b)
-    return _largest_angle_of_bases(side_a.basis, _orthonormal_factor(B))
+    return _largest_angle_of_bases(side_a.basis, _orthonormal_factor(B)[0])
 
 
 def is_orthogonal_complement(
@@ -224,8 +244,8 @@ def _matrix_pair(matrix_a: np.ndarray, matrix_b: np.ndarray) -> tuple[np.ndarray
     return A, B
 
 
-def _orthonormal_factor(matrix: np.ndarray) -> np.ndarray:
-    """The thin-QR factor ``Q`` of a full-column-rank matrix.
+def _orthonormal_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thin-QR factors ``(Q, R)`` of a full-column-rank matrix.
 
     The rank test is the reciprocal condition estimate of ``R`` against
     the cut-off :func:`scipy.linalg.orth` applies to singular values,
@@ -238,7 +258,7 @@ def _orthonormal_factor(matrix: np.ndarray) -> np.ndarray:
             f"principal angles need a full-column-rank matrix; the {matrix.shape} "
             f"input has reciprocal condition {rcond:.3g}"
         )
-    return q
+    return q, r
 
 
 def _largest_angle_of_bases(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

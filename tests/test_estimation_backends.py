@@ -131,17 +131,41 @@ class TestAgreement:
             LinearModel(H, w, backend="sparse")
 
 
-class TestGainOrdering:
-    def test_symmetric_ordering_with_less_fill_than_colamd(self):
-        """The gain LU pivots on the diagonal of a symmetric ordering, and
-        fills in less than SuperLU's COLAMD ordering of the same ``G``."""
-        system = MeasurementSystem.for_network(load_case("synthetic300"))
-        backend = SparseQlessBackend(system.matrix_sparse(), np.sqrt(system.weights()))
-        lu = backend._lu
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        weighted = system.matrix_sparse().multiply(np.sqrt(system.weights())[:, None]).tocsr()
-        colamd = scipy.sparse.linalg.splu((weighted.T @ weighted).tocsc(), permc_spec="COLAMD")
-        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+class TestGainCholesky:
+    @pytest.mark.parametrize("case", ("synthetic118", "synthetic300"))
+    def test_factor_reproduces_the_gain(self, case):
+        """The stored factor is lower triangular and ``LLᵀ = G``; the
+        model's upper factor is its transpose, not a second Cholesky."""
+        system = MeasurementSystem.for_network(load_case(case))
+        sqrt_w = np.sqrt(system.weights())
+        backend = SparseQlessBackend(system.matrix_sparse(), sqrt_w)
+        L = backend._chol
+        weighted = system.matrix_sparse().multiply(sqrt_w[:, None]).tocsr()
+        gain = (weighted.T @ weighted).toarray()
+        assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0.0)
+        assert np.linalg.norm(L @ L.T - gain) <= 1e-12 * np.linalg.norm(gain)
+        assert np.array_equal(backend.gain_cholesky(), L.T)
+        assert np.shares_memory(backend.gain_cholesky(), L)
+        assert not L.flags.writeable
+
+    def test_vanishing_pivot_raises(self):
+        """A numerically rank-deficient ``H`` passes the Cholesky with a
+        pivot below the relative tolerance and is still rejected."""
+        rng = np.random.default_rng(4)
+        H = rng.normal(size=(12, 4))
+        H[:, 3] = H[:, 0] + 1e-7 * rng.normal(size=12)
+        with pytest.raises(EstimationError, match="unobservable") as info:
+            SparseQlessBackend(scipy.sparse.csr_matrix(H), np.ones(12))
+        assert info.value.__cause__ is None
+        H[:, 3] = H[:, 0] + 1e-3 * rng.normal(size=12)
+        SparseQlessBackend(scipy.sparse.csr_matrix(H), np.ones(12))
+
+    def test_gain_not_positive_definite_raises(self):
+        H = np.zeros((8, 3))
+        H[:, :2] = np.random.default_rng(0).normal(size=(8, 2))
+        with pytest.raises(EstimationError, match="unobservable") as info:
+            SparseQlessBackend(scipy.sparse.csr_matrix(H), np.ones(8))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 # ----------------------------------------------------------------------

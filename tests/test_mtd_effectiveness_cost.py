@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.estimation.backends import DenseQRBackend, SparseQlessBackend
+from repro.estimation.bdd import BadDataDetector
+from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import ConfigurationError
+from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation
@@ -172,11 +176,17 @@ class TestEffectivenessEvaluator:
         x[np.array(net14.dfacts_branches)] *= 1.1
         assert evaluator.evaluate(x).spa > 0.0
         assert evaluator.attacker_matrix is side.matrix.matrix
-        for array in (side.matrix.matrix, side.matrix.basis):
+        for array in (side.matrix.matrix, side.matrix.basis, side.matrix.triangular):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             side.reference_measurements[0] = 1.0
+        row, col = side.sparse_matrix.nonzero()
+        with pytest.raises(ValueError, match="read-only"):
+            side.sparse_matrix[row[0], col[0]] = 1.0
+        for array in (side.sparse_matrix.data, side.sparse_matrix.indices, side.sparse_matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_evaluate_perturbation_wrapper(self, net14, evaluator14):
         from repro.mtd.perturbation import ReactancePerturbation
@@ -187,6 +197,92 @@ class TestEffectivenessEvaluator:
         np.testing.assert_allclose(
             direct.detection_probabilities, wrapped.detection_probabilities
         )
+
+
+def _side_and_perturbation(case: str, change: float):
+    """The attacker side of ``case`` at its DC OPF point, and its reactances
+    with every D-FACTS branch scaled by ``1 + change`` (alternating sign)."""
+    network = load_case(case)
+    baseline = solve_dc_opf(network)
+    side = AttackerSide.build(network, baseline.angles_rad, baseline.reactances)
+    x = side.base_reactances.copy()
+    dfacts = np.array(network.dfacts_branches)
+    x[dfacts] *= 1.0 + change * np.where(np.arange(dfacts.size) % 2 == 0, 1.0, -1.0)
+    return side, x
+
+
+class TestBasisForm:
+    """Attacks priced by their coordinates in ``Q_t`` match the measurement-space path."""
+
+    #: Relative P_D tolerance per backend.  The sparse Gram is
+    #: ``I − WᵀW`` from the normal equations: its entries carry an
+    #: absolute error near ε·cond(H)² (2.4e-14 on synthetic300), which is
+    #: up to 1.2e-11 of a P_D at the α floor.  The dense Gram ``EᵀE`` keeps
+    #: the digits of small angles.
+    RTOL = {"dense": 1e-12, "sparse": 3e-11}
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic118", "synthetic300"])
+    @pytest.mark.parametrize("change", [0.0, 0.001, 0.2])
+    def test_probabilities_match_measurement_space(self, case, change):
+        side, x = _side_and_perturbation(case, change)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=60, seed=8)
+        assert evaluator.backend == ("dense" if case == "ieee14" else "sparse")
+        got = evaluator.evaluate(x).detection_probabilities
+        detector = BadDataDetector(
+            MeasurementSystem.for_network(side.network, reactances=x),
+            backend=evaluator.backend,
+        )
+        expected = detector.detection_probabilities(evaluator.ensemble.attacks)
+        rtol = self.RTOL[evaluator.backend]
+        assert np.max(np.abs(got - expected) / expected) <= rtol
+        alpha = detector.false_positive_rate
+        if change == 0.0:
+            # Policy "none": every attack stays stealthy, at the α floor.
+            assert np.max(np.abs(got - alpha)) <= rtol * alpha
+        else:
+            assert np.max(got) > 1.0001 * alpha
+
+    def test_sparse_copy_is_the_dense_matrix(self):
+        """The ensemble's CSR ``H`` is the dense ``H`` the basis came from,
+        not the grid's sparse assembly (35 entries differ by an ulp)."""
+        side, _ = _side_and_perturbation("synthetic300", 0.0)
+        assert np.array_equal(side.sparse_matrix.toarray(), side.matrix.matrix)
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic300"])
+    def test_coordinates_reproduce_the_attacks(self, case):
+        side, _ = _side_and_perturbation(case, 0.0)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=60, seed=8)
+        attacks = evaluator.ensemble.attacks
+        rebuilt = evaluator._coordinates @ side.matrix.basis.T
+        gap = np.linalg.norm(rebuilt - attacks, axis=1) / np.linalg.norm(attacks, axis=1)
+        assert gap.max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic118"])
+    def test_one_residual_gram_per_evaluation(self, case, monkeypatch):
+        side, x = _side_and_perturbation(case, 0.2)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=20, seed=8)
+        calls = []
+        for backend in (DenseQRBackend, SparseQlessBackend):
+            original = backend.residual_gram
+
+            def counting(self, basis, original=original):
+                calls.append(basis.shape)
+                return original(self, basis)
+
+            monkeypatch.setattr(backend, "residual_gram", counting)
+
+        evaluator.evaluate(x)  # its spa is never read
+        assert len(calls) == 1
+        read = evaluator.evaluate(x)
+        assert len(calls) == 2
+        expected = subspace_angle(side.matrix.matrix, reduced_measurement_matrix(side.network, x))
+        assert abs(read.spa - expected) <= 1e-12
+        assert len(calls) == 2  # the angle came from the kept Gram
+
+        monte_carlo = evaluator.evaluate(x, method="monte-carlo", n_noise_trials=5)
+        assert len(calls) == 2
+        assert abs(monte_carlo.spa - expected) <= 1e-12
+        assert len(calls) == 3
 
 
 class TestOperationalCost:

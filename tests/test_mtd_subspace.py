@@ -285,10 +285,58 @@ class TestFactoredMatrix:
         factored = FactoredMatrix(A)
         basis = factored.basis
         assert factored.basis is basis
-        for array in (factored.matrix, basis):
+        assert factored.triangular is factored.triangular
+        np.testing.assert_allclose(basis @ factored.triangular, A, rtol=0.0, atol=1e-14)
+        for array in (factored.matrix, basis, factored.triangular):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
         assert A.flags.writeable
+
+
+def _perturbed_model(network, backend: str) -> LinearModel:
+    x = network.reactances()
+    x[np.array(network.dfacts_branches)] *= 1.3
+    H_post = reduced_measurement_matrix(network, x)
+    return LinearModel(H_post, np.full(H_post.shape[0], 4.0), backend=backend)
+
+
+class TestKeptGram:
+    """A model keeps the Gram of a read-only basis, and of no other."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_read_only_basis_is_answered_from_the_kept_gram(self, net30, backend):
+        model = _perturbed_model(net30, backend)
+        factored = FactoredMatrix(reduced_measurement_matrix(net30))
+        kept = model.residual_gram(factored.basis)
+        assert model.residual_gram(factored.basis) is kept
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+        expected = subspace_angle(factored, _perturbed_model(net30, backend))
+        assert subspace_angle(factored, model) == expected
+        # An equal writeable copy is another basis: formed afresh.
+        fresh = model.residual_gram(factored.basis.copy())
+        assert fresh is not kept and fresh.flags.writeable
+        np.testing.assert_array_equal(fresh, kept)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_writeable_basis_is_never_answered_from_a_kept_gram(self, net30, backend):
+        model = _perturbed_model(net30, backend)
+        basis, _ = np.linalg.qr(reduced_measurement_matrix(net30))
+        x_other = net30.reactances()
+        x_other[np.array(net30.dfacts_branches)] *= 0.7
+        other, _ = np.linalg.qr(reduced_measurement_matrix(net30, x_other))
+        expected = _perturbed_model(net30, backend).residual_gram(other.copy())
+        first = model.residual_gram(basis)
+        basis[:] = other
+        np.testing.assert_array_equal(model.residual_gram(basis), expected)
+        assert np.abs(first - expected).max() > 1e-3
+        # Kept while read-only, then made writeable and overwritten.
+        frozen, _ = np.linalg.qr(reduced_measurement_matrix(net30))
+        frozen.flags.writeable = False
+        model.residual_gram(frozen)
+        frozen.flags.writeable = True
+        frozen[:] = other
+        np.testing.assert_array_equal(model.residual_gram(frozen), expected)
 
 
 class TestOrthogonality:
