@@ -71,15 +71,15 @@ def reference_probabilities(network, evaluator, reactances):
     """Per-attack reference loop: one scalar detector call per attack.
 
     Builds the perturbation's detector with the evaluator's σ and α (the
-    library defaults, which ``kernel_comparison`` leaves in place) and its
-    resolved backend, so it prices exactly what the batched kernel does.
+    library defaults, which ``kernel_comparison`` leaves in place); like the
+    evaluator's own detector, it factors on the backend its bus count
+    selects, so it prices exactly what the batched kernel does.
     """
     detector = BadDataDetector(
         MeasurementSystem.for_network(
             network, reactances=reactances, noise_sigma=DEFAULT_NOISE_SIGMA
         ),
         false_positive_rate=DEFAULT_FALSE_POSITIVE_RATE,
-        backend=evaluator.backend,
     )
     return np.array(
         [detector.detection_probability(attack) for attack in evaluator.ensemble.attacks]

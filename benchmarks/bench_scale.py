@@ -11,11 +11,18 @@ suite's case ladder (IEEE 14 → synthetic 300 → synthetic 1354 bus):
 
 * **factorize** — ``LinearModel.from_measurement_system(system, backend=…)``,
   i.e. Jacobian assembly (dense vs CSR builder) + observability guard +
-  factorisation, the once-per-perturbation cost the engine's model cache
-  amortises;
+  factorisation, the once-per-perturbation cost;
 * **solve** — a batched :meth:`~repro.estimation.linear_model.LinearModel.
   estimate_batch` over ``B`` measurement rows (states + residual norms +
   fitted measurements), the per-trial cost.
+
+Each is timed as the median of :data:`N_WARM_TRIALS` calls after one
+first call.  The first call is timed too, and each backend's first
+factorize is kept in the record (``*_factorize_first_seconds``): a
+process's first BLAS/LAPACK calls can stall (on a 2-CPU host at default
+BLAS threads, the first sparse factorizes of synthetic300 took up to
+0.5 s against 3–9 ms warm), and a single cold call would put that stall
+into the headline.
 
 Each case also records an end-to-end number, ``warm_trial_seconds``: the
 median wall time of a warm :func:`~repro.engine.run_trial` of the scale
@@ -67,8 +74,9 @@ LARGE_CASE_BUSES = 1000
 #: Measurement rows per batched solve, by scale name.
 N_TRIALS = {"smoke": 16, "quick": 64, "full": 256}
 
-#: Warm ``run_trial`` calls timed per case, by scale name (the scale
-#: scenarios have 8 trials; trial 0 is the untimed warm-up).
+#: Warm calls timed per case, by scale name: of each backend's factorize
+#: and batched solve, and of ``run_trial`` (the scale scenarios have 8
+#: trials; trial 0 is the untimed warm-up).
 N_WARM_TRIALS = {"smoke": 2, "quick": 3, "full": 5}
 
 #: Agreement tolerance between the backends (relative, on states and
@@ -96,21 +104,35 @@ def warm_trial_seconds(case: str, n_trials: int) -> float:
     return float(np.median([time_call(run_trial, spec, i)[1] for i in range(1, n_trials + 1)]))
 
 
-def compare_backends(case: str, n_trials: int) -> dict:
+def warm_median(n_calls: int, fn, *args, **kwargs) -> tuple:
+    """``(result, first-call seconds, median seconds of n_calls more calls)``.
+
+    The result is the last call's; only one earlier result is alive at a
+    time.
+    """
+    result, first = time_call(fn, *args, **kwargs)
+    seconds = []
+    for _ in range(n_calls):
+        result, elapsed = time_call(fn, *args, **kwargs)
+        seconds.append(elapsed)
+    return result, first, float(np.median(seconds))
+
+
+def compare_backends(case: str, n_trials: int, n_calls: int) -> dict:
     """Time factorize + batched solve through both backends for one case."""
     network = load_case(case)
     system = MeasurementSystem.for_network(network)
     rng = np.random.default_rng(network.n_buses)
     Z = rng.normal(0.0, system.noise_sigma, size=(n_trials, system.n_measurements))
 
-    dense, dense_factorize = time_call(
-        LinearModel.from_measurement_system, system, backend="dense"
+    dense, dense_factorize_first, dense_factorize = warm_median(
+        n_calls, LinearModel.from_measurement_system, system, backend="dense"
     )
-    sparse, sparse_factorize = time_call(
-        LinearModel.from_measurement_system, system, backend="sparse"
+    sparse, sparse_factorize_first, sparse_factorize = warm_median(
+        n_calls, LinearModel.from_measurement_system, system, backend="sparse"
     )
-    dense_est, dense_solve = time_call(dense.estimate_batch, Z)
-    sparse_est, sparse_solve = time_call(sparse.estimate_batch, Z)
+    dense_est, _, dense_solve = warm_median(n_calls, dense.estimate_batch, Z)
+    sparse_est, _, sparse_solve = warm_median(n_calls, sparse.estimate_batch, Z)
 
     # Dense bit-identity: the refactored backend must reproduce the
     # pre-backend expressions byte-for-byte, factors and solves alike.
@@ -147,6 +169,8 @@ def compare_backends(case: str, n_trials: int) -> dict:
         "n_measurements": system.n_measurements,
         "n_states": system.n_states,
         "n_trials": n_trials,
+        "dense_factorize_first_seconds": dense_factorize_first,
+        "sparse_factorize_first_seconds": sparse_factorize_first,
         "dense_factorize_seconds": dense_factorize,
         "sparse_factorize_seconds": sparse_factorize,
         "dense_solve_seconds": dense_solve,
@@ -170,7 +194,7 @@ def bench_scale(benchmark, scale):
     n_warm = N_WARM_TRIALS.get(scale.name, N_WARM_TRIALS["quick"])
     results, total_seconds = benchmark.pedantic(
         time_call,
-        args=(lambda: [compare_backends(case, n_trials) for case in cases],),
+        args=(lambda: [compare_backends(case, n_trials, n_warm) for case in cases],),
         rounds=1,
         iterations=1,
     )
@@ -213,9 +237,10 @@ def bench_scale(benchmark, scale):
         "with a dense Cholesky and never materialises Q or a dense H; the "
         "dense backend keeps the original SVD-guarded thin QR.  Small cases favour dense "
         "(which is why backend='auto' keeps them on it); at 1000+ buses "
-        "the sparse path wins on both factorize and end-to-end cost.  The "
-        f"warm trial is the median of {n_warm} warm run_trial calls of the "
-        "case's scale-suite scenario."
+        "the sparse path wins on both factorize and end-to-end cost.  Each "
+        f"factorize and solve is the median of {n_warm} calls after a first "
+        "one, and the warm trial the median of as many warm run_trial calls "
+        "of the case's scale-suite scenario."
     )
 
     # Headline metric: end-to-end speedup on the largest benchmarked case.

@@ -33,11 +33,10 @@ SPEC_SCHEMA_VERSION = 2
 #: Spec fields that label a scenario without affecting its outcome.
 _LABEL_FIELDS = ("name", "description", "tags")
 
-#: Spec fields that tune *how* a scenario executes without affecting its
-#: outcome (the factorization backends agree within solver tolerance — the
-#: dense path is unchanged), and are therefore excluded from the content
-#: hash like the label fields.
-_EXECUTION_FIELDS = ("backend",)
+#: Keys of payloads stored by earlier versions (result caches, campaign
+#: manifests and records) naming retired execution hints.  Neither entered
+#: the content hash or a result, so they are dropped on load.
+_RETIRED_KEYS = ("batch_size", "backend")
 
 
 def _freeze(value: Any) -> Any:
@@ -216,6 +215,11 @@ class MTDSpec:
                     "gamma_threshold must lie in [0, pi/2] radians, "
                     f"got {self.gamma_threshold}"
                 )
+        if self.design_method not in ("joint", "two-stage", "max-spa"):
+            raise ConfigurationError(
+                "design_method must be 'joint', 'two-stage' or 'max-spa', "
+                f"got {self.design_method!r}"
+            )
         if self.on_infeasible not in ("saturate", "raise"):
             raise ConfigurationError(
                 f"on_infeasible must be 'saturate' or 'raise', got {self.on_infeasible!r}"
@@ -319,14 +323,6 @@ class ScenarioSpec:
         Detection-probability thresholds at which ``η'(δ)`` is recorded.
     metric:
         The headline per-trial metric, e.g. ``"eta(0.9)"`` or ``"spa"``.
-    backend:
-        Execution hint (excluded from the content hash): the factorization
-        backend of the estimation stack — ``"auto"`` (default: dense below
-        :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, sparse Q-less
-        at or above), ``"dense"`` or ``"sparse"``.  The dense path is
-        byte-for-byte the pre-backend arithmetic and the backends agree
-        within solver tolerance, so cached results stay valid across
-        backend switches.
     description, tags:
         Free-form labels (excluded from the content hash).
     """
@@ -342,7 +338,6 @@ class ScenarioSpec:
     base_seed: int = 0
     deltas: tuple[float, ...] = (0.5, 0.8, 0.9, 0.95)
     metric: str = "eta(0.9)"
-    backend: str = "auto"
     description: str = ""
     tags: tuple[str, ...] = ()
 
@@ -369,10 +364,6 @@ class ScenarioSpec:
             )
         if self.n_trials <= 0:
             raise ConfigurationError(f"n_trials must be positive, got {self.n_trials}")
-        if self.backend not in ("auto", "dense", "sparse"):
-            raise ConfigurationError(
-                f"backend must be 'auto', 'dense' or 'sparse', got {self.backend!r}"
-            )
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "tags", tuple(str(t) for t in self.tags))
 
@@ -396,10 +387,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (or parsed JSON)."""
-        # Payloads stored by earlier versions (result caches, campaign
-        # manifests and records) carry a retired execution hint that never
-        # entered the content hash or a result; it is dropped on load.
-        payload = {k: v for k, v in data.items() if k != "batch_size"}
+        payload = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         payload["grid"] = _component_from(GridSpec, payload.get("grid", {}))
         payload["attack"] = _component_from(AttackSpec, payload.get("attack", {}))
         payload["detector"] = _component_from(DetectorSpec, payload.get("detector", {}))
@@ -433,13 +421,11 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """SHA-256 over the execution-relevant content of the spec.
 
-        Stable across processes and Python versions; labelling and
-        execution-tuning fields (``backend``) are excluded, so renaming a
-        scenario or switching its factorization backend keeps its cached
-        results valid.
+        Stable across processes and Python versions; labelling fields are
+        excluded, so renaming a scenario keeps its cached results valid.
         """
         payload = self.to_dict()
-        for excluded in _LABEL_FIELDS + _EXECUTION_FIELDS:
+        for excluded in _LABEL_FIELDS:
             payload.pop(excluded, None)
         payload["schema_version"] = SPEC_SCHEMA_VERSION
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

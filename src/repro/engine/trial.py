@@ -114,7 +114,6 @@ def _evaluator(
     side: AttackerSide,
     attack: AttackSpec,
     detector: DetectorSpec,
-    backend: str,
     seed: int | np.random.Generator | None,
 ) -> EffectivenessEvaluator:
     """A trial's evaluator: the context's attacker side plus one ensemble."""
@@ -125,7 +124,6 @@ def _evaluator(
         n_attacks=attack.n_attacks,
         attack_ratio=attack.ratio,
         seed=seed,
-        backend=backend,
     )
 
 
@@ -135,16 +133,10 @@ def _shared_evaluator(
     attack: AttackSpec,
     detector: DetectorSpec,
     contingency: ContingencySpec | None = None,
-    backend: str = "auto",
 ) -> EffectivenessEvaluator:
-    """Evaluator with a pinned attack ensemble, shared by all trials.
-
-    ``backend`` participates in the memo key: evaluators resolve the
-    factorization backend at construction, so specs differing only in
-    ``spec.backend`` must not share an evaluator.
-    """
+    """Evaluator with a pinned attack ensemble, shared by all trials."""
     _, _, side = _grid_context(grid, contingency)
-    return _evaluator(side, attack, detector, backend, seed=attack.seed)
+    return _evaluator(side, attack, detector, seed=attack.seed)
 
 
 def clear_context_caches() -> None:
@@ -231,15 +223,12 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
 
     network, baseline, side = _grid_context(spec.grid, spec.contingency)
     if spec.attack.seed is not None:
-        evaluator = _shared_evaluator(
-            spec.grid, spec.attack, spec.detector, spec.contingency, spec.backend
-        )
+        evaluator = _shared_evaluator(spec.grid, spec.attack, spec.detector, spec.contingency)
     else:
         evaluator = _evaluator(
             side,
             spec.attack,
             spec.detector,
-            spec.backend,
             seed=np.random.Generator(np.random.PCG64(attack_seq)),
         )
 

@@ -2,8 +2,8 @@
 
 A :class:`FactorizationBackend` owns everything a
 :class:`~repro.estimation.linear_model.LinearModel` derives from one
-(measurement matrix, weights) pair.  Besides ``Hθ`` and diagnostic
-accessors it answers two batched kernels: the state estimate
+(measurement matrix, weights) pair.  Besides ``Hθ`` it answers two
+batched kernels: the state estimate
 (:meth:`FactorizationBackend.estimate`) and the weighted projection onto
 the column space (:meth:`FactorizationBackend.project_weighted`), from
 which the model derives every residual norm and attack residual.  A third
@@ -43,6 +43,9 @@ exist:
 ``auto`` resolves per model: sparse at or above
 :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses (the same
 crossover the grid layer uses for its CSR builders), dense below it.
+Every detector the library builds resolves ``auto``; the concrete names
+let the scale benchmark and the agreement tests run both backends on one
+matrix.
 
 Shapes follow the paper's Section III conventions: ``M`` measurements,
 ``n = N − 1`` states, ``B`` batch rows.  Every batched method takes
@@ -54,7 +57,7 @@ batched entry points share one code path.
 from __future__ import annotations
 
 import abc
-from typing import Any, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -154,14 +157,6 @@ class FactorizationBackend(abc.ABC):
         """``n``, the number of estimated states."""
 
     @abc.abstractmethod
-    def matrix_dense(self) -> np.ndarray:
-        """The Jacobian ``H`` as a dense ``(M, n)`` array.
-
-        The sparse backend densifies on demand — a diagnostic accessor,
-        not part of any batched kernel.
-        """
-
-    @abc.abstractmethod
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         """``Hθ`` for a ``(n,)`` state vector or ``(B, n)`` stack."""
 
@@ -191,10 +186,6 @@ class FactorizationBackend(abc.ABC):
         largest eigenvalue is ``sin²`` of the largest principal angle
         between ``Col(B)`` and that column space.
         """
-
-    @abc.abstractmethod
-    def gain_cholesky(self) -> np.ndarray:
-        """Upper Cholesky factor ``U`` of ``G = HᵀWH`` (``UᵀU = G``)."""
 
     # -- dense-only accessors ------------------------------------------
     @property
@@ -254,9 +245,6 @@ class DenseQRBackend(FactorizationBackend):
     def r(self) -> np.ndarray:
         return self._r
 
-    def matrix_dense(self) -> np.ndarray:
-        return self._H
-
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         if states.ndim == 1:
             return self._H @ states
@@ -282,10 +270,6 @@ class DenseQRBackend(FactorizationBackend):
         # Sine form E = B − Q(QᵀB): S = EᵀE keeps its digits at small angles.
         residual = basis - self._q @ (self._q.T @ basis)
         return residual.T @ residual
-
-    def gain_cholesky(self) -> np.ndarray:
-        signs = np.where(np.diag(self._r) < 0.0, -1.0, 1.0)
-        return np.asarray(signs[:, None] * self._r)
 
 
 class SparseQlessBackend(FactorizationBackend):
@@ -340,14 +324,6 @@ class SparseQlessBackend(FactorizationBackend):
     def n_states(self) -> int:
         return int(self._H.shape[1])
 
-    def matrix_dense(self) -> np.ndarray:
-        return np.asarray(self._H.toarray(), dtype=float)
-
-    @property
-    def matrix_sparse(self) -> Any:
-        """The Jacobian ``H`` in CSR form (no densification)."""
-        return self._H
-
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         if states.ndim == 1:
             return np.asarray(self._H @ states)
@@ -383,9 +359,6 @@ class SparseQlessBackend(FactorizationBackend):
             lower=True, overwrite_b=True, check_finite=False,
         )
         return np.eye(basis.shape[1]) - whitened.T @ whitened
-
-    def gain_cholesky(self) -> np.ndarray:
-        return self._chol.T
 
 
 def build_backend(

@@ -69,65 +69,32 @@ class BadDataDetector:
         operator currently runs.
     false_positive_rate:
         Target FP rate ``α`` (default ``5e-4`` as in the paper).
-    model:
-        Optional pre-factorized :class:`LinearModel` for ``system``, so a
-        caller that already holds the factorization does not refactorize
-        the Jacobian.  Built from the system when omitted.
     backend:
-        Factorisation backend for the model built when ``model`` is
-        omitted: ``"auto"`` (default), ``"dense"`` or ``"sparse"`` (see
-        :mod:`repro.estimation.backends`).  When a concrete backend is
-        requested *and* a model is injected, the two must agree.
+        Factorisation backend of the detector's model: ``"auto"`` (default,
+        chosen by bus count), ``"dense"`` or ``"sparse"`` (see
+        :mod:`repro.estimation.backends`).
 
     Raises
     ------
     EstimationError
-        If the FP rate is outside ``(0, 1)``, the measurement matrix is rank
-        deficient (unobservable network) or has no redundancy, or an
-        injected model conflicts with the system or the requested backend.
+        If the FP rate is outside ``(0, 1)``, or the measurement matrix is
+        rank deficient (unobservable network) or has no redundancy.
     """
 
     def __init__(
         self,
         system: MeasurementSystem,
         false_positive_rate: float = DEFAULT_FALSE_POSITIVE_RATE,
-        model: LinearModel | None = None,
         backend: str = BACKEND_AUTO,
     ) -> None:
         if not (0.0 < false_positive_rate < 1.0):
             raise EstimationError(
                 f"false_positive_rate must be in (0, 1), got {false_positive_rate}"
             )
-        if model is None:
-            model = LinearModel.from_measurement_system(system, backend=backend)
-        else:
-            if backend != BACKEND_AUTO and model.backend != backend:
-                raise EstimationError(
-                    f"injected model was factorized with the {model.backend!r} "
-                    f"backend but {backend!r} was requested; the factorization "
-                    "cache key must include the backend"
-                )
-            # Guard against a mis-keyed cache handing over a factorization
-            # of a different model.  Comparing the full Jacobian would cost
-            # the very rebuild the cache avoids, but the dimensions and the
-            # weight vector (which encodes noise_sigma) are cheap to check
-            # exactly — they catch the classic "keyed on reactances but
-            # forgot noise_sigma" mistake.
-            if model.n_measurements != system.n_measurements or model.n_states != system.n_states:
-                raise EstimationError(
-                    f"injected model shape ({model.n_measurements}, {model.n_states}) does "
-                    f"not match the measurement system "
-                    f"({system.n_measurements}, {system.n_states})"
-                )
-            if not np.array_equal(model.sqrt_weights, np.sqrt(system.weights())):
-                raise EstimationError(
-                    "injected model weights disagree with the measurement system; "
-                    "the factorization cache key must include the noise level"
-                )
         self._system = system
         self._alpha = float(false_positive_rate)
-        self._model = model
-        dof = model.degrees_of_freedom
+        self._model = LinearModel.from_measurement_system(system, backend=backend)
+        dof = self._model.degrees_of_freedom
         if dof <= 0:
             raise EstimationError(
                 "the measurement set has no redundancy; bad-data detection is impossible"
@@ -236,25 +203,6 @@ class BadDataDetector:
             )
         return probabilities
 
-    def detection_probability_monte_carlo(
-        self,
-        attack: np.ndarray,
-        angles_rad: np.ndarray,
-        n_trials: int = 1000,
-        rng: int | np.random.Generator | None = None,
-    ) -> float:
-        """Monte-Carlo detection probability, mirroring the paper's method.
-
-        ``n_trials`` noisy measurement vectors are generated for the true
-        state ``angles_rad``, the attack is added to each, and the fraction
-        of trials raising an alarm is returned — a batch of one through
-        :meth:`detection_probabilities_monte_carlo`.
-        """
-        a = np.asarray(attack, dtype=float).ravel()
-        return float(
-            self.detection_probabilities_monte_carlo(a[None, :], angles_rad, n_trials, rng)[0]
-        )
-
     def detection_probabilities_monte_carlo(
         self,
         attacks: np.ndarray,
@@ -262,7 +210,11 @@ class BadDataDetector:
         n_trials: int = 1000,
         rng: int | np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Monte-Carlo detection probabilities of a whole attack batch.
+        """Monte-Carlo detection probabilities, mirroring the paper's method.
+
+        For each attack, ``n_trials`` noisy measurement vectors are drawn
+        for the true state ``angles_rad``, the attack is added to each, and
+        the fraction of draws raising an alarm is its estimate.
 
         Parameters
         ----------
@@ -274,9 +226,9 @@ class BadDataDetector:
         n_trials:
             Noise draws per attack.
         rng:
-            Seed or generator; the noise streams are consumed attack by
-            attack in row order, identically to calling
-            :meth:`detection_probability_monte_carlo` per attack.
+            Seed or generator.  The noise is drawn attack by attack in row
+            order, so a batch consumes the stream exactly as its rows
+            would, passed one at a time as batches of one.
 
         Returns
         -------

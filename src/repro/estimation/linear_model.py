@@ -99,9 +99,7 @@ class LinearModel:
     ``W^{1/2}H = QR`` and all derived quantities reuse it:
 
     * states: ``θ̂ = R⁻¹ Qᵀ W^{1/2} z``,
-    * residual projector (weighted space): ``I − QQᵀ``,
-    * gain-matrix Cholesky: ``G = HᵀWH = RᵀR``, so the upper Cholesky
-      factor of ``G`` is ``R`` with rows sign-normalised.
+    * residual projector (weighted space): ``I − QQᵀ``.
 
     The sparse backend factorises ``G = HᵀWH = LLᵀ`` directly (a dense
     Cholesky of the ``n × n`` gain) and evaluates the same quantities
@@ -155,7 +153,6 @@ class LinearModel:
             _metrics.counter("estimation.factorizations")
             _metrics.counter(f"estimation.backend.{resolved}")
             _metrics.histogram("estimation.factorize_seconds", elapsed)
-        self._gain_chol: np.ndarray | None = None
         # (basis, S) of the last residual_gram() call on a read-only basis.
         self._kept_gram: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -181,21 +178,6 @@ class LinearModel:
     def backend(self) -> str:
         """The resolved backend name, ``"dense"`` or ``"sparse"``."""
         return self._fact.name
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The measurement Jacobian ``H``, shape ``(M, n)``, densified.
-
-        The dense backend returns its stored array; the sparse backend
-        densifies on demand (a diagnostic accessor — the batched kernels
-        never call it).
-        """
-        return self._fact.matrix_dense()
-
-    @property
-    def sqrt_weights(self) -> np.ndarray:
-        """``W^{1/2}`` as a vector, shape ``(M,)``."""
-        return self._sqrt_w
 
     @property
     def q(self) -> np.ndarray:
@@ -227,22 +209,6 @@ class LinearModel:
     def degrees_of_freedom(self) -> int:
         """Residual degrees of freedom ``M − n`` of the χ² statistic."""
         return self.n_measurements - self.n_states
-
-    def gain_cholesky(self) -> np.ndarray:
-        """Upper Cholesky factor of the gain matrix ``G = HᵀWH``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Upper-triangular ``(n, n)`` matrix ``U`` with positive diagonal
-            and ``UᵀU = G``; on the dense backend derived from the QR
-            factor for free (``G = RᵀR``), on the sparse backend the
-            transpose of the Cholesky factor it already holds (read-only).
-            Cached after the first call.
-        """
-        if self._gain_chol is None:
-            self._gain_chol = self._fact.gain_cholesky()
-        return self._gain_chol
 
     def residual_gram(self, basis: np.ndarray) -> np.ndarray:
         """``S = Bᵀ(I − P)B`` for an orthonormal basis ``B`` of another space.

@@ -24,7 +24,6 @@ This subpackage implements the paper's contribution:
 from repro.mtd.subspace import (
     principal_angles,
     smallest_principal_angle,
-    largest_principal_angle,
     subspace_angle,
     is_orthogonal_complement,
 )
@@ -52,7 +51,6 @@ from repro.mtd.placement import (
 __all__ = [
     "principal_angles",
     "smallest_principal_angle",
-    "largest_principal_angle",
     "subspace_angle",
     "is_orthogonal_complement",
     "ReactancePerturbation",

@@ -32,7 +32,12 @@ from typing import Literal
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.exceptions import MTDDesignError, OPFConvergenceError, OPFInfeasibleError
+from repro.exceptions import (
+    ConfigurationError,
+    MTDDesignError,
+    OPFConvergenceError,
+    OPFInfeasibleError,
+)
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.grid.network import PowerNetwork
 from repro.mtd.perturbation import ReactancePerturbation
@@ -209,10 +214,16 @@ def design_mtd_perturbation(
 
     Raises
     ------
+    ConfigurationError
+        For an unknown ``method``, before any OPF is solved.
     MTDDesignError
         If the D-FACTS range cannot achieve the requested ``γ_th`` or no
         feasible dispatch exists for any qualifying perturbation.
     """
+    if method not in ("joint", "two-stage", "max-spa"):
+        raise ConfigurationError(
+            f"unknown design method {method!r}; use 'joint', 'two-stage' or 'max-spa'"
+        )
     if not (0.0 <= gamma_threshold <= np.pi / 2):
         raise MTDDesignError(
             f"gamma_threshold must lie in [0, π/2], got {gamma_threshold}"

@@ -43,7 +43,6 @@ import scipy.sparse
 
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
-from repro.estimation.backends import BACKEND_AUTO, resolve_backend
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.network import PowerNetwork
@@ -91,10 +90,6 @@ class EffectivenessResult:
             return 0.0
         return float(np.mean(self.detection_probabilities >= delta))
 
-    def eta_curve(self, deltas: np.ndarray | list[float]) -> np.ndarray:
-        """Vectorised ``η'(δ)`` over several thresholds."""
-        return np.array([self.eta(float(d)) for d in deltas])
-
     def undetectable_fraction(self, margin: float = 1e-6) -> float:
         """Fraction of attacks whose detection probability stays at ``α``.
 
@@ -125,10 +120,10 @@ class EffectivenessResult:
 class AttackerSide:
     """The attacker's view of one operating point, built once and shared.
 
-    Noise, false-positive rate, backend and the attack ensemble enter none
-    of it, so one side serves every evaluator of a scenario context.  Its
-    arrays are read-only: a caller writing into them would corrupt every
-    evaluator that shares the side.
+    Noise, false-positive rate and the attack ensemble enter none of it,
+    so one side serves every evaluator of a scenario context.  Its arrays
+    are read-only: a caller writing into them would corrupt every evaluator
+    that shares the side.
 
     Memory: :attr:`matrix` holds two dense ``(M, n)`` arrays once its basis
     has been read — ``H`` and ``Q`` — about 6.6 MB at 300 buses and 135 MB
@@ -224,12 +219,6 @@ class EffectivenessEvaluator:
         Attack magnitude ``‖a‖₁/‖z‖₁`` (paper: ≈0.08).
     seed:
         Seed for the attack ensemble.
-    backend:
-        Factorisation backend for the per-perturbation detector models:
-        ``"auto"`` (default — dense below
-        :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, sparse at
-        or above), ``"dense"`` or ``"sparse"``.  Resolved once per
-        evaluator.
     """
 
     def __init__(
@@ -242,11 +231,10 @@ class EffectivenessEvaluator:
         n_attacks: int = 1000,
         attack_ratio: float = 0.08,
         seed: int | np.random.Generator | None = 0,
-        backend: str = BACKEND_AUTO,
     ) -> None:
         self._bind(
             AttackerSide.build(network, operating_angles_rad, base_reactances),
-            noise_sigma, false_positive_rate, n_attacks, attack_ratio, seed, backend,
+            noise_sigma, false_positive_rate, n_attacks, attack_ratio, seed,
         )
 
     @classmethod
@@ -258,7 +246,6 @@ class EffectivenessEvaluator:
         n_attacks: int = 1000,
         attack_ratio: float = 0.08,
         seed: int | np.random.Generator | None = 0,
-        backend: str = BACKEND_AUTO,
     ) -> "EffectivenessEvaluator":
         """An evaluator over an existing attacker side.
 
@@ -267,9 +254,7 @@ class EffectivenessEvaluator:
         angles and reactances, without assembling ``H`` again.
         """
         evaluator = cls.__new__(cls)
-        evaluator._bind(
-            side, noise_sigma, false_positive_rate, n_attacks, attack_ratio, seed, backend
-        )
+        evaluator._bind(side, noise_sigma, false_positive_rate, n_attacks, attack_ratio, seed)
         return evaluator
 
     def _bind(
@@ -280,10 +265,8 @@ class EffectivenessEvaluator:
         n_attacks: int,
         attack_ratio: float,
         seed: int | np.random.Generator | None,
-        backend: str,
     ) -> None:
         self._side = side
-        self._backend = resolve_backend(backend, n_buses=side.network.n_buses)
         self._noise_sigma = float(noise_sigma)
         self._alpha = float(false_positive_rate)
         self._ensemble = generate_attack_ensemble(
@@ -314,11 +297,6 @@ class EffectivenessEvaluator:
     def base_reactances(self) -> np.ndarray:
         """Pre-perturbation reactance vector."""
         return self._side.base_reactances.copy()
-
-    @property
-    def backend(self) -> str:
-        """The resolved factorization backend, ``"dense"`` or ``"sparse"``."""
-        return self._backend
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -408,19 +386,17 @@ class EffectivenessEvaluator:
         )
 
     def _build_detector(self, perturbed_reactances: np.ndarray) -> BadDataDetector:
-        """The post-perturbation detector of one reactance vector."""
+        """The post-perturbation detector of one reactance vector.
+
+        Its model picks the factorization backend from the bus count (see
+        :func:`~repro.estimation.backends.resolve_backend`).
+        """
         post_system = MeasurementSystem.for_network(
             self._side.network,
             reactances=np.asarray(perturbed_reactances, dtype=float).ravel(),
             noise_sigma=self._noise_sigma,
         )
-        return BadDataDetector(
-            post_system, false_positive_rate=self._alpha, backend=self._backend
-        )
-
-    def evaluate_perturbation(self, perturbation, **kwargs) -> EffectivenessResult:
-        """Evaluate a :class:`~repro.mtd.perturbation.ReactancePerturbation`."""
-        return self.evaluate(perturbation.perturbed_reactances, **kwargs)
+        return BadDataDetector(post_system, false_positive_rate=self._alpha)
 
 
 __all__ = [

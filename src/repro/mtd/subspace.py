@@ -34,13 +34,14 @@ Proposition 1 — is the number of (numerically) zero entries of
 
 The largest-angle kernel
 ------------------------
-:func:`largest_principal_angle` follows MATLAB ``subspace``: orthonormal
-bases ``Q_a`` and ``Q_b`` (thin QR here), with ``Q_b`` the narrower one,
-then the residual ``E = Q_b − Q_a(Q_aᵀQ_b)`` of projecting ``Q_b`` onto
-``Col(Q_a)``.  The Björck–Golub sine form gives ``sin²γ = λ_max(EᵀE)``
-from a small ``k × k`` Gram matrix, and stays accurate at small angles;
-above ``π/4`` the kernel switches to the cosine ``σ_min(Q_aᵀQ_b)``, which
-is the accurate side there.  No SVD of an ``(M, k)`` matrix is taken.
+:func:`subspace_angle` of two arrays follows MATLAB ``subspace``:
+orthonormal bases ``Q_a`` and ``Q_b`` (thin QR here), with ``Q_b`` the
+narrower one, then the residual ``E = Q_b − Q_a(Q_aᵀQ_b)`` of projecting
+``Q_b`` onto ``Col(Q_a)``.  The Björck–Golub sine form gives
+``sin²γ = λ_max(EᵀE)`` from a small ``k × k`` Gram matrix, and stays
+accurate at small angles; above ``π/4`` the kernel switches to the cosine
+``σ_min(Q_aᵀQ_b)``, which is the accurate side there.  No SVD of an
+``(M, k)`` matrix is taken.
 
 The thin QR does not pivot, so it cannot drop a dependent column the way
 an SVD basis (:func:`scipy.linalg.orth`) would: both inputs must have full
@@ -103,23 +104,6 @@ def smallest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> floa
     if angles.size == 0:
         return 0.0
     return float(angles[0])
-
-
-def largest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:
-    """The largest principal angle between two full-column-rank matrices.
-
-    Sine form ``sin²γ = λ_max(EᵀE)`` with ``E = Q_b − Q_a(Q_aᵀQ_b)`` and
-    ``Q_b`` the narrower basis; cosine form ``cos γ = σ_min(Q_aᵀQ_b)``
-    once ``γ > π/4`` (see the module docstring).
-
-    Raises
-    ------
-    ValueError
-        If the inputs are not 2-D matrices with the same number of rows,
-        or either one is rank deficient.
-    """
-    A, B = _matrix_pair(matrix_a, matrix_b)
-    return _largest_angle_of_bases(_orthonormal_factor(A)[0], _orthonormal_factor(B)[0])
 
 
 class FactoredMatrix:
@@ -205,6 +189,12 @@ def subspace_angle(
         without building ``H'``, and with a :class:`FactoredMatrix` it is
         the Gram the model kept when its detector priced attacks in the
         basis ``Q`` (only the eigenvalue is computed here).
+
+    Raises
+    ------
+    ValueError
+        If the matrices are not 2-D with the same number of rows, or one of
+        them is rank deficient.
     """
     side_a = matrix_a if isinstance(matrix_a, FactoredMatrix) else FactoredMatrix(matrix_a)
     if isinstance(matrix_b, LinearModel):
@@ -284,7 +274,6 @@ __all__ = [
     "FactoredMatrix",
     "principal_angles",
     "smallest_principal_angle",
-    "largest_principal_angle",
     "subspace_angle",
     "is_orthogonal_complement",
 ]

@@ -204,7 +204,6 @@ def _cached_evaluator(
     detector: DetectorSpec,
     base_seed: int,
     hour: int,
-    backend: str = "auto",
 ) -> EffectivenessEvaluator:
     """The attacker's evaluator for one hour (stale knowledge, fresh seed)."""
     hour_context = _cached_hours(grid, operation, base_seed)[hour]
@@ -218,7 +217,6 @@ def _cached_evaluator(
         n_attacks=attack.n_attacks,
         attack_ratio=attack.ratio,
         seed=evaluator_seed,
-        backend=backend,
     )
 
 
@@ -422,8 +420,7 @@ def run_operation_trial(spec: ScenarioSpec, hour: int) -> TrialResult:
             f"hour must be in [0, {len(hours)}), got {hour}"
         )
     evaluator = _cached_evaluator(
-        spec.grid, operation, spec.attack, spec.detector, spec.base_seed, hour,
-        spec.backend,
+        spec.grid, operation, spec.attack, spec.detector, spec.base_seed, hour
     )
     if _TELEMETRY.enabled:
         with _span("timeseries.hour", hour=hour):

@@ -46,6 +46,14 @@ def quick_base(**overrides) -> ScenarioSpec:
 
 GRID = {"attack.ratio": (0.06, 0.08), "mtd.max_relative_change": (0.02, 0.05, 0.1)}
 
+#: Retired execution hints as stored spec payloads carried them: a
+#: ``batch_size`` alone, a ``backend`` alone, and both.
+RETIRED_HINTS = (
+    {"batch_size": 8},
+    {"backend": "sparse"},
+    {"batch_size": 8, "backend": "sparse"},
+)
+
 
 def quick_definition(**overrides) -> CampaignDefinition:
     defaults = dict(
@@ -134,34 +142,36 @@ class TestRunAndResume:
             CampaignOrchestrator(tmp_path / "fresh.campaign").resume()
 
     def test_store_with_retired_batch_size_key_resumes(self, tmp_path):
-        """Manifests and records written while specs carried a
-        ``batch_size`` execution hint still resume and answer queries."""
+        """Manifests and records written while specs carried a retired
+        execution hint (``batch_size``, ``backend`` or both) still resume,
+        skipping what is stored, and answer queries."""
         definition = quick_definition()
-        store_dir = tmp_path / "c.campaign"
-        run_campaign(definition, store_dir, shard_limit=1)
-        manifest_path = store_dir / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["definition"]["base"]["batch_size"] = 8
-        manifest_path.write_text(json.dumps(manifest))
-        for segment in (store_dir / SEGMENT_DIR).glob("*.ndjson"):
-            records = [json.loads(line) for line in segment.read_text().splitlines()]
-            for record in records:
-                record["spec"]["batch_size"] = 8
-            segment.write_text("".join(json.dumps(r) + "\n" for r in records))
-        # Record offsets moved: the index is rebuilt from the segments.
-        (store_dir / INDEX_NAME).unlink()
-
-        orchestrator = CampaignOrchestrator(store_dir)
-        report = orchestrator.resume()
         plan = plan_campaign(definition)
-        assert report.plan_hash == plan.plan_hash
-        assert len(report.skipped) == 2 and len(report.executed) == 4
-        assert report.complete
-        results = query_results(orchestrator.store)
-        assert [r.spec.content_hash() for r in results] == list(plan.items)
         sweep = {r.spec.content_hash(): r for r in ScenarioEngine().run_sweep(quick_base(), GRID)}
-        for result in results:
-            assert result.trials == sweep[result.spec.content_hash()].trials
+        for index, hints in enumerate(RETIRED_HINTS):
+            store_dir = tmp_path / f"c{index}.campaign"
+            run_campaign(definition, store_dir, shard_limit=1)
+            manifest_path = store_dir / MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            manifest["definition"]["base"].update(hints)
+            manifest_path.write_text(json.dumps(manifest))
+            for segment in (store_dir / SEGMENT_DIR).glob("*.ndjson"):
+                records = [json.loads(line) for line in segment.read_text().splitlines()]
+                for record in records:
+                    record["spec"].update(hints)
+                segment.write_text("".join(json.dumps(r) + "\n" for r in records))
+            # Record offsets moved: the index is rebuilt from the segments.
+            (store_dir / INDEX_NAME).unlink()
+
+            orchestrator = CampaignOrchestrator(store_dir)
+            report = orchestrator.resume()
+            assert report.plan_hash == plan.plan_hash
+            assert len(report.skipped) == 2 and len(report.executed) == 4
+            assert report.complete
+            results = query_results(orchestrator.store)
+            assert [r.spec.content_hash() for r in results] == list(plan.items)
+            for result in results:
+                assert result.trials == sweep[result.spec.content_hash()].trials
 
 
 class TestResultCacheInterop:

@@ -230,7 +230,7 @@ class TestPlanSweep:
         """Relabelling the campaign or its base spec never orphans a store."""
         definition = small_definition()
         relabelled = small_definition(
-            base=small_base(description="annotated", tags=("x",), backend="dense"),
+            base=small_base(description="annotated", tags=("x",)),
             description="notes",
             tags=("y",),
         )

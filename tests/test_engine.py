@@ -27,6 +27,7 @@ from repro.engine import (
     trial_seed_sequence,
 )
 from repro.engine.results import merge_metric
+from repro.estimation.backends import resolve_backend
 from repro.exceptions import ConfigurationError
 from repro.grid.cases import available_cases, load_case
 from repro.mtd.effectiveness import EffectivenessEvaluator
@@ -124,6 +125,14 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             small_spec(n_trials=0)
 
+    def test_unknown_design_method_rejected(self):
+        with pytest.raises(ConfigurationError, match="design_method"):
+            MTDSpec(design_method="two_stage")
+        with pytest.raises(ConfigurationError, match="design_method"):
+            small_spec().with_updates({"mtd.design_method": "Joint"})
+        for method in ("joint", "two-stage", "max-spa"):
+            assert MTDSpec(design_method=method).design_method == method
+
     def test_expand_grid(self):
         base = small_spec()
         specs = expand_grid(
@@ -194,7 +203,6 @@ class TestAttackerSide:
             run_trial(spec, index)
         assert counts == {"H": 1, "QR": 1}
         shared = evaluators[0].attacker_matrix
-        assert evaluators[0].backend == "sparse"
         assert len({id(e) for e in evaluators}) == 3
         assert all(e.attacker_matrix is shared for e in evaluators)
         assert not shared.flags.writeable
@@ -205,17 +213,23 @@ class TestAttackerSide:
         assert evaluators[-1].attacker_matrix is not shared
         clear_context_caches()
 
+    #: The factorization backend follows the case size: ieee14 runs on the
+    #: dense backend, synthetic118 (at least SPARSE_BUS_THRESHOLD buses) on
+    #: the sparse one.
+    CASES = {"dense": "ieee14", "sparse": "synthetic118"}
+
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("method", ["analytic", "monte-carlo"])
     @pytest.mark.parametrize("attack_seed", [1, None])
     def test_trials_match_the_public_constructor(self, attack_seed, method, backend):
         spec = small_spec(
+            grid=GridSpec(case=self.CASES[backend], baseline="dc-opf"),
             attack=AttackSpec(n_attacks=16, seed=attack_seed),
             detector=DetectorSpec(method=method, n_noise_trials=50),
-            backend=backend,
             n_trials=3,
         )
-        network = load_case("ieee14")
+        network = load_case(spec.grid.case)
+        assert resolve_backend("auto", n_buses=network.n_buses) == backend
         baseline = solve_dc_opf(network)
         for index in range(spec.n_trials):
             attack_seq, mtd_seq, noise_seq = trial_seed_sequence(spec.base_seed, index).spawn(3)
@@ -228,7 +242,6 @@ class TestAttackerSide:
                 n_attacks=spec.attack.n_attacks,
                 attack_ratio=spec.attack.ratio,
                 seed=attack_seed if attack_seed is not None else np.random.default_rng(attack_seq),
-                backend=backend,
             )
             sampler = RandomMTDBaseline(network, evaluator, max_relative_change=0.2)
             x = sampler.draw_perturbation(seed=np.random.default_rng(mtd_seq)).perturbed_reactances

@@ -3,9 +3,9 @@
 The headline contract: pooled trial execution is **bit-identical** to the
 serial per-trial path for the same seed, for every detector method and
 MTD policy, with the pool shipping trials in chunks of several trials.
-Also covers payloads stored before the ``batch_size`` execution hint was
-retired (they load to the same spec and hash) and the ``ResultCache``
-corruption/eviction paths.
+Also covers payloads stored before the ``batch_size`` and ``backend``
+execution hints were retired (they load to the same spec and hash) and
+the ``ResultCache`` corruption/eviction paths.
 """
 
 from __future__ import annotations
@@ -59,16 +59,22 @@ def assert_pooled_identical(spec):
     assert pooled.n_workers == 2
 
 
-#: ``small_spec().content_hash()`` as computed (with and without the hint)
+#: ``small_spec().content_hash()`` as computed (with and without the hints)
 #: by the versions that wrote such payloads.
 STORED_HASH = "b939ed777d228ac812bee36bfa5520365fd6ba29119a70f360772957cac3459c"
 
+#: Retired execution hints as stored payloads carried them: a
+#: ``batch_size`` alone, a ``backend`` alone, and both.
+RETIRED_HINTS = (
+    {"batch_size": 8},
+    {"backend": "sparse"},
+    {"batch_size": 8, "backend": "sparse"},
+)
 
-def parent_shaped(spec: ScenarioSpec) -> dict:
-    """``spec.to_dict()`` as stored by versions with a ``batch_size`` hint."""
-    payload = spec.to_dict()
-    payload["batch_size"] = 8
-    return payload
+
+def parent_shaped(spec: ScenarioSpec, hints: dict) -> dict:
+    """``spec.to_dict()`` as stored by versions with the retired ``hints``."""
+    return {**spec.to_dict(), **hints}
 
 
 class TestBatchedBitIdentity:
@@ -103,32 +109,37 @@ class TestBatchedBitIdentity:
 
 
 class TestBatchSizeKnob:
-    """The retired ``batch_size`` hint in payloads stored before its removal."""
+    """The retired ``batch_size`` and ``backend`` hints in payloads stored
+    before their removal."""
 
     def test_spec_field_round_trips(self):
         spec = small_spec()
-        assert ScenarioSpec.from_dict(parent_shaped(spec)) == spec
-        assert ScenarioSpec.from_json(json.dumps(parent_shaped(spec))) == spec
+        for hints in RETIRED_HINTS:
+            assert ScenarioSpec.from_dict(parent_shaped(spec, hints)) == spec
+            assert ScenarioSpec.from_json(json.dumps(parent_shaped(spec, hints))) == spec
         assert "batch_size" not in spec.to_dict()
+        assert "backend" not in spec.to_dict()
 
     def test_batch_size_excluded_from_content_hash(self):
         spec = small_spec()
-        loaded = ScenarioSpec.from_dict(parent_shaped(spec))
-        assert loaded.content_hash() == spec.content_hash() == STORED_HASH
+        for hints in RETIRED_HINTS:
+            loaded = ScenarioSpec.from_dict(parent_shaped(spec, hints))
+            assert loaded.content_hash() == spec.content_hash() == STORED_HASH
 
     def test_batched_and_serial_share_cache_entries(self, tmp_path):
-        """A cache entry whose stored spec carries the hint is a hit."""
-        cache = ResultCache(tmp_path)
+        """A cache entry whose stored spec carries the hints is a hit."""
         spec = small_spec()
-        first = ScenarioEngine(cache=cache).run(spec)
-        path = cache.path_for(spec)
-        payload = json.loads(path.read_text())
-        payload["spec"]["batch_size"] = 8
-        path.write_text(json.dumps(payload))
-        hit = ScenarioEngine(cache=cache).run(spec)
-        assert hit.from_cache
-        assert hit.spec == spec
-        assert hit.trials == first.trials
+        for index, hints in enumerate(RETIRED_HINTS):
+            cache = ResultCache(tmp_path / str(index))
+            first = ScenarioEngine(cache=cache).run(spec)
+            path = cache.path_for(spec)
+            payload = json.loads(path.read_text())
+            payload["spec"].update(hints)
+            path.write_text(json.dumps(payload))
+            hit = ScenarioEngine(cache=cache).run(spec)
+            assert hit.from_cache
+            assert hit.spec == spec
+            assert hit.trials == first.trials
 
 
 class TestResultCacheCorruption:

@@ -163,8 +163,8 @@ class TestBadDataDetector:
         attack = measurement14.matrix() @ rng.standard_normal(13)
         attack *= 0.02 / np.linalg.norm(attack) * 54
         analytic = detector.detection_probability(attack)
-        empirical = detector.detection_probability_monte_carlo(
-            attack, opf14.angles_rad, n_trials=400, rng=11
+        (empirical,) = detector.detection_probabilities_monte_carlo(
+            attack[None, :], opf14.angles_rad, n_trials=400, rng=11
         )
         assert empirical == pytest.approx(analytic, abs=0.08)
 
@@ -186,8 +186,8 @@ class TestBadDataDetector:
     def test_invalid_trial_counts_rejected(self, opf14, measurement14):
         detector = BadDataDetector(measurement14)
         with pytest.raises(EstimationError):
-            detector.detection_probability_monte_carlo(
-                np.zeros(54), opf14.angles_rad, n_trials=0
+            detector.detection_probabilities_monte_carlo(
+                np.zeros((1, 54)), opf14.angles_rad, n_trials=0
             )
         with pytest.raises(EstimationError):
             detector.empirical_false_positive_rate(opf14.angles_rad, n_trials=0)

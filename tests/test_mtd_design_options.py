@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.mtd.design as design_module
+from repro.exceptions import ConfigurationError, MTDDesignError
 from repro.grid.cases import case14
 from repro.mtd.design import (
     design_mtd_perturbation,
@@ -15,6 +17,23 @@ from repro.mtd.design import (
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import solve_reactance_opf
+
+
+class TestUnknownMethod:
+    """A misspelt design method is rejected, not run as the joint design."""
+
+    @pytest.mark.parametrize("method", ["two_stage", "Joint", "max_spa"])
+    def test_rejected_before_any_opf(self, net14, method, monkeypatch):
+        def no_opf(*args, **kwargs):
+            raise AssertionError("an OPF was solved before the method was checked")
+
+        monkeypatch.setattr(design_module, "solve_dc_opf", no_opf)
+        monkeypatch.setattr(design_module, "solve_reactance_opf", no_opf)
+        with pytest.raises(ConfigurationError, match="unknown design method") as info:
+            design_mtd_perturbation(net14, 0.2, method=method)
+        # Not a design failure: the saturate fallback and the sweeps that
+        # catch MTDDesignError must let it through.
+        assert not isinstance(info.value, MTDDesignError)
 
 
 class TestPreferredReactances:

@@ -34,17 +34,6 @@ class TestEffectivenessResult:
         assert result.eta(0.9) == pytest.approx(0.5)
         assert result.eta(0.99) == pytest.approx(0.25)
 
-    def test_eta_curve_matches_pointwise(self):
-        result = EffectivenessResult(
-            detection_probabilities=np.array([0.2, 0.8]),
-            false_positive_rate=5e-4,
-            method="analytic",
-            spa_source=lambda: 0.0,
-        )
-        np.testing.assert_allclose(
-            result.eta_curve([0.1, 0.5, 0.9]), [1.0, 0.5, 0.0]
-        )
-
     def test_invalid_delta_rejected(self):
         result = EffectivenessResult(
             detection_probabilities=np.array([0.5]),
@@ -188,16 +177,6 @@ class TestEffectivenessEvaluator:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_evaluate_perturbation_wrapper(self, net14, evaluator14):
-        from repro.mtd.perturbation import ReactancePerturbation
-
-        perturbation = ReactancePerturbation.random(net14, 0.4, seed=1)
-        direct = evaluator14.evaluate(perturbation.perturbed_reactances)
-        wrapped = evaluator14.evaluate_perturbation(perturbation)
-        np.testing.assert_allclose(
-            direct.detection_probabilities, wrapped.detection_probabilities
-        )
-
 
 def _side_and_perturbation(case: str, change: float):
     """The attacker side of ``case`` at its DC OPF point, and its reactances
@@ -226,14 +205,14 @@ class TestBasisForm:
     def test_probabilities_match_measurement_space(self, case, change):
         side, x = _side_and_perturbation(case, change)
         evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=60, seed=8)
-        assert evaluator.backend == ("dense" if case == "ieee14" else "sparse")
         got = evaluator.evaluate(x).detection_probabilities
-        detector = BadDataDetector(
-            MeasurementSystem.for_network(side.network, reactances=x),
-            backend=evaluator.backend,
-        )
+        # The measurement-space detector resolves its backend by bus count,
+        # as the evaluator's own detector does.
+        detector = BadDataDetector(MeasurementSystem.for_network(side.network, reactances=x))
+        backend = detector.model.backend
+        assert backend == ("dense" if case == "ieee14" else "sparse")
         expected = detector.detection_probabilities(evaluator.ensemble.attacks)
-        rtol = self.RTOL[evaluator.backend]
+        rtol = self.RTOL[backend]
         assert np.max(np.abs(got - expected) / expected) <= rtol
         alpha = detector.false_positive_rate
         if change == 0.0:

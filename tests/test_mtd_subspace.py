@@ -14,7 +14,6 @@ from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.subspace import (
     FactoredMatrix,
     is_orthogonal_complement,
-    largest_principal_angle,
     principal_angles,
     smallest_principal_angle,
     subspace_angle,
@@ -43,7 +42,7 @@ class TestPrincipalAngles:
         theta = np.pi / 6
         b = np.array([[np.cos(theta)], [np.sin(theta)]])
         assert smallest_principal_angle(a, b) == pytest.approx(theta)
-        assert largest_principal_angle(a, b) == pytest.approx(theta)
+        assert subspace_angle(a, b) == pytest.approx(theta)
 
     def test_angles_sorted_ascending(self, rng):
         A = rng.standard_normal((12, 4))
@@ -78,7 +77,7 @@ class TestDesignMetric:
     def test_subspace_angle_is_largest_principal_angle(self, rng):
         A = rng.standard_normal((15, 5))
         B = rng.standard_normal((15, 5))
-        assert subspace_angle(A, B) == pytest.approx(largest_principal_angle(A, B))
+        assert subspace_angle(A, B) == pytest.approx(_scipy_largest(A, B))
 
     def test_zero_for_identical_measurement_matrices(self, net14):
         H = reduced_measurement_matrix(net14)
@@ -151,8 +150,8 @@ class TestLargestAngleKernel:
             A = rng.standard_normal((n_rows, width_a))
             B = rng.standard_normal((n_rows, width_b))
             expected = _scipy_largest(A, B)
-            assert abs(largest_principal_angle(A, B) - expected) <= 1e-12
-            assert abs(largest_principal_angle(B, A) - expected) <= 1e-12
+            assert abs(subspace_angle(A, B) - expected) <= 1e-12
+            assert abs(subspace_angle(B, A) - expected) <= 1e-12
 
     @pytest.mark.parametrize("angle", [1e-9, 1e-7, 1e-5, 1e-3, 1e-2])
     def test_agrees_with_scipy_on_near_identical_spaces(self, rng, angle):
@@ -170,7 +169,7 @@ class TestLargestAngleKernel:
     def test_agrees_with_scipy_beyond_a_quarter_turn(self, rng, angle):
         for width in (1, 4, 13):
             A, B = _rotated_pair(rng, 54, width, angle)
-            gamma = largest_principal_angle(A, B)
+            gamma = subspace_angle(A, B)
             assert abs(gamma - _scipy_largest(A, B)) <= 1e-12
             assert abs(gamma - angle) <= 1e-12
 
@@ -183,14 +182,14 @@ class TestLargestAngleKernel:
         """
         for width in (1, 4, 13):
             A, B = _rotated_pair(rng, 54, width, np.pi / 2 - offset)
-            assert abs(largest_principal_angle(A, B) - (np.pi / 2 - offset)) <= 1e-12
+            assert abs(subspace_angle(A, B) - (np.pi / 2 - offset)) <= 1e-12
 
     def test_rank_deficient_input_raises(self, rng):
         A = rng.standard_normal((20, 5))
         A[:, 4] = A[:, 1]
         B = rng.standard_normal((20, 5))
         with pytest.raises(ValueError, match="full-column-rank"):
-            largest_principal_angle(A, B)
+            subspace_angle(A, B)
         with pytest.raises(ValueError, match="full-column-rank"):
             subspace_angle(B, A)
         model = LinearModel(B, np.ones(20))
@@ -268,7 +267,6 @@ class TestFactoredMatrix:
             assert model.backend == backend
             assert subspace_angle(factored, model) == subspace_angle(H, model)
             assert subspace_angle(factored, H_post) == subspace_angle(H, H_post)
-            assert subspace_angle(factored, H_post) == largest_principal_angle(H, H_post)
 
     def test_rank_deficient_input_raises_on_first_use(self, rng):
         A = rng.standard_normal((20, 5))
