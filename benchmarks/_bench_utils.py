@@ -94,7 +94,9 @@ def _append_history(out_dir: Path, record: dict) -> None:
     One fsync'd line per emission into ``history.ndjson`` next to the
     BENCH records; ``scripts/check_bench_manifest.py --compare`` reads it
     back to flag regressions.  Records with no recognised headline metric
-    are skipped (nothing to trend).
+    are skipped (nothing to trend).  A record's ``history_seconds``
+    mapping, if any, rides along as the line's ``seconds``: the absolute
+    timings behind a ratio headline.
     """
     for candidate in KEY_METRIC_CANDIDATES:
         value = record.get(candidate)
@@ -111,6 +113,8 @@ def _append_history(out_dir: Path, record: dict) -> None:
         "metric": metric,
         "value": metric_value,
     }
+    if isinstance(record.get("history_seconds"), dict):
+        entry["seconds"] = record["history_seconds"]
     line = (json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n").encode()
     with (out_dir / "history.ndjson").open("ab") as handle:
         handle.write(line)

@@ -95,11 +95,11 @@ def _grid_context(
     """The (deterministic) post-contingency network, no-MTD operating point
     and the attacker's side at that point.
 
-    The side holds ``H_t`` (and, after the first analytic evaluation or
-    SPA, its thin-QR factors ``Q_t`` and ``R_t``): two dense ``(M, n)``
-    arrays per memoised context, about 6.6 MB at 300 buses and 135 MB at
-    1354, plus the ``(n, n)`` ``R_t`` (0.7 and 14.6 MB) and a CSR copy of
-    ``H_t``.
+    The side holds ``H_t``: one dense ``(M, n)`` array per memoised
+    context, about 3.3 MB at 300 buses and 67 MB at 1354, plus a CSR copy
+    of ``H_t``, the sparse D-FACTS columns ``U`` and two ``(k, k)``
+    matrices, ``UᵀU`` and (after the first SPA) the angle factor ``R``:
+    0.2 and 4.3 MB each at 162 and 731 D-FACTS branches.
     """
     network = apply_contingency(network_for_grid(grid), contingency)
     if grid.baseline == "reactance-opf":

@@ -8,10 +8,11 @@ batched kernels: the state estimate
 the column space (:meth:`FactorizationBackend.project_weighted`), from
 which the model derives every residual norm and attack residual.  A third
 query, :meth:`FactorizationBackend.residual_gram`, gives the ``k × k``
-matrix ``S`` of an orthonormal basis against the factored column space:
-:func:`~repro.mtd.subspace.subspace_angle` reads the SPA from its largest
-eigenvalue, and the detector prices attacks given as coordinates in that
-basis by its quadratic form.  Two first-class implementations
+matrix ``K = Uᵀ(I − P)U`` of any column block ``U`` against the factored
+column space: the detector prices attacks whose residuals are those of
+``Uc`` by its quadratic form, and
+:func:`~repro.mtd.subspace.subspace_angle` reads the SPA of a rank-``k``
+change along ``U`` from it.  Two first-class implementations
 exist:
 
 ``dense`` — :class:`DenseQRBackend`
@@ -34,8 +35,9 @@ exist:
     measurements ``W^{1/2}Hθ̂`` (mathematically identical to the
     projector form; the tier-1 agreement tests pin the two paths to
     ~1e-9 relative tolerance), and the residual Gram is
-    ``S = I − WᵀW`` with ``W = L⁻¹H_wᵀB``: one BLAS-3 triangular solve
-    and one symmetric product.  The observability guard is derived from
+    ``K = UᵀU − WᵀW`` with ``W = L⁻¹H_wᵀU``: one sparse product, one
+    ``n × k`` triangular solve and one symmetric product.  The
+    observability guard is derived from
     the factorisation itself — a ``G`` that is not positive definite, or
     a vanishing pivot ``diag(L)²`` — instead of a dense SVD, so the guard
     stops being the O(M·n²) bottleneck.
@@ -179,12 +181,17 @@ class FactorizationBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
-        """``S = Bᵀ(I − P)B`` for an orthonormal ``(M, k)`` basis ``B``.
+    def residual_gram(
+        self, block: MatrixLike, block_gram: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``K = Uᵀ(I − P)U`` for an ``(M, k)`` column block ``U``.
 
-        ``P`` projects onto ``Col(W^{1/2}H)``; ``S`` is ``(k, k)``, and its
-        largest eigenvalue is ``sin²`` of the largest principal angle
-        between ``Col(B)`` and that column space.
+        ``P`` projects onto ``Col(W^{1/2}H)``; ``K`` is ``(k, k)``.  ``U``
+        is any dense or sparse block, not only an orthonormal basis (for
+        one, ``λ_max(K)`` is ``sin²`` of the largest principal angle
+        between ``Col(U)`` and that column space).  ``block_gram`` is
+        ``UᵀU`` when the caller keeps it; a backend that needs it forms
+        it otherwise.
         """
 
     # -- dense-only accessors ------------------------------------------
@@ -266,9 +273,13 @@ class DenseQRBackend(FactorizationBackend):
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return (weighted @ self._q) @ self._q.T
 
-    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
-        # Sine form E = B − Q(QᵀB): S = EᵀE keeps its digits at small angles.
-        residual = basis - self._q @ (self._q.T @ basis)
+    def residual_gram(
+        self, block: MatrixLike, block_gram: np.ndarray | None = None
+    ) -> np.ndarray:
+        # Sine form E = U − Q(QᵀU): K = EᵀE keeps the digits of a residual
+        # that is small against U, so it needs no UᵀU.
+        U = block.toarray() if scipy.sparse.issparse(block) else block
+        residual = U - self._q @ (self._q.T @ U)
         return residual.T @ residual
 
 
@@ -351,14 +362,21 @@ class SparseQlessBackend(FactorizationBackend):
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return np.asarray((self._Hw @ self._solve_gain(weighted)).T)
 
-    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
-        # P = H_w G⁻¹ H_wᵀ with G = LLᵀ, so BᵀPB = WᵀW for W = L⁻¹H_wᵀB:
+    def residual_gram(
+        self, block: MatrixLike, block_gram: np.ndarray | None = None
+    ) -> np.ndarray:
+        # P = H_w G⁻¹ H_wᵀ with G = LLᵀ, so UᵀPU = WᵀW for W = L⁻¹H_wᵀU:
         # one triangular solve with k right-hand sides, no (M, n) factor.
+        # The difference UᵀU − WᵀW keeps its digits unless U lies close to
+        # Col(H); a block of D-FACTS columns does not.
+        U = scipy.sparse.csc_matrix(block)
         whitened = scipy.linalg.solve_triangular(
-            self._chol, np.asarray(self._Hw.T @ basis),
+            self._chol, (self._Hw.T @ U).toarray(),
             lower=True, overwrite_b=True, check_finite=False,
         )
-        return np.eye(basis.shape[1]) - whitened.T @ whitened
+        if block_gram is None:
+            block_gram = (U.T @ U).toarray()
+        return block_gram - whitened.T @ whitened
 
 
 def build_backend(

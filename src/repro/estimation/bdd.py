@@ -21,14 +21,17 @@ the scalar methods are thin wrappers over a batch of one (the empirical
 false-positive rate is the zero attack), so scalar and batched results are
 bit-identical by construction.
 
-Attacks built as ``a = H_t b`` from a known matrix ``H_t = Q_tR_t`` can
-also be handed over in the *basis form*: their coordinates ``y = R_t b``
-in the orthonormal basis ``Q_t``.  The noncentralities are then quadratic
-forms ``σ⁻² yᵀSy`` of one ``n × n`` matrix ``S = Q_tᵀ(I − P)Q_t``
-(:meth:`~repro.estimation.linear_model.LinearModel.residual_gram`), and no
-attack is projected in measurement space.  Both forms give the same
+Attacks built as ``a = H_t b`` from a known matrix ``H_t`` can also be
+handed over in the *rank-k form*, when the detector's ``H`` differs from
+``H_t`` by a rank-``k`` change ``U diag(Δb) A_Dᵀ`` (a D-FACTS
+perturbation of ``k`` branches).  The detector's residual of ``a`` is then
+that of ``U c`` with ``c = Δb ⊙ A_Dᵀb``, so every noncentrality is a
+quadratic form ``σ⁻² cᵀKc`` of one ``k × k`` matrix ``K = Uᵀ(I − P)U``
+(a :class:`~repro.estimation.linear_model.ResidualGram`), and no attack is
+projected in measurement space.  Both forms give the same
 probabilities to rounding; the measurement-space form stays the general
-one (learned attacks, Monte Carlo).
+one (learned attacks, Monte Carlo, perturbations of branches without
+D-FACTS).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from scipy import stats
 
 from repro.exceptions import EstimationError
 from repro.estimation.backends import BACKEND_AUTO
-from repro.estimation.linear_model import LinearModel
+from repro.estimation.linear_model import LinearModel, ResidualGram
 from repro.estimation.measurement import MeasurementSystem
 from repro.utils.rng import as_generator
 
@@ -165,21 +168,21 @@ class BadDataDetector:
         return float(self.detection_probabilities(a[None, :])[0])
 
     def detection_probabilities(
-        self, attacks: np.ndarray, basis: np.ndarray | None = None
+        self, attacks: np.ndarray, gram: ResidualGram | None = None
     ) -> np.ndarray:
         """Closed-form detection probabilities of a whole attack batch.
 
         Parameters
         ----------
         attacks:
-            Stacked attack vectors, shape ``(B, M)``; with ``basis``, their
-            coordinates ``y_i`` in it, shape ``(B, k)``, with
-            ``a_i = basis @ y_i``.
-        basis:
-            Optional orthonormal ``(M, k)`` basis of the attacks (the basis
-            form, see the module docstring).  A read-only basis lets the
-            model keep the ``k × k`` Gram for a later
-            :func:`~repro.mtd.subspace.subspace_angle` of the same basis.
+            Stacked attack vectors, shape ``(B, M)``; with ``gram``, their
+            rank-k coordinates ``c_i``, shape ``(B, k)`` (see the module
+            docstring).
+        gram:
+            Optional :class:`~repro.estimation.linear_model.ResidualGram`
+            ``K = Uᵀ(I − P)U`` of the block ``U`` the coordinates refer to,
+            against this detector's :attr:`model`; read (and formed, if
+            no one has yet) here.
 
         Returns
         -------
@@ -194,7 +197,7 @@ class BadDataDetector:
         noncentral-χ² survival evaluation — the per-attack Python loop of
         the reference implementation is gone.
         """
-        lams = self._model.attack_noncentralities(attacks, basis=basis)
+        lams = self._model.attack_noncentralities(attacks, gram=gram)
         probabilities = np.full(lams.shape, self._alpha)
         visible = lams > 0.0
         if np.any(visible):

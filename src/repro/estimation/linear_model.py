@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,13 +107,12 @@ class LinearModel:
     without materialising ``Q``; results agree with the dense backend to
     solver tolerance (the tier-1 agreement tests pin the bound).
 
-    For attacks ``a_i = B c_i`` given as coordinates in an orthonormal
-    basis ``B`` (the attacker's ``Q_t``), every noncentrality is a
-    quadratic form of one ``k × k`` matrix, ``λ_i = σ⁻² c_iᵀ S c_i`` with
-    ``S = Bᵀ(I − P)B`` from :meth:`residual_gram`, and ``sin²`` of the
-    largest principal angle is ``λ_max(S)``.  The model keeps the last
-    ``S`` it formed for a read-only basis, so the BDD and the SPA of one
-    perturbation share one Gram.
+    For attacks whose residuals are those of ``U c_i`` for a column block
+    ``U`` (a D-FACTS perturbation's rank-``k`` change, seen from the
+    attacker's ``H``), every noncentrality is a quadratic form of one
+    ``k × k`` matrix, ``λ_i = σ⁻² c_iᵀ K c_i`` with ``K = Uᵀ(I − P)U``
+    from :meth:`residual_gram`.  The model keeps no ``K``: a
+    :class:`ResidualGram` holds one for every query that reads it.
     """
 
     def __init__(
@@ -153,8 +153,6 @@ class LinearModel:
             _metrics.counter("estimation.factorizations")
             _metrics.counter(f"estimation.backend.{resolved}")
             _metrics.histogram("estimation.factorize_seconds", elapsed)
-        # (basis, S) of the last residual_gram() call on a read-only basis.
-        self._kept_gram: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -210,54 +208,49 @@ class LinearModel:
         """Residual degrees of freedom ``M − n`` of the χ² statistic."""
         return self.n_measurements - self.n_states
 
-    def residual_gram(self, basis: np.ndarray) -> np.ndarray:
-        """``S = Bᵀ(I − P)B`` for an orthonormal basis ``B`` of another space.
+    def residual_gram(
+        self, block: MatrixLike, block_gram: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``K = Uᵀ(I − P)U`` for a column block ``U`` of another space.
 
         Parameters
         ----------
-        basis:
-            Orthonormal columns, shape ``(M, k)``.
+        block:
+            Any ``(M, k)`` block ``U``, dense or sparse; for an orthonormal
+            one, ``λ_max(K)`` is ``sin²`` of the largest principal angle
+            between ``Col(U)`` and ``Col(H)``.
+        block_gram:
+            ``UᵀU``, when the caller keeps it.  The sparse backend forms
+            ``K = UᵀU − WᵀW`` and takes it instead of forming it; the
+            dense backend's sine form does not need it.
 
         Returns
         -------
         numpy.ndarray
             ``(k, k)`` matrix, with ``P`` the orthogonal projector onto
-            ``Col(H)``; ``λ_max(S)`` is ``sin²`` of the largest principal
-            angle between ``Col(B)`` and ``Col(H)``.  The dense backend
-            forms it from its own ``Q``, the sparse backend through its
-            gain Cholesky — neither builds nor refactors ``H``.
-
-            A read-only ``basis`` is taken to be immutable: the model
-            keeps the last ``S`` formed for one, read-only too, and
-            returns it again while the same basis object is passed.  A
-            writeable basis is never answered from the kept ``S``, and
-            gets a fresh, writeable one.
+            ``Col(H)``.  The dense backend forms it from its own ``Q``, the
+            sparse backend through its gain Cholesky — neither builds nor
+            refactors ``H``.
 
         Raises
         ------
         EstimationError
-            If ``basis`` is not ``(M, k)``, or the weights are not uniform:
+            If ``block`` is not ``(M, k)``, or the weights are not uniform:
             the factorization then spans ``Col(W^{1/2}H)``, which is not
             ``Col(H)``.
         """
-        kept = self._kept_gram
-        if kept is not None and kept[0] is basis and not basis.flags.writeable:
-            return kept[1]
-        B = np.asarray(basis, dtype=float)
-        if B.ndim != 2 or B.shape[0] != self.n_measurements:
+        if not scipy.sparse.issparse(block):
+            block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != self.n_measurements:
             raise EstimationError(
-                f"expected a basis of shape ({self.n_measurements}, k), got {B.shape}"
+                f"expected a block of shape ({self.n_measurements}, k), got {block.shape}"
             )
         if np.any(self._sqrt_w != self._sqrt_w[0]):
             raise EstimationError(
                 "residual_gram needs uniform weights: a weighted factorization "
                 "does not span Col(H)"
             )
-        gram = self._fact.residual_gram(B)
-        if B is basis and not B.flags.writeable:
-            gram.flags.writeable = False
-            self._kept_gram = (B, gram)
-        return gram
+        return self._fact.residual_gram(block, block_gram)
 
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         """Noiseless measurements ``Hθ`` of a state vector or stack.
@@ -393,38 +386,78 @@ class LinearModel:
         return np.linalg.norm(residuals, axis=1)
 
     def attack_noncentralities(
-        self, attacks: np.ndarray, basis: np.ndarray | None = None
+        self, attacks: np.ndarray, gram: ResidualGram | None = None
     ) -> np.ndarray:
         """Noncentrality parameters ``λ_i = ‖W^{1/2}(I − Γ)a_i‖²``.
 
         Parameters
         ----------
         attacks:
-            Attack vectors, shape ``(B, M)``; with ``basis``, their
-            coordinates ``c_i`` in it instead, shape ``(B, k)``, so that
-            ``a_i = basis @ c_i``.
-        basis:
-            Optional orthonormal ``(M, k)`` basis the coordinates refer
-            to.  The noncentralities are then the quadratic forms
-            ``w c_iᵀ S c_i`` of :meth:`residual_gram`'s ``S`` (which needs
-            uniform weights ``w``), and no attack is projected in
-            measurement space.
+            Attack vectors, shape ``(B, M)``; with ``gram``, coordinates
+            ``c_i`` instead, shape ``(B, k)``: the residual of ``a_i`` is
+            that of ``U c_i`` (up to sign) for the block ``U`` of the Gram.
+        gram:
+            Optional :class:`ResidualGram` of that block against this model
+            (which needs uniform weights ``w``).  The noncentralities are
+            then the quadratic forms ``w c_iᵀ K c_i``, and no attack is
+            projected in measurement space.
 
         Returns
         -------
         numpy.ndarray
             Noncentralities of the residual χ² statistic, shape ``(B,)``.
+
+        Raises
+        ------
+        EstimationError
+            If the Gram belongs to another model, or the coordinates do not
+            have one column per column of its block.
         """
-        if basis is None:
+        if gram is None:
             return self.attack_residual_norms(attacks) ** 2
-        gram = self.residual_gram(basis)
+        if gram.model is not self:
+            raise EstimationError("the residual Gram belongs to another model")
+        K = gram.matrix
         C = np.asarray(attacks, dtype=float)
-        if C.ndim != 2 or C.shape[1] != gram.shape[0]:
+        if C.ndim != 2 or C.shape[1] != K.shape[0]:
             raise EstimationError(
-                f"expected coordinates of shape (B, {gram.shape[0]}), got {C.shape}"
+                f"expected coordinates of shape (B, {K.shape[0]}), got {C.shape}"
             )
         weight = self._sqrt_w[0] ** 2
-        return weight * np.einsum("ij,ij->i", C @ gram, C)
+        return weight * np.einsum("ij,ij->i", C @ K, C)
 
 
-__all__ = ["LinearModel", "BatchStateEstimate"]
+class ResidualGram:
+    """``K = Uᵀ(I − P)U`` of one column block against one model, formed on first read.
+
+    One perturbation's rank-``k`` noncentralities
+    (:meth:`LinearModel.attack_noncentralities`) and its angle
+    (:func:`~repro.mtd.subspace.subspace_angle` of a
+    :class:`~repro.mtd.subspace.RankKChange`) read the same ``K``.  Handed
+    to both, this forms it in whichever reads it first, through
+    :meth:`LinearModel.residual_gram`, and keeps it; if neither reads it,
+    it is never formed.
+
+    Parameters
+    ----------
+    model:
+        The model whose projector ``P`` the Gram is taken against.
+    block, block_gram:
+        ``U`` and, optionally, ``UᵀU``, as for
+        :meth:`LinearModel.residual_gram`.
+    """
+
+    def __init__(
+        self, model: LinearModel, block: MatrixLike, block_gram: np.ndarray | None = None
+    ) -> None:
+        self.model = model
+        self._block = block
+        self._block_gram = block_gram
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``K``, shape ``(k, k)``."""
+        return self.model.residual_gram(self._block, self._block_gram)
+
+
+__all__ = ["LinearModel", "BatchStateEstimate", "ResidualGram"]

@@ -16,19 +16,26 @@ Each evaluation also reports the perturbation's subspace angle
 ``γ(H, H')`` (Section V-C), read from the detector's own factorization of
 ``H'`` when first asked for.
 
-Both come from one ``n × n`` matrix per perturbation.  With the thin QR
-``H = QR`` of the attacker's matrix, every attack ``a_k = Hb_k`` is
-``Q y_k`` with ``y_k = R b_k``; an analytic evaluation hands the detector
-these coordinates, which prices them as ``σ⁻² y_kᵀSy_k`` from
-``S = Qᵀ(I − P')Q``, and the angle is ``arcsin √λ_max(S)`` of the same
-``S``, kept by the detector's model.
+Both come from one ``k × k`` matrix per perturbation.  A D-FACTS
+perturbation of the ``k`` branches ``D`` changes the attacker's ``H`` by
+``H′ − H = U diag(Δb) A_Dᵀ``, with ``u_j = [e_j; −e_j; a_j]`` the forward-
+flow, reverse-flow and injection rows of branch ``j``, ``A_D`` its columns
+of the reduced incidence and ``Δb`` the susceptance changes.  An attack
+``a = Hb`` then leaves the detector a residual ``−(I − P′)Uc`` with
+``c = Δb ⊙ A_Dᵀb`` — the state bias's differences across the changed
+branches — so the detector prices it as ``σ⁻² cᵀKc`` from
+``K = Uᵀ(I − P′)U``, and the angle is ``arcsin √λ_max(X K Xᵀ)`` of the
+same ``K`` with ``X = R diag(Δb)`` (see :mod:`repro.mtd.subspace`).  A
+perturbation that also changes a branch without D-FACTS, and every
+Monte-Carlo evaluation, prices its attacks in measurement space.
 
 Everything an evaluator knows before its ensemble — the attacker's ``H``
 (dense, and a CSR copy for the ensemble product), the reference
-measurements ``z`` and, on first use, the factors ``Q`` and ``R`` of
-``H`` — is an :class:`AttackerSide`.  It depends only on the network, the
-attacker's reactances and the operating angles, so the scenario engine
-builds it once per scenario context and every trial's evaluator shares it
+measurements ``z`` and the rank-``k`` factors ``U``, ``UᵀU``, ``A_D`` and,
+on first use, ``R`` — is an :class:`AttackerSide`.  It depends only on the
+network, the attacker's reactances and the operating angles, so the
+scenario engine builds it once per scenario context and every trial's
+evaluator shares it
 (:meth:`EffectivenessEvaluator.for_attacker_side`).
 """
 
@@ -39,14 +46,17 @@ from functools import cached_property, partial
 from typing import Callable, Literal
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
+from repro.estimation.linear_model import ResidualGram
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
+from repro.grid.matrices import _reciprocal_reactances
 from repro.grid.network import PowerNetwork
-from repro.mtd.subspace import FactoredMatrix, subspace_angle
+from repro.mtd.subspace import RankKChange, subspace_angle
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
@@ -125,10 +135,11 @@ class AttackerSide:
     are read-only: a caller writing into them would corrupt every evaluator
     that shares the side.
 
-    Memory: :attr:`matrix` holds two dense ``(M, n)`` arrays once its basis
-    has been read — ``H`` and ``Q`` — about 6.6 MB at 300 buses and 135 MB
-    at 1354, plus the ``(n, n)`` factor ``R`` (0.7 and 14.6 MB);
-    :attr:`sparse_matrix` adds ``O(nnz(H))``.
+    Memory: :attr:`matrix` is one dense ``(M, n)`` array, about 3.3 MB at
+    300 buses and 67 MB at 1354; :attr:`sparse_matrix` and
+    :attr:`change_columns` add ``O(nnz(H))``, :attr:`change_gram` and,
+    once read, :attr:`angle_factor` one ``(k, k)`` array each (0.2 and
+    4.3 MB at 162 and 731 D-FACTS branches).
 
     Attributes
     ----------
@@ -139,25 +150,43 @@ class AttackerSide:
     operating_angles:
         The true bus angles of the operating point, shape ``(N,)``.
     matrix:
-        The attacker's measurement matrix ``H`` (``matrix.matrix``) with its
-        thin-QR factors ``Q`` (``matrix.basis``) and ``R``
-        (``matrix.triangular``), computed on the first read of either.
+        The attacker's measurement matrix ``H``.
     sparse_matrix:
         A CSR copy of the same ``H``, for the ensemble product ``a = Hb``.
         It is converted from the dense array, not assembled by the grid's
         sparse builder (whose entries may differ by an ulp), so the
-        attacks, ``Q`` and ``R`` all come from one matrix.
+        attacks and ``H`` are one matrix.
     reference_measurements:
         The noiseless measurements ``z = Hθ`` the attack magnitudes are
         scaled against.
+    base_susceptances:
+        The attacker's branch susceptances ``b = 1/x``, zero on branches
+        out of service, shape ``(L,)``.
+    dfacts:
+        The ``k`` in-service D-FACTS branches ``D``, ascending.
+    change_columns:
+        ``U``, shape ``(M, k)``, CSC: column ``j`` is
+        ``[e_j; −e_j; a_j]`` for branch ``D[j]``, so that a perturbation
+        of those branches gives ``H′ − H = U diag(Δb) A_Dᵀ``.
+    change_gram:
+        ``UᵀU``, shape ``(k, k)``.
+    incidence_t:
+        ``A_Dᵀ``, the transposed reduced incidence of those branches,
+        shape ``(k, n)``, CSR: ``A_Dᵀb`` is a state bias's difference
+        across each branch.
     """
 
     network: PowerNetwork
     base_reactances: np.ndarray
     operating_angles: np.ndarray
-    matrix: FactoredMatrix
+    matrix: np.ndarray
     sparse_matrix: scipy.sparse.csr_matrix
     reference_measurements: np.ndarray
+    base_susceptances: np.ndarray
+    dfacts: np.ndarray
+    change_columns: scipy.sparse.csc_matrix
+    change_gram: np.ndarray
+    incidence_t: scipy.sparse.csr_matrix
 
     @classmethod
     def build(
@@ -179,13 +208,72 @@ class AttackerSide:
             )
         base = network.reactances() if base_reactances is None else np.asarray(base_reactances, dtype=float)
         system = MeasurementSystem.for_network(network, reactances=base)
-        matrix = FactoredMatrix(system.matrix())
-        sparse = scipy.sparse.csr_matrix(matrix.matrix)
-        for array in (sparse.data, sparse.indices, sparse.indptr):
+        matrix = system.matrix()
+        sparse = scipy.sparse.csr_matrix(matrix)
+        reference = matrix @ system.reduce_angles(angles)
+        topology = network.arrays.topology
+        susceptances = _reciprocal_reactances(network.arrays, base)
+        dfacts = np.asarray(network.dfacts_branches, dtype=np.intp)
+        incidence = topology.incidence_sparse()[:, dfacts]
+        flows = scipy.sparse.identity(network.n_branches, format="csc")[:, dfacts]
+        columns = scipy.sparse.vstack([flows, -flows, incidence], format="csc")
+        gram = (columns.T @ columns).toarray()
+        incidence_t = incidence[topology.non_slack()].T.tocsr()
+        for array in (
+            matrix, sparse.data, sparse.indices, sparse.indptr, reference, susceptances,
+            dfacts, columns.data, columns.indices, columns.indptr, gram,
+            incidence_t.data, incidence_t.indices, incidence_t.indptr,
+        ):
             array.flags.writeable = False
-        reference = matrix.matrix @ system.reduce_angles(angles)
-        reference.flags.writeable = False
-        return cls(network, base, angles, matrix, sparse, reference)
+        return cls(
+            network, base, angles, matrix, sparse, reference,
+            susceptances, dfacts, columns, gram, incidence_t,
+        )
+
+    @cached_property
+    def angle_factor(self) -> np.ndarray:
+        """The triangular ``R`` with ``RᵀR = A_Dᵀ(HᵀH)⁻¹A_D``, read-only.
+
+        Computed on first read (only the SPA needs it) and kept, by
+        :func:`_angle_factor`: ``R`` is the triangular factor of
+        ``L⁻¹A_D``, with ``HᵀH = LLᵀ``.  Shape ``(min(n, k), k)``.
+        """
+        factor = _angle_factor(self.sparse_matrix, self.incidence_t)
+        factor.flags.writeable = False
+        return factor
+
+    def susceptance_change(self, reactances: np.ndarray) -> np.ndarray | None:
+        """``Δb`` on the D-FACTS branches, or ``None`` if another branch changed.
+
+        Takes the susceptances masked by branch status, so a perturbed
+        reactance of a branch out of service changes nothing.  With
+        ``None``, the perturbation is no rank-``k`` change along
+        :attr:`change_columns`.
+        """
+        change = _reciprocal_reactances(self.network.arrays, reactances) - self.base_susceptances
+        on_dfacts = change[self.dfacts]
+        if np.count_nonzero(change) != np.count_nonzero(on_dfacts):
+            return None
+        return on_dfacts
+
+
+def _angle_factor(
+    matrix: scipy.sparse.csr_matrix, incidence_t: scipy.sparse.csr_matrix
+) -> np.ndarray:
+    """The triangular factor ``R`` of ``L⁻¹A_D``, with ``HᵀH = LLᵀ``.
+
+    One dense Cholesky of the ``n × n`` gain, one triangular solve with
+    ``k`` right-hand sides and one QR; raises
+    :class:`numpy.linalg.LinAlgError` (a :class:`ValueError`) if ``H`` is
+    rank deficient.
+    """
+    chol = scipy.linalg.cholesky(
+        (matrix.T @ matrix).toarray(), lower=True, overwrite_a=True, check_finite=False
+    )
+    whitened = scipy.linalg.solve_triangular(
+        chol, incidence_t.T.toarray(), lower=True, overwrite_b=True, check_finite=False
+    )
+    return np.linalg.qr(whitened, mode="r")
 
 
 class EffectivenessEvaluator:
@@ -278,9 +366,11 @@ class EffectivenessEvaluator:
         )
 
     @cached_property
-    def _coordinates(self) -> np.ndarray:
-        """The ensemble's attacks in the basis ``Q``: rows ``y_k = R b_k``."""
-        return self._ensemble.state_biases @ self._side.matrix.triangular.T
+    def _branch_differences(self) -> np.ndarray:
+        """``A_Dᵀb_k`` for every attack: its state-bias differences across
+        the D-FACTS branches, shape ``(n_attacks, k)``."""
+        differences: np.ndarray = (self._side.incidence_t @ self._ensemble.state_biases.T).T
+        return differences
 
     # ------------------------------------------------------------------
     @property
@@ -291,7 +381,7 @@ class EffectivenessEvaluator:
     @property
     def attacker_matrix(self) -> np.ndarray:
         """The attacker's (pre-perturbation) measurement matrix ``H``, read-only."""
-        return self._side.matrix.matrix
+        return self._side.matrix
 
     @property
     def base_reactances(self) -> np.ndarray:
@@ -311,12 +401,12 @@ class EffectivenessEvaluator:
 
         Builds the post-perturbation :class:`BadDataDetector` and returns
         its detection probabilities for the evaluator's attack ensemble,
-        together with the subspace angle ``γ(H, H')``, read from the
-        detector's factorization of ``H'`` on first access of
-        :attr:`EffectivenessResult.spa`.  The analytic method prices the
-        attacks by their coordinates in the basis of ``H``, so it forms
-        the ``n × n`` matrix the angle is read from, and reading the angle
-        afterwards costs one eigenvalue.
+        together with the subspace angle ``γ(H, H')``, computed on first
+        access of :attr:`EffectivenessResult.spa`.  For a perturbation of
+        D-FACTS branches only, the analytic method prices the attacks by
+        their rank-``k`` coordinates from one ``k × k`` matrix ``K`` (see
+        the module docstring), and reading the angle afterwards reuses
+        ``K``.
 
         Parameters
         ----------
@@ -340,11 +430,11 @@ class EffectivenessEvaluator:
                 f"unknown detection method {method!r}; use 'analytic' or 'monte-carlo'"
             )
         detector = self._build_detector(perturbed_reactances)
-        if method == "analytic":
-            probabilities = detector.detection_probabilities(
-                self._coordinates, basis=self._side.matrix.basis
-            )
-        else:
+        change = self._side.susceptance_change(perturbed_reactances)
+        # K of the side's D-FACTS columns, formed by its first reader: the
+        # analytic P_D, or the angle after a Monte-Carlo evaluation.
+        gram = ResidualGram(detector.model, self._side.change_columns, self._side.change_gram)
+        if method == "monte-carlo":
             rng = as_generator(seed)
             angles = (
                 self._side.operating_angles
@@ -354,15 +444,31 @@ class EffectivenessEvaluator:
             probabilities = detector.detection_probabilities_monte_carlo(
                 self._ensemble.attacks, angles, n_trials=n_noise_trials, rng=rng
             )
+        elif change is None:
+            probabilities = detector.detection_probabilities(self._ensemble.attacks)
+        else:
+            probabilities = detector.detection_probabilities(
+                self._branch_differences * change, gram=gram
+            )
         return EffectivenessResult(
             detection_probabilities=probabilities,
             false_positive_rate=self._alpha,
             method=method,
-            # Lazy: only the random policy reads the angle.  After an
-            # analytic evaluation it is one eigenvalue of the Gram the
-            # detector's model kept; a Monte-Carlo one forms it on read.
-            spa_source=partial(subspace_angle, self._side.matrix, detector.model),
+            # Lazy: only the random policy reads the angle.
+            spa_source=partial(self._angle, detector, change, gram),
         )
+
+    def _angle(
+        self, detector: BadDataDetector, change: np.ndarray | None, gram: ResidualGram
+    ) -> float:
+        """``γ(H, H′)`` of an evaluated perturbation, on the first read of its spa.
+
+        From the rank-``k`` form, with the evaluation's ``K``, when
+        ``change`` holds the perturbation's ``Δb``; otherwise from ``H′``.
+        """
+        if change is None:
+            return subspace_angle(self._side.matrix, detector.system.matrix())
+        return subspace_angle(RankKChange(gram, self._side.angle_factor, change))
 
     def false_alarm_rate(
         self,

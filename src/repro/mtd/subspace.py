@@ -49,12 +49,7 @@ column rank, as every measurement matrix of an observable network does.
 A rank-deficient input raises :class:`ValueError` instead of being
 measured against a spurious direction.
 
-:func:`subspace_angle` also accepts the post-perturbation side as the
-:class:`~repro.estimation.linear_model.LinearModel` that already factors
-it (the BDD's own model), and then reads ``sin²γ`` from the model's
-:meth:`~repro.estimation.linear_model.LinearModel.residual_gram` — the
-same ``k × k`` matrix without building ``H'`` or factoring it a second
-time.  :func:`principal_angles` and :func:`smallest_principal_angle` keep
+:func:`principal_angles` and :func:`smallest_principal_angle` keep
 scipy's rank-revealing full spectrum, because Proposition 1 counts its
 zeros.
 
@@ -62,24 +57,39 @@ The attacker's side of the angle is usually fixed while the other side
 varies: one ``H_t`` is priced against every perturbation of a scenario or
 of a design search.  :func:`subspace_angle` therefore also accepts its
 first argument as a :class:`FactoredMatrix`, which holds ``H_t`` read-only
-and computes its thin QR ``H_t = Q_tR_t`` (rank test included) on first
-use and keeps both factors.  The results are bit-identical to passing the
-array, which takes the same QR in every call.  The kept ``R_t`` turns
-attacks ``a = H_t b`` into their coordinates ``y = R_t b`` in ``Q_t``,
-the form in which the detector prices them from the same ``k × k`` matrix
-this module reads the angle from: a model keeps the last Gram it formed
-for a read-only basis such as ``Q_t``, so pricing a perturbation and
-measuring its angle form that matrix once.
+and computes its thin QR basis (rank test included) on first use and keeps
+it.  The results are bit-identical to passing the array, which takes the
+same QR in every call.
+
+The rank-k form
+---------------
+A D-FACTS perturbation of ``k`` branches changes ``H_t`` by a rank-``k``
+matrix, ``H′ = H_t + U diag(d) Vᵀ``: ``U`` holds the measurement rows each
+branch's susceptance enters, ``V`` the branch's columns of the reduced
+incidence and ``d`` the susceptance changes.  Every ``u ∈ Col(H_t)`` is
+``u = H_t b`` and leaves ``Col(H′)`` by ``(I − P′)H_t b = −(I − P′)U diag(d)
+Vᵀb``, so with ``K = Uᵀ(I − P′)U`` and ``H_tᵀH_t = L_tL_tᵀ``
+
+.. math::  \\sin^2 γ = λ_{max}(X K Xᵀ), \\qquad X = R\\,\\mathrm{diag}(d),
+
+where ``R`` is the triangular factor of ``L_t⁻¹V`` (``RᵀR = Vᵀ(H_tᵀH_t)⁻¹V``,
+fixed per ``H_t``).  :func:`subspace_angle` of a :class:`RankKChange`
+reads the angle from these ``k × k`` matrices; the detector prices its
+attacks from the same ``K``
+(:meth:`~repro.estimation.bdd.BadDataDetector.detection_probabilities`),
+so one perturbation forms ``K`` once, and its angle needs neither a dense
+``H′`` nor an ``n × n`` matrix.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from repro.estimation.linear_model import LinearModel
+from repro.estimation.linear_model import ResidualGram
 from repro.utils.linalg import orthonormal_basis
 
 
@@ -107,14 +117,14 @@ def smallest_principal_angle(matrix_a: np.ndarray, matrix_b: np.ndarray) -> floa
 
 
 class FactoredMatrix:
-    """A read-only full-column-rank matrix whose thin QR is kept.
+    """A read-only full-column-rank matrix whose thin-QR basis is kept.
 
     Pass it as the first argument of :func:`subspace_angle` when one side
-    of the angle is priced against many others: the thin QR
-    ``matrix = basis @ triangular`` is computed on the first read of
-    either factor, through the same rank test as the array form, and
-    reused by every later call.  Nothing is factored at construction, so
-    a wrapper that is never measured costs nothing.
+    of the angle is priced against many others: the orthonormal factor
+    ``Q`` of the thin QR is computed on the first read of :attr:`basis`,
+    through the same rank test as the array form, and reused by every
+    later call.  Nothing is factored at construction, so a wrapper that is
+    never measured costs nothing.
 
     Parameters
     ----------
@@ -126,8 +136,7 @@ class FactoredMatrix:
     ------
     ValueError
         At construction if ``matrix`` is not 2-D; on first use of
-        :attr:`basis` or :attr:`triangular` if it is rank deficient (again
-        on every later use).
+        :attr:`basis` if it is rank deficient (again on every later use).
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -143,26 +152,42 @@ class FactoredMatrix:
         return self._matrix
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        factors = _orthonormal_factor(self._matrix)
-        for factor in factors:
-            factor.flags.writeable = False
-        return factors
-
-    @property
     def basis(self) -> np.ndarray:
         """The thin-QR factor ``Q`` of :attr:`matrix`, read-only, computed once."""
-        return self._factors[0]
+        basis = _orthonormal_factor(self._matrix)
+        basis.flags.writeable = False
+        return basis
 
-    @property
-    def triangular(self) -> np.ndarray:
-        """The ``(n, n)`` thin-QR factor ``R`` (``matrix = basis @ triangular``),
-        read-only, computed with :attr:`basis`."""
-        return self._factors[1]
+
+@dataclass(frozen=True, eq=False)
+class RankKChange:
+    """A rank-``k`` change ``H′ = H + U diag(d) Vᵀ`` of ``H``, in ``k × k`` terms.
+
+    The input of :func:`subspace_angle`'s rank-k form (see the module
+    docstring); it builds neither matrix.
+
+    Attributes
+    ----------
+    residual_gram:
+        ``K = Uᵀ(I − P′)U``, shape ``(k, k)``, with ``P′`` the projector
+        onto ``Col(H′)``: the
+        :class:`~repro.estimation.linear_model.ResidualGram` of ``U``
+        against the model that factors ``H′``, formed on first read.
+    angle_factor:
+        The triangular ``R`` with ``RᵀR = Vᵀ(HᵀH)⁻¹V``, shape ``(r, k)``
+        with ``r = min(n, k)``; it depends on ``H`` and ``V`` only.
+    scales:
+        The change's ``d``, shape ``(k,)``.
+    """
+
+    residual_gram: ResidualGram
+    angle_factor: np.ndarray
+    scales: np.ndarray
 
 
 def subspace_angle(
-    matrix_a: np.ndarray | FactoredMatrix, matrix_b: np.ndarray | LinearModel
+    matrix_a: np.ndarray | FactoredMatrix | RankKChange,
+    matrix_b: np.ndarray | None = None,
 ) -> float:
     """The operational subspace-separation metric ``γ(A, B)`` in radians.
 
@@ -180,27 +205,33 @@ def subspace_angle(
     matrix_a:
         The attacker's matrix ``H``, shape ``(M, n)``, full column rank, as
         an array or as a :class:`FactoredMatrix` that keeps its basis
-        across calls.  Either form gives bit-identical results.
+        across calls.  Either form gives bit-identical results.  Or, alone,
+        a :class:`RankKChange` of ``H``: the angle between ``H`` and its
+        changed matrix, from ``k × k`` matrices (the module docstring's
+        rank-k form).
     matrix_b:
-        The post-perturbation matrix ``H'`` as an ``(M, n')`` array, or as
-        the :class:`~repro.estimation.linear_model.LinearModel` that
-        factors it.  A model must have uniform weights; its side is read
-        from :meth:`~repro.estimation.linear_model.LinearModel.residual_gram`
-        without building ``H'``, and with a :class:`FactoredMatrix` it is
-        the Gram the model kept when its detector priced attacks in the
-        basis ``Q`` (only the eigenvalue is computed here).
+        The post-perturbation matrix ``H'`` as an ``(M, n')`` array; omitted
+        with a :class:`RankKChange`.
 
     Raises
     ------
     ValueError
         If the matrices are not 2-D with the same number of rows, or one of
         them is rank deficient.
+    TypeError
+        If a :class:`RankKChange` comes with a second matrix, or an array
+        without one.
     """
+    if isinstance(matrix_a, RankKChange):
+        if matrix_b is not None:
+            raise TypeError("subspace_angle takes a RankKChange alone")
+        scaled = matrix_a.angle_factor * matrix_a.scales
+        return _angle_from_residual_gram(scaled @ matrix_a.residual_gram.matrix @ scaled.T)
+    if matrix_b is None:
+        raise TypeError("subspace_angle needs a second matrix")
     side_a = matrix_a if isinstance(matrix_a, FactoredMatrix) else FactoredMatrix(matrix_a)
-    if isinstance(matrix_b, LinearModel):
-        return _angle_from_residual_gram(matrix_b.residual_gram(side_a.basis))
     _, B = _matrix_pair(side_a.matrix, matrix_b)
-    return _largest_angle_of_bases(side_a.basis, _orthonormal_factor(B)[0])
+    return _largest_angle_of_bases(side_a.basis, _orthonormal_factor(B))
 
 
 def is_orthogonal_complement(
@@ -234,8 +265,8 @@ def _matrix_pair(matrix_a: np.ndarray, matrix_b: np.ndarray) -> tuple[np.ndarray
     return A, B
 
 
-def _orthonormal_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The thin-QR factors ``(Q, R)`` of a full-column-rank matrix.
+def _orthonormal_factor(matrix: np.ndarray) -> np.ndarray:
+    """The thin-QR factor ``Q`` of a full-column-rank matrix.
 
     The rank test is the reciprocal condition estimate of ``R`` against
     the cut-off :func:`scipy.linalg.orth` applies to singular values,
@@ -248,7 +279,7 @@ def _orthonormal_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"principal angles need a full-column-rank matrix; the {matrix.shape} "
             f"input has reciprocal condition {rcond:.3g}"
         )
-    return q, r
+    return q
 
 
 def _largest_angle_of_bases(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
@@ -272,6 +303,7 @@ def _angle_from_residual_gram(gram: np.ndarray) -> float:
 
 __all__ = [
     "FactoredMatrix",
+    "RankKChange",
     "principal_angles",
     "smallest_principal_angle",
     "subspace_angle",

@@ -169,23 +169,31 @@ class TestAttackerSide:
     """Every trial of a scenario context shares one attacker side."""
 
     def test_unpinned_trials_build_h_and_its_basis_once(self, monkeypatch):
+        """One ``H_t`` and one rank-k angle factor per context; no QR of
+        ``H_t`` at all, since the rank-k form needs no basis of it."""
         import repro.estimation.measurement as measurement_module
+        import repro.mtd.effectiveness as effectiveness_module
         import repro.mtd.subspace as subspace_module
 
         (spec,) = [s for s in scenario_suite("scale") if s.name == "scale-synthetic118"]
         spec = spec.with_updates({"attack.n_attacks": 16})
         assert spec.attack.seed is None
-        counts = {"H": 0, "QR": 0}
+        counts = {"H": 0, "QR": 0, "R": 0}
         assemble = measurement_module.reduced_measurement_matrix
-        factor = subspace_module._orthonormal_factor
+        orthonormal = subspace_module._orthonormal_factor
+        angle_factor = effectiveness_module._angle_factor
 
         def counting_assembly(*args, **kwargs):
             counts["H"] += 1
             return assemble(*args, **kwargs)
 
-        def counting_factor(matrix):
+        def counting_orthonormal(matrix):
             counts["QR"] += 1
-            return factor(matrix)
+            return orthonormal(matrix)
+
+        def counting_factor(*args):
+            counts["R"] += 1
+            return angle_factor(*args)
 
         evaluators = []
         evaluate = EffectivenessEvaluator.evaluate
@@ -195,13 +203,14 @@ class TestAttackerSide:
             return evaluate(evaluator, *args, **kwargs)
 
         monkeypatch.setattr(measurement_module, "reduced_measurement_matrix", counting_assembly)
-        monkeypatch.setattr(subspace_module, "_orthonormal_factor", counting_factor)
+        monkeypatch.setattr(subspace_module, "_orthonormal_factor", counting_orthonormal)
+        monkeypatch.setattr(effectiveness_module, "_angle_factor", counting_factor)
         monkeypatch.setattr(EffectivenessEvaluator, "evaluate", recording)
 
         clear_context_caches()
         for index in range(3):
             run_trial(spec, index)
-        assert counts == {"H": 1, "QR": 1}
+        assert counts == {"H": 1, "QR": 0, "R": 1}
         shared = evaluators[0].attacker_matrix
         assert len({id(e) for e in evaluators}) == 3
         assert all(e.attacker_matrix is shared for e in evaluators)
@@ -209,7 +218,7 @@ class TestAttackerSide:
 
         clear_context_caches()
         run_trial(spec, 3)
-        assert counts == {"H": 2, "QR": 2}
+        assert counts == {"H": 2, "QR": 0, "R": 2}
         assert evaluators[-1].attacker_matrix is not shared
         clear_context_caches()
 

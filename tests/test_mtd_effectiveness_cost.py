@@ -164,18 +164,21 @@ class TestEffectivenessEvaluator:
         x = net14.reactances()
         x[np.array(net14.dfacts_branches)] *= 1.1
         assert evaluator.evaluate(x).spa > 0.0
-        assert evaluator.attacker_matrix is side.matrix.matrix
-        for array in (side.matrix.matrix, side.matrix.basis, side.matrix.triangular):
+        assert evaluator.attacker_matrix is side.matrix
+        assert side.angle_factor is side.angle_factor
+        for array in (side.matrix, side.change_gram, side.angle_factor):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            side.reference_measurements[0] = 1.0
-        row, col = side.sparse_matrix.nonzero()
-        with pytest.raises(ValueError, match="read-only"):
-            side.sparse_matrix[row[0], col[0]] = 1.0
-        for array in (side.sparse_matrix.data, side.sparse_matrix.indices, side.sparse_matrix.indptr):
+                array[0, 0] = 1
+        for array in (side.reference_measurements, side.base_susceptances, side.dfacts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+        for sparse in (side.sparse_matrix, side.change_columns, side.incidence_t):
+            row, col = sparse.nonzero()
+            with pytest.raises(ValueError, match="read-only"):
+                sparse[row[0], col[0]] = 1.0
+            for array in (sparse.data, sparse.indices, sparse.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 def _side_and_perturbation(case: str, change: float):
@@ -191,14 +194,14 @@ def _side_and_perturbation(case: str, change: float):
 
 
 class TestBasisForm:
-    """Attacks priced by their coordinates in ``Q_t`` match the measurement-space path."""
+    """Attacks priced in the rank-k form match the measurement-space path."""
 
-    #: Relative P_D tolerance per backend.  The sparse Gram is
-    #: ``I − WᵀW`` from the normal equations: its entries carry an
-    #: absolute error near ε·cond(H)² (2.4e-14 on synthetic300), which is
-    #: up to 1.2e-11 of a P_D at the α floor.  The dense Gram ``EᵀE`` keeps
-    #: the digits of small angles.
-    RTOL = {"dense": 1e-12, "sparse": 3e-11}
+    #: Relative P_D tolerance, one for both backends.  ``K = Uᵀ(I − P′)U``
+    #: is not small against ``UᵀU`` (a D-FACTS column does not lie near
+    #: ``Col(H′)``), so the sparse ``UᵀU − WᵀW`` keeps its digits like the
+    #: dense sine form, and the smallness of an attack's residual is
+    #: carried by its coordinates ``c = Δb ⊙ A_Dᵀb`` instead.
+    RTOL = 1e-12
 
     @pytest.mark.parametrize("case", ["ieee14", "synthetic118", "synthetic300"])
     @pytest.mark.parametrize("change", [0.0, 0.001, 0.2])
@@ -209,31 +212,33 @@ class TestBasisForm:
         # The measurement-space detector resolves its backend by bus count,
         # as the evaluator's own detector does.
         detector = BadDataDetector(MeasurementSystem.for_network(side.network, reactances=x))
-        backend = detector.model.backend
-        assert backend == ("dense" if case == "ieee14" else "sparse")
+        assert detector.model.backend == ("dense" if case == "ieee14" else "sparse")
         expected = detector.detection_probabilities(evaluator.ensemble.attacks)
-        rtol = self.RTOL[backend]
-        assert np.max(np.abs(got - expected) / expected) <= rtol
+        assert np.max(np.abs(got - expected) / expected) <= self.RTOL
         alpha = detector.false_positive_rate
         if change == 0.0:
-            # Policy "none": every attack stays stealthy, at the α floor.
-            assert np.max(np.abs(got - alpha)) <= rtol * alpha
+            # Policy "none": every attack stays stealthy, exactly at α.
+            np.testing.assert_array_equal(got, alpha)
         else:
             assert np.max(got) > 1.0001 * alpha
 
     def test_sparse_copy_is_the_dense_matrix(self):
-        """The ensemble's CSR ``H`` is the dense ``H`` the basis came from,
-        not the grid's sparse assembly (35 entries differ by an ulp)."""
+        """The ensemble's CSR ``H`` is the dense ``H`` of the side, not the
+        grid's sparse assembly (35 entries differ by an ulp)."""
         side, _ = _side_and_perturbation("synthetic300", 0.0)
-        assert np.array_equal(side.sparse_matrix.toarray(), side.matrix.matrix)
+        assert np.array_equal(side.sparse_matrix.toarray(), side.matrix)
 
     @pytest.mark.parametrize("case", ["ieee14", "synthetic300"])
     def test_coordinates_reproduce_the_attacks(self, case):
-        side, _ = _side_and_perturbation(case, 0.0)
+        """``U c`` reproduces ``(H′ − H_t) b`` for every attack's bias ``b``."""
+        side, x = _side_and_perturbation(case, 0.2)
         evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=60, seed=8)
-        attacks = evaluator.ensemble.attacks
-        rebuilt = evaluator._coordinates @ side.matrix.basis.T
-        gap = np.linalg.norm(rebuilt - attacks, axis=1) / np.linalg.norm(attacks, axis=1)
+        change = side.susceptance_change(x)
+        coordinates = evaluator._branch_differences * change
+        rebuilt = (side.change_columns @ coordinates.T).T
+        difference = reduced_measurement_matrix(side.network, x) - side.matrix
+        expected = evaluator.ensemble.state_biases @ difference.T
+        gap = np.linalg.norm(rebuilt - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert gap.max() <= 1e-12
 
     @pytest.mark.parametrize("case", ["ieee14", "synthetic118"])
@@ -244,9 +249,9 @@ class TestBasisForm:
         for backend in (DenseQRBackend, SparseQlessBackend):
             original = backend.residual_gram
 
-            def counting(self, basis, original=original):
-                calls.append(basis.shape)
-                return original(self, basis)
+            def counting(self, block, block_gram=None, original=original):
+                calls.append(block.shape)
+                return original(self, block, block_gram)
 
             monkeypatch.setattr(backend, "residual_gram", counting)
 
@@ -254,9 +259,10 @@ class TestBasisForm:
         assert len(calls) == 1
         read = evaluator.evaluate(x)
         assert len(calls) == 2
-        expected = subspace_angle(side.matrix.matrix, reduced_measurement_matrix(side.network, x))
+        expected = subspace_angle(side.matrix, reduced_measurement_matrix(side.network, x))
         assert abs(read.spa - expected) <= 1e-12
-        assert len(calls) == 2  # the angle came from the kept Gram
+        assert len(calls) == 2  # the angle came from the evaluation's K
+        assert calls == [(side.matrix.shape[0], side.dfacts.size)] * 2
 
         monte_carlo = evaluator.evaluate(x, method="monte-carlo", n_noise_trials=5)
         assert len(calls) == 2
@@ -264,6 +270,82 @@ class TestBasisForm:
         assert len(calls) == 3
 
 
+def _outaged_dfacts_side():
+    """ieee14 with its first D-FACTS branch out of service (flat angles:
+    only the side's matrices are read), and the branch's index."""
+    network = load_case("ieee14")
+    outaged = network.dfacts_branches[0]
+    network = network.with_branch_outages([outaged])
+    return AttackerSide.build(network, np.zeros(network.n_buses)), outaged
+
+
+class TestRankKForm:
+    """``H′ − H_t = U diag(Δb) A_Dᵀ`` and what the evaluator reads from it."""
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic300", "ieee14-n1"])
+    def test_change_is_rank_k(self, case):
+        if case == "ieee14-n1":
+            # Every branch with D-FACTS hardware moves, the outaged one too:
+            # its masked susceptance stays 0, so Δb is 0 there.
+            side, outaged = _outaged_dfacts_side()
+            hardware = np.flatnonzero(side.network.arrays.branch_has_dfacts)
+            assert outaged in hardware and outaged not in side.dfacts
+            x = side.base_reactances.copy()
+            x[hardware] *= np.linspace(0.8, 1.2, hardware.size)
+        else:
+            side, x = _side_and_perturbation(case, 0.2)
+        change = side.susceptance_change(x)
+        assert change is not None and np.count_nonzero(change) > 0
+        rebuilt = side.change_columns.toarray() @ np.diag(change) @ side.incidence_t.toarray()
+        difference = reduced_measurement_matrix(side.network, x) - side.matrix
+        scale = np.abs(side.matrix).max()
+        assert np.abs(difference - rebuilt).max() <= 4 * np.finfo(float).eps * scale
+        gram = side.change_columns.T @ side.change_columns
+        np.testing.assert_array_equal(side.change_gram, gram.toarray())
+
+    def test_angle_factor_spans_the_gain(self):
+        side, _ = _side_and_perturbation("synthetic300", 0.0)
+        H = side.matrix
+        incidence = side.incidence_t.toarray().T
+        expected = incidence.T @ np.linalg.solve(H.T @ H, incidence)
+        R = side.angle_factor
+        assert R.shape == (side.dfacts.size, side.dfacts.size)
+        np.testing.assert_allclose(R.T @ R, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic300"])
+    def test_zero_perturbation_is_exactly_stealthy(self, case):
+        side, x = _side_and_perturbation(case, 0.0)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=30, seed=2)
+        result = evaluator.evaluate(x)
+        np.testing.assert_array_equal(result.detection_probabilities, result.false_positive_rate)
+        assert result.spa == 0.0
+
+    def test_non_dfacts_branch_prices_through_measurement_space(self, net14, monkeypatch):
+        baseline = solve_dc_opf(net14)
+        side = AttackerSide.build(net14, baseline.angles_rad, baseline.reactances)
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=40, seed=4)
+        x = side.base_reactances.copy()
+        fixed = np.setdiff1d(np.arange(x.size), side.dfacts)[0]
+        x[fixed] *= 1.3
+        x[side.dfacts] *= 1.1
+        assert side.susceptance_change(x) is None
+        calls = []
+        original = DenseQRBackend.residual_gram
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(DenseQRBackend, "residual_gram", counting)
+        result = evaluator.evaluate(x)
+        detector = BadDataDetector(MeasurementSystem.for_network(net14, reactances=x))
+        np.testing.assert_array_equal(
+            result.detection_probabilities,
+            detector.detection_probabilities(evaluator.ensemble.attacks),
+        )
+        expected = subspace_angle(side.matrix, reduced_measurement_matrix(net14, x))
+        assert result.spa == expected and expected > 0.01
+        assert calls == []
 class TestOperationalCost:
     def test_identity_perturbation_costs_nothing(self, net14):
         breakdown = mtd_operational_cost(net14, net14.reactances())

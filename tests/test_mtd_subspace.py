@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.estimation.linear_model import LinearModel
+from repro.estimation.linear_model import LinearModel, ResidualGram
 from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import EstimationError
 from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
+from repro.mtd.effectiveness import AttackerSide
 from repro.mtd.subspace import (
     FactoredMatrix,
+    RankKChange,
     is_orthogonal_complement,
     principal_angles,
     smallest_principal_angle,
@@ -192,9 +194,6 @@ class TestLargestAngleKernel:
             subspace_angle(A, B)
         with pytest.raises(ValueError, match="full-column-rank"):
             subspace_angle(B, A)
-        model = LinearModel(B, np.ones(20))
-        with pytest.raises(ValueError, match="full-column-rank"):
-            subspace_angle(A, model)
 
     def test_full_spectrum_stays_scipy(self, rng):
         A = rng.standard_normal((15, 5))
@@ -204,8 +203,18 @@ class TestLargestAngleKernel:
         assert smallest_principal_angle(A, B) == expected[0]
 
 
+def _rank_k_pair(network, x_post):
+    """The attacker side of ``network`` at its nominal reactances and the
+    post-perturbation model of ``x_post``."""
+    side = AttackerSide.build(network, np.zeros(network.n_buses))
+    model = LinearModel.from_measurement_system(
+        MeasurementSystem.for_network(network, reactances=x_post)
+    )
+    return side, model
+
+
 class TestFactorizedSide:
-    """``subspace_angle(H, model)`` reads the model's own factorization."""
+    """``subspace_angle(RankKChange)`` reads the angle from ``k × k`` matrices."""
 
     @pytest.mark.parametrize(
         "case, backend",
@@ -220,28 +229,63 @@ class TestFactorizedSide:
         for relative_change in (0.02, 0.2):
             x_post = x.copy()
             x_post[dfacts] *= 1.0 + rng.uniform(-relative_change, relative_change, dfacts.size)
-            system = MeasurementSystem.for_network(network, reactances=x_post)
-            model = LinearModel.from_measurement_system(system)
+            side, model = _rank_k_pair(network, x_post)
             assert model.backend == backend
+            gram = ResidualGram(model, side.change_columns, side.change_gram)
+            change = RankKChange(gram, side.angle_factor, side.susceptance_change(x_post))
             expected = subspace_angle(H, reduced_measurement_matrix(network, x_post))
-            assert abs(subspace_angle(H, model) - expected) <= 1e-12
+            assert abs(subspace_angle(change) - expected) <= 1e-14
 
     def test_sparse_and_dense_residual_grams_agree(self, net30, rng):
+        """On any block, sparse or dense, with or without its own Gram."""
         x = net30.reactances()
         x[np.array(net30.dfacts_branches)] *= 1.3
         H_post = reduced_measurement_matrix(net30, x)
-        basis, _ = np.linalg.qr(reduced_measurement_matrix(net30))
         weights = np.full(H_post.shape[0], 4.0)
-        dense = LinearModel(H_post, weights, backend="dense").residual_gram(basis)
-        sparse = LinearModel(H_post, weights, backend="sparse").residual_gram(basis)
-        np.testing.assert_allclose(sparse, dense, rtol=0.0, atol=1e-12)
+        dense = LinearModel(H_post, weights, backend="dense")
+        sparse = LinearModel(H_post, weights, backend="sparse")
+        side, _ = _rank_k_pair(net30, x)
+        for block in (side.change_columns, rng.standard_normal((H_post.shape[0], 7))):
+            expected = dense.residual_gram(block)
+            as_array = block if isinstance(block, np.ndarray) else block.toarray()
+            atol = 1e-12 * np.abs(expected).max()
+            for gram in (None, as_array.T @ as_array):
+                np.testing.assert_allclose(
+                    sparse.residual_gram(block, gram), expected, rtol=0.0, atol=atol
+                )
+            np.testing.assert_array_equal(dense.residual_gram(as_array), expected)
 
     def test_non_uniform_weights_raise(self, net14):
         H = reduced_measurement_matrix(net14)
         weights = np.linspace(1.0, 2.0, H.shape[0])
         model = LinearModel(H, weights)
+        side, _ = _rank_k_pair(net14, net14.reactances())
         with pytest.raises(EstimationError, match="uniform weights"):
-            subspace_angle(H, model)
+            model.residual_gram(side.change_columns)
+
+    def test_rank_k_change_stands_alone(self, net14):
+        side, model = _rank_k_pair(net14, net14.reactances())
+        gram = ResidualGram(model, side.change_columns)
+        change = RankKChange(gram, side.angle_factor, np.zeros(side.dfacts.size))
+        assert subspace_angle(change) == 0.0
+        assert gram.matrix is gram.matrix
+        with pytest.raises(TypeError):
+            subspace_angle(change, side.matrix)
+        with pytest.raises(TypeError):
+            subspace_angle(side.matrix)
+
+    def test_gram_of_another_model_is_rejected(self, net14):
+        side, model = _rank_k_pair(net14, net14.reactances())
+        other = LinearModel.from_measurement_system(MeasurementSystem.for_network(net14))
+        gram = ResidualGram(other, side.change_columns, side.change_gram)
+        coordinates = np.ones((3, side.dfacts.size))
+        with pytest.raises(EstimationError, match="another model"):
+            model.attack_noncentralities(coordinates, gram=gram)
+        np.testing.assert_allclose(
+            other.attack_noncentralities(coordinates, gram=gram),
+            model.attack_noncentralities(coordinates, gram=ResidualGram(model, side.change_columns)),
+            rtol=1e-12,
+        )
 
 
 class TestFactoredMatrix:
@@ -251,6 +295,9 @@ class TestFactoredMatrix:
         "case, backend", [("ieee14", "dense"), ("synthetic300", "sparse")]
     )
     def test_bit_identical_to_the_array_forms(self, case, backend):
+        """The kept basis gives the array form's angle bit for bit; as a
+        block of the post-perturbation model, its residual Gram gives it
+        to rounding."""
         network = load_case(case)
         rng = np.random.default_rng(23)
         x = network.reactances()
@@ -261,80 +308,33 @@ class TestFactoredMatrix:
             x_post = x.copy()
             x_post[dfacts] *= 1.0 + rng.uniform(-relative_change, relative_change, dfacts.size)
             H_post = reduced_measurement_matrix(network, x_post)
-            model = LinearModel.from_measurement_system(
-                MeasurementSystem.for_network(network, reactances=x_post)
-            )
+            expected = subspace_angle(H, H_post)
+            assert subspace_angle(factored, H_post) == expected
+            _, model = _rank_k_pair(network, x_post)
             assert model.backend == backend
-            assert subspace_angle(factored, model) == subspace_angle(H, model)
-            assert subspace_angle(factored, H_post) == subspace_angle(H, H_post)
+            sine_squared = np.linalg.eigvalsh(model.residual_gram(factored.basis))[-1]
+            assert abs(np.arcsin(np.sqrt(sine_squared)) - expected) <= 1e-12
 
     def test_rank_deficient_input_raises_on_first_use(self, rng):
         A = rng.standard_normal((20, 5))
         A[:, 4] = A[:, 1]
         B = rng.standard_normal((20, 5))
         factored = FactoredMatrix(A)
-        with pytest.raises(ValueError, match="full-column-rank"):
-            subspace_angle(factored, B)
-        with pytest.raises(ValueError, match="full-column-rank"):
-            subspace_angle(factored, LinearModel(B, np.ones(20)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="full-column-rank"):
+                subspace_angle(factored, B)
 
     def test_matrix_and_basis_are_read_only(self, rng):
         A = rng.standard_normal((20, 5))
         factored = FactoredMatrix(A)
         basis = factored.basis
         assert factored.basis is basis
-        assert factored.triangular is factored.triangular
-        np.testing.assert_allclose(basis @ factored.triangular, A, rtol=0.0, atol=1e-14)
-        for array in (factored.matrix, basis, factored.triangular):
+        np.testing.assert_allclose(basis.T @ basis, np.eye(5), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(basis @ (basis.T @ A), A, rtol=0.0, atol=1e-13)
+        for array in (factored.matrix, basis):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
         assert A.flags.writeable
-
-
-def _perturbed_model(network, backend: str) -> LinearModel:
-    x = network.reactances()
-    x[np.array(network.dfacts_branches)] *= 1.3
-    H_post = reduced_measurement_matrix(network, x)
-    return LinearModel(H_post, np.full(H_post.shape[0], 4.0), backend=backend)
-
-
-class TestKeptGram:
-    """A model keeps the Gram of a read-only basis, and of no other."""
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_read_only_basis_is_answered_from_the_kept_gram(self, net30, backend):
-        model = _perturbed_model(net30, backend)
-        factored = FactoredMatrix(reduced_measurement_matrix(net30))
-        kept = model.residual_gram(factored.basis)
-        assert model.residual_gram(factored.basis) is kept
-        with pytest.raises(ValueError, match="read-only"):
-            kept[0, 0] = 1.0
-        expected = subspace_angle(factored, _perturbed_model(net30, backend))
-        assert subspace_angle(factored, model) == expected
-        # An equal writeable copy is another basis: formed afresh.
-        fresh = model.residual_gram(factored.basis.copy())
-        assert fresh is not kept and fresh.flags.writeable
-        np.testing.assert_array_equal(fresh, kept)
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_writeable_basis_is_never_answered_from_a_kept_gram(self, net30, backend):
-        model = _perturbed_model(net30, backend)
-        basis, _ = np.linalg.qr(reduced_measurement_matrix(net30))
-        x_other = net30.reactances()
-        x_other[np.array(net30.dfacts_branches)] *= 0.7
-        other, _ = np.linalg.qr(reduced_measurement_matrix(net30, x_other))
-        expected = _perturbed_model(net30, backend).residual_gram(other.copy())
-        first = model.residual_gram(basis)
-        basis[:] = other
-        np.testing.assert_array_equal(model.residual_gram(basis), expected)
-        assert np.abs(first - expected).max() > 1e-3
-        # Kept while read-only, then made writeable and overwritten.
-        frozen, _ = np.linalg.qr(reduced_measurement_matrix(net30))
-        frozen.flags.writeable = False
-        model.residual_gram(frozen)
-        frozen.flags.writeable = True
-        frozen[:] = other
-        np.testing.assert_array_equal(model.residual_gram(frozen), expected)
 
 
 class TestOrthogonality:
