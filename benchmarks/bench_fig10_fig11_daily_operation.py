@@ -200,18 +200,18 @@ def bench_fig10_fig11_daily_operation(benchmark, scale):
     if costs.max() > 0:
         assert costs[peak_half].mean() >= costs[~peak_half].mean() - 1e-9
     # Fig. 11 shape: consecutive no-MTD systems stay nearly aligned compared
-    # with the deliberately designed separation.  Not every single hour:
-    # where the tuned threshold is tiny (an uncongested hour needs almost no
-    # MTD) the designed separation can dip below that hour's natural
-    # inter-hour drift, so the claim is about the bulk of the day.
-    assert np.median(series["gamma(Ht, Ht')"]) <= 0.1
+    # with the deliberately designed separation, at every hour.  The
+    # baseline chain carries D-FACTS settings over from hour to hour and
+    # wraps to the previous day's last hour, so the attacker's one-hour-old
+    # matrix differs from the operator's only where the chain re-optimises.
+    assert np.all(series["gamma(Ht, Ht')"] <= 0.1), series
     aligned = series["gamma(Ht, Ht')"] <= series["gamma(Ht, H't')"] + 1e-9
-    assert aligned.mean() >= 0.75, series
+    assert np.all(aligned), series
     # The acceptance bar: bisection + design reuse + parallel hours buy at
     # least 2x over the historical execution strategy (smoke budgets are too
-    # small for stable timing).  The bar holds even on a single-core runner:
-    # bisection + design-context reuse alone measure ~3.7x serial on the
-    # fig10 setting, so the parallel-hours contribution is margin, not a
-    # requirement.
+    # small for stable timing).  Most hours of the day meet the target at
+    # the first grid values, where bisection and design reuse save little:
+    # on a 2-CPU host the serial engine measured ~1.7x and two workers
+    # 2.1–2.7x, so the bar leans on parallel hours.
     if scale.name != "smoke":
         assert speedup >= 2.0, f"fig10 speedup only {speedup:.2f}x"

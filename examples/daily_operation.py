@@ -5,7 +5,8 @@ The IEEE 14-bus system is driven with a synthetic NYISO-like winter-day load
 profile through the time-series operation engine.  At each hour the operator:
 
 * solves the no-MTD optimal power flow (the cost baseline, carrying the
-  previous hour's D-FACTS settings when re-optimising buys nothing),
+  previous hour's D-FACTS settings when re-optimising buys nothing; the
+  first hour carries over from the previous day's last hour),
 * assumes the attacker's knowledge of the measurement matrix is one hour
   stale (the first hour wraps around to the previous day's last hour),
 * tunes the subspace-angle threshold — by galloping bisection over the

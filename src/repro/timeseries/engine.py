@@ -13,7 +13,9 @@ no-MTD baseline OPFs (with D-FACTS carryover) and each hour's stale
 attacker knowledge — is memoised per process (cleared by
 :func:`repro.engine.trial.clear_context_caches`), so a worker pays the
 serial baseline chain once and then evaluates its assigned hours
-independently.
+independently.  The chain wraps around to the previous (assumed identical)
+day just as the attacker's knowledge does: hour 0's baseline carries over
+from that day's last hour (see :func:`_build_hours`).
 Each hour derives its random streams from ``(base_seed, hour)``, which is
 what makes parallel horizons bit-identical to serial ones.
 
@@ -117,7 +119,9 @@ def _solve_hour_baseline(
     are kept whenever re-optimising them would not lower the cost beyond
     ``operation.carryover_tolerance`` — operator practice, and what keeps
     consecutive no-MTD measurement matrices nearly identical (the
-    ``γ(H_t, H_{t'}) ≈ 0`` observation of Fig. 11).
+    ``γ(H_t, H_{t'}) ≈ 0`` observation of Fig. 11).  Hour 0's ``previous``
+    is the previous day's last hour; ``None`` (the first hour of
+    :func:`_build_hours`' warm-up pass) takes the fresh optimum.
     """
     if baseline_mode != "reactance-opf" or not network.dfacts_branches:
         return solve_dc_opf(network, loads_mw=loads)
@@ -143,7 +147,27 @@ def _build_hours(
     operation: OperationSpec,
     base_seed: int,
 ) -> tuple[HourContext, ...]:
-    """Hourly loads, chained baselines and stale attacker knowledge."""
+    """Hourly loads, chained baselines and stale attacker knowledge.
+
+    Both wrap around to the previous (assumed identical) day.  The first
+    ``staleness_hours`` hours' attacker knowledge is read off the end of
+    the horizon.  A reactance-OPF chain runs twice: the first pass stands
+    in for the previous day, and the kept second pass starts hour 0 from
+    that pass's last hour under :func:`_solve_hour_baseline`'s carryover
+    rule.  A fresh hour-0 solve would not do: where the eq. (1) optimum is
+    flat (ieee14 up to 220 MW, where every x_D under which the merit-order
+    dispatch fits the flow limits costs the same) it lands on a point
+    chosen by rounding, and γ(H_t, H_{t'}) jumps at hour 0.
+
+    One warm-up pass reached a fixed point on every registered horizon and
+    on four traces up to 259 MW: a third pass reproduces the second bit
+    for bit.  On ieee14 up to 220 MW it must: every hour's optimum then
+    costs the merit-order dispatch, whose flows scale with total load, so
+    settings kept at one load are kept at every lighter one.  The first
+    pass thus ends on the settings it holds at the day's peak, and the
+    second keeps them all day.  No document says what should happen where
+    a further pass would still move; the second pass is kept.
+    """
     nominal_total = network.total_load_mw()
     totals = operation.profile.totals_mw(nominal_total_mw=nominal_total)
     if nominal_total <= 0:
@@ -152,17 +176,22 @@ def _build_hours(
         )
     nominal_loads = network.loads_mw()
 
-    loads_list: list[np.ndarray] = []
-    baselines: list[OPFResult] = []
-    previous: OPFResult | None = None
-    for total in totals:
-        loads = nominal_loads * (float(total) / nominal_total)
-        baseline = _solve_hour_baseline(
-            network, baseline_mode, operation, base_seed, loads, previous
-        )
-        loads_list.append(loads)
-        baselines.append(baseline)
-        previous = baseline
+    loads_list = [nominal_loads * (float(total) / nominal_total) for total in totals]
+
+    def chain(previous: OPFResult | None) -> list[OPFResult]:
+        baselines: list[OPFResult] = []
+        for loads in loads_list:
+            previous = _solve_hour_baseline(
+                network, baseline_mode, operation, base_seed, loads, previous
+            )
+            baselines.append(previous)
+        return baselines
+
+    baselines = chain(None)
+    if baseline_mode == "reactance-opf" and network.dfacts_branches:
+        # The first pass stands in for the previous (assumed identical)
+        # day; hour 0 carries over from its last hour.
+        baselines = chain(baselines[-1])
 
     n_hours = len(loads_list)
     hours: list[HourContext] = []

@@ -235,12 +235,14 @@ class OperationSpec:
         How old the attacker's knowledge of the measurement matrix is; the
         paper uses one hour.  The first ``staleness_hours`` hours wrap
         around to the matching hour of the previous (assumed identical)
-        day, i.e. the end of the horizon.
+        day, i.e. the end of the horizon; the baseline chain wraps the
+        same way (see ``carryover_tolerance``).
     carryover_tolerance:
         Reactance-OPF baselines keep the previous hour's D-FACTS settings
         unless re-optimising saves more than this relative amount (operator
         practice; what keeps consecutive no-MTD matrices nearly identical,
-        as observed in Fig. 11).
+        as observed in Fig. 11).  Hour 0's previous hour is the previous
+        day's last hour, taken from a warm-up pass over the horizon.
     """
 
     profile: ProfileSpec = field(default_factory=ProfileSpec)

@@ -26,7 +26,7 @@ from repro.timeseries import (
     TuningSpec,
     daily_operation_spec,
 )
-from repro.timeseries.engine import _build_hours
+from repro.timeseries.engine import _build_hours, _solve_hour_baseline
 
 #: Default-path records (captured before the compatibility paths were
 #: removed): dispatch-only IEEE 14-bus, loads [205, 212, 220] MW,
@@ -387,6 +387,34 @@ class TestWarmupAndStaleness:
         )
         np.testing.assert_allclose(
             hours[2].knowledge_angles, hours[0].baseline.angles_rad
+        )
+
+    def test_hour_zero_baseline_carries_over_from_the_previous_day(self, net14):
+        """The baseline chain wraps like the attacker's knowledge: hour 0 is
+        the carryover rule applied to the previous (identical) day's last
+        hour, so γ(H_t, H_t′) at hour 0 compares like with like."""
+        spec = daily_operation_spec(
+            name="ts-warmup-opf",
+            profile=ProfileSpec(
+                explicit_totals_mw=(205.0, 212.0, 220.0),
+                peak_load_mw=None,
+                min_load_mw=None,
+            ),
+            n_attacks=8,
+            seed=0,
+        )
+        assert spec.grid.baseline == "reactance-opf"
+        hours = _build_hours(net14, spec.grid.baseline, spec.operation, spec.base_seed)
+        hour_zero = _solve_hour_baseline(
+            net14,
+            spec.grid.baseline,
+            spec.operation,
+            spec.base_seed,
+            hours[0].loads,
+            previous=hours[-1].baseline,
+        )
+        np.testing.assert_array_equal(
+            hour_zero.reactances, hours[0].baseline.reactances
         )
 
 
