@@ -2,7 +2,7 @@
 
 Runs a parameter-grid campaign (random-MTD Monte Carlo on the IEEE 14-bus
 case) through the full persistent pipeline — plan expansion, sharded
-execution, ndjson/SQLite store — and records sustained scenarios/sec, the
+execution, ndjson segment store — and records sustained scenarios/sec, the
 cost of the durability layer relative to the in-memory engine, and the
 replay speed of a completed campaign (a resumed campaign must execute
 nothing and answer from the store).

@@ -62,7 +62,6 @@ from repro.estimation import (
 )
 from repro.attacks import (
     generate_attack_ensemble,
-    is_undetectable_under,
     scale_attack_to_measurement_ratio,
     stealthy_attack,
     targeted_state_attack,
@@ -174,7 +173,6 @@ __all__ = [
     # attacks
     "stealthy_attack",
     "targeted_state_attack",
-    "is_undetectable_under",
     "scale_attack_to_measurement_ratio",
     "generate_attack_ensemble",
     # MTD

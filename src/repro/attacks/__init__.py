@@ -6,11 +6,7 @@ vectors of the form ``a = Hc``, which bypass the bad-data detector of the
 unperturbed system with probability no greater than the false-positive rate.
 """
 
-from repro.attacks.fdi import (
-    stealthy_attack,
-    targeted_state_attack,
-    is_undetectable_under,
-)
+from repro.attacks.fdi import stealthy_attack, targeted_state_attack
 from repro.attacks.scaling import scale_attack_to_measurement_ratio
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.attacks.impact import AttackImpact, estimate_attack_cost_impact
@@ -24,7 +20,6 @@ from repro.attacks.learning import (
 __all__ = [
     "stealthy_attack",
     "targeted_state_attack",
-    "is_undetectable_under",
     "scale_attack_to_measurement_ratio",
     "AttackEnsemble",
     "generate_attack_ensemble",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import AttackConstructionError
-from repro.utils.linalg import vector_in_column_space
 
 
 def stealthy_attack(measurement_matrix: np.ndarray, state_bias: np.ndarray) -> np.ndarray:
@@ -83,19 +82,4 @@ def targeted_state_attack(
     return stealthy_attack(H, c)
 
 
-def is_undetectable_under(
-    attack: np.ndarray,
-    post_mtd_matrix: np.ndarray,
-    tol: float = 1e-8,
-) -> bool:
-    """Proposition 1 test: is ``attack`` stealthy under the MTD matrix ``H'``?
-
-    An attack remains undetectable (its detection probability equals the
-    false-positive rate) exactly when it lies in the column space of the
-    post-perturbation measurement matrix, i.e. when
-    ``rank(H') == rank([H' a])``.
-    """
-    return vector_in_column_space(post_mtd_matrix, attack, tol=tol)
-
-
-__all__ = ["stealthy_attack", "targeted_state_attack", "is_undetectable_under"]
+__all__ = ["stealthy_attack", "targeted_state_attack"]

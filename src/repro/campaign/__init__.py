@@ -11,7 +11,7 @@ of work:
   the repository's grid-expansion semantics — in-memory
   ``ScenarioEngine.run_sweep`` delegates here);
 * :mod:`repro.campaign.store` — :class:`CampaignStore`, append-only ndjson
-  segments plus a SQLite index keyed by spec hash, crash-safe by
+  segments read through an in-memory spec-hash map, crash-safe by
   construction;
 * :mod:`repro.campaign.orchestrator` — :func:`run_campaign` /
   :class:`CampaignOrchestrator`, sharded execution with spec-hash-accounted

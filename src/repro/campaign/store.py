@@ -5,41 +5,43 @@ produced::
 
     <store>/
     ├── campaign.json          # manifest: definition + plan hash
-    ├── index.sqlite           # SQLite index keyed by spec content hash
     └── segments/
         ├── segment-000001.ndjson   # append-only result records
         └── segment-000002.ndjson   # (one new segment per run/resume)
 
-The **segments are the source of truth**: each line is one completed
-scenario (the :meth:`~repro.engine.results.ScenarioResult.to_dict` payload
-plus the shard index), appended and flushed as soon as the scenario
-finishes, never rewritten.  The **SQLite index is an accelerator** mapping
-``spec_hash`` → (segment, byte offset) plus per-segment high-water marks;
-it can always be rebuilt from the segments.
+The **segments are the whole store**: each line is one completed scenario
+(the :meth:`~repro.engine.results.ScenarioResult.to_dict` payload plus the
+shard index), appended, flushed and fsynced as soon as the scenario
+finishes, never rewritten.  An open store keeps an in-memory map from spec
+hash to the (segment, byte offset, length) of its latest record, plus the
+number of bytes of each segment it has indexed.  It scans the segments on
+open and, before every read, indexes the bytes appended since, so one
+instance sees what another appends.
 
-Crash safety follows from that split:
+Crash safety follows from the append-only lines:
 
 * a record is durable once its line (with trailing newline) hits the
-  segment; the index entry may lag behind;
-* on open, :meth:`CampaignStore.reconcile` scans every segment past its
-  indexed high-water mark and indexes any complete records found there —
-  recovering from a crash between the segment append and the index commit;
-* a torn final line (the process died mid-write) simply never becomes a
-  complete record: it is skipped, stays unindexed, and the scenario is
-  re-executed on resume.  New runs append to a *fresh* segment, so the
-  torn tail is never written after;
-* a corrupt or missing ``index.sqlite`` is rebuilt from the segments.
+  segment;
+* a torn final line (the process died mid-write) never becomes a complete
+  record: it stays unindexed until its newline arrives, and its scenario
+  re-executes on resume.  New runs append to a *fresh* segment, so a torn
+  tail is never written after;
+* a corrupt line in the middle of a segment is skipped and counted in
+  ``skipped_lines``;
+* a deleted segment's records are forgotten (a supported way to make its
+  scenarios re-execute), and a segment cut short is re-indexed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 import time
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 try:  # advisory single-writer locking (POSIX; absent on some platforms)
     import fcntl
@@ -52,27 +54,9 @@ from repro.telemetry import metrics as _metrics
 
 #: Store layout names.
 MANIFEST_NAME = "campaign.json"
-INDEX_NAME = "index.sqlite"
 SEGMENT_DIR = "segments"
 SEGMENT_SUFFIX = ".ndjson"
 LOCK_NAME = ".writer.lock"
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS results (
-    spec_hash   TEXT PRIMARY KEY,
-    name        TEXT NOT NULL,
-    segment     TEXT NOT NULL,
-    offset      INTEGER NOT NULL,
-    length      INTEGER NOT NULL,
-    shard       INTEGER,
-    n_trials    INTEGER NOT NULL,
-    created_unix REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS segments (
-    segment       TEXT PRIMARY KEY,
-    indexed_bytes INTEGER NOT NULL
-);
-"""
 
 
 def spec_field(spec: Mapping[str, Any], path: str) -> Any:
@@ -86,14 +70,13 @@ def spec_field(spec: Mapping[str, Any], path: str) -> Any:
 
 
 class CampaignStore:
-    """Append-only ndjson segments with a SQLite index, keyed by spec hash.
+    """Append-only ndjson segments, read through an in-memory spec-hash map.
 
     Parameters
     ----------
     directory:
         Store root; created (with parents) if missing.  Opening an existing
-        store reconciles the index with the segments on disk, recovering
-        any records a previous crash left unindexed.
+        store scans its segments.
     create:
         Pass ``False`` to require an existing store — a directory holding a
         manifest or segments.  Read-only commands (``status``/``query``)
@@ -109,25 +92,21 @@ class CampaignStore:
         ):
             raise ConfigurationError(f"no campaign store at {self._directory}")
         self._segment_dir.mkdir(parents=True, exist_ok=True)
-        self._connection = self._open_index()
-        self._segment_handle = None  # lazily opened per-instance segment
-        self._segment_name: str | None = None
+        #: (name, handle) of this instance's segment, opened on first append.
+        self._segment: tuple[str, BinaryIO] | None = None
         self._lock_handle = None  # held from first append until close
-        self.recovered_records = 0
+        #: spec hash → (segment, offset, length) of its latest record, in
+        #: insertion order: a re-appended hash moves to the end.
+        self._locations: dict[str, tuple[str, int, int]] = {}
+        #: segment → bytes indexed so far (through its last complete line).
+        self._indexed_bytes: dict[str, int] = {}
         self.skipped_lines = 0
-        self.reconcile()
+        self._refresh()
 
-    # ------------------------------------------------------------------
-    # index bootstrap / recovery
-    # ------------------------------------------------------------------
     @property
     def directory(self) -> Path:
         """Root directory of the store."""
         return self._directory
-
-    @property
-    def index_path(self) -> Path:
-        return self._directory / INDEX_NAME
 
     @property
     def progress_path(self) -> Path:
@@ -136,102 +115,49 @@ class CampaignStore:
 
         return progress_path(self._directory)
 
-    def _open_index(self) -> sqlite3.Connection:
-        """Connect to the index, discarding it if unreadable (it is derived
-        data — the segments carry the truth)."""
-        connection = None
-        try:
-            connection = self._connect()
-            return connection
-        except sqlite3.DatabaseError:
-            if connection is not None:
-                try:
-                    connection.close()
-                except sqlite3.Error:
-                    pass
-            self.index_path.unlink(missing_ok=True)
-            return self._connect()
-
-    def _connect(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(self.index_path)
-        # Readers (status/query) may reconcile while a writer commits
-        # appends; let SQLite wait briefly instead of surfacing transient
-        # "database is locked" errors.
-        connection.execute("PRAGMA busy_timeout = 5000")
-        connection.executescript(_SCHEMA)
-        connection.commit()
-        return connection
-
+    # ------------------------------------------------------------------
+    # in-memory index
+    # ------------------------------------------------------------------
     def _segment_files(self) -> list[Path]:
         return sorted(self._segment_dir.glob(f"*{SEGMENT_SUFFIX}"))
 
-    def reconcile(self) -> int:
-        """Index every complete segment record past the indexed high-water
-        marks; returns the number of records recovered.
+    def _refresh(self) -> None:
+        """Index the complete lines appended to the segments since the last
+        refresh.
 
-        Handles all three crash shapes: records appended but never indexed,
-        a torn (incomplete) final line, and corrupt lines in the middle of
-        a segment (skipped, counted in ``skipped_lines``).  A segment
-        *shorter* than its recorded high-water mark (external truncation)
-        is re-indexed from scratch.
+        A segment that is gone or shorter than its indexed bytes was changed
+        behind the store's back, so the map is rebuilt from the segments on
+        disk: a deleted segment's records are forgotten and a truncated
+        segment's surviving records re-indexed.
         """
-        recovered = 0
-        marks = dict(
-            self._connection.execute("SELECT segment, indexed_bytes FROM segments")
-        )
-        # Segments are the source of truth: rows for segment files that no
-        # longer exist are dropped, so deleting a segment is a supported way
-        # to force its scenarios to re-execute.
-        existing = {path.name for path in self._segment_files()}
-        placeholders = ",".join("?" * len(existing))
-        for table in ("results", "segments"):
-            self._connection.execute(
-                f"DELETE FROM {table} WHERE segment NOT IN ({placeholders})"
-                if existing
-                else f"DELETE FROM {table}",
-                tuple(existing),
-            )
-        for path in self._segment_files():
-            name = path.name
-            size = path.stat().st_size
-            mark = int(marks.get(name, 0))
-            if size < mark:
-                self._connection.execute(
-                    "DELETE FROM results WHERE segment = ?", (name,)
-                )
-                mark = 0
-            if size == mark:
-                continue
-            recovered += self._index_segment_tail(path, mark)
-        self._connection.commit()
-        self.recovered_records += recovered
-        return recovered
+        sizes = {path.name: path.stat().st_size for path in self._segment_files()}
+        if any(sizes.get(name, -1) < n for name, n in self._indexed_bytes.items()):
+            self._locations.clear()
+            self._indexed_bytes.clear()
+            self.skipped_lines = 0
+        for name, size in sizes.items():
+            if size > self._indexed_bytes.get(name, 0):
+                self._index_tail(name)
 
-    def _index_segment_tail(self, path: Path, start: int) -> int:
-        """Index complete records of ``path`` from byte ``start`` onward."""
-        name = path.name
-        recovered = 0
-        with path.open("rb") as handle:
-            handle.seek(start)
-            offset = start
-            while True:
-                line = handle.readline()
-                if not line:
-                    break
+    def _index_tail(self, segment: str) -> None:
+        """Index the complete records of ``segment`` past its indexed bytes."""
+        offset = self._indexed_bytes.get(segment, 0)
+        with (self._segment_dir / segment).open("rb") as handle:
+            handle.seek(offset)
+            for line in handle:
                 if not line.endswith(b"\n"):
-                    break  # torn tail: incomplete record, leave unindexed
+                    break  # torn tail: indexed once its newline arrives
                 record = self._parse_record(line)
                 if record is None:
                     self.skipped_lines += 1
                 else:
-                    self._index_record(record, name, offset, len(line))
-                    recovered += 1
+                    self._locate(record["spec_hash"], segment, offset, len(line))
                 offset += len(line)
-        self._connection.execute(
-            "INSERT OR REPLACE INTO segments (segment, indexed_bytes) VALUES (?, ?)",
-            (name, offset),
-        )
-        return recovered
+        self._indexed_bytes[segment] = offset
+
+    def _locate(self, spec_hash: str, segment: str, offset: int, length: int) -> None:
+        self._locations.pop(spec_hash, None)
+        self._locations[spec_hash] = (segment, offset, length)
 
     @staticmethod
     def _parse_record(line: bytes) -> dict[str, Any] | None:
@@ -245,33 +171,6 @@ class CampaignStore:
         if "spec" not in record or "trials" not in record:
             return None
         return record
-
-    def _index_record(
-        self, record: Mapping[str, Any], segment: str, offset: int, length: int
-    ) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO results "
-            "(spec_hash, name, segment, offset, length, shard, n_trials, created_unix) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record["spec_hash"],
-                str(record.get("spec", {}).get("name", "")),
-                segment,
-                offset,
-                length,
-                record.get("shard"),
-                len(record.get("trials", ())),
-                float(record.get("created_unix", time.time())),
-            ),
-        )
-
-    def rebuild_index(self) -> int:
-        """Drop the index and rebuild it from the segments; returns the
-        number of records indexed."""
-        self._connection.execute("DELETE FROM results")
-        self._connection.execute("DELETE FROM segments")
-        self._connection.commit()
-        return self.reconcile()
 
     # ------------------------------------------------------------------
     # appends
@@ -289,9 +188,9 @@ class CampaignStore:
     def _acquire_writer_lock(self) -> None:
         """Become the store's single writer (advisory ``flock``).
 
-        Concurrent writers would race on segment numbering and index
-        offsets, so a second live writer is rejected outright; the lock
-        dies with its process, so a ``kill -9`` never wedges the store.
+        Concurrent writers would race on segment numbering, so a second
+        live writer is rejected outright; the lock dies with its process,
+        so a ``kill -9`` never wedges the store.
         """
         if fcntl is None or self._lock_handle is not None:
             return
@@ -306,25 +205,26 @@ class CampaignStore:
             ) from None
         self._lock_handle = handle
 
-    def _segment_for_append(self):
+    def _segment_for_append(self) -> tuple[str, BinaryIO]:
         """The store instance's private segment, opened on first append.
 
         Every store instance (hence every run/resume generation) writes a
         fresh segment, so old segments — including any torn tail a crash
         left behind — are never appended to.
         """
-        if self._segment_handle is None:
+        if self._segment is None:
             self._acquire_writer_lock()
-            self._segment_name = self._next_segment_name()
-            self._segment_handle = (self._segment_dir / self._segment_name).open("ab")
-        return self._segment_handle
+            # Index what earlier writers appended first, so this writer's
+            # records follow theirs in insertion order.
+            self._refresh()
+            name = self._next_segment_name()
+            self._segment = (name, (self._segment_dir / name).open("ab"))
+        return self._segment
 
     def append(self, result: ScenarioResult, shard: int | None = None) -> str:
         """Persist one scenario result; returns its spec hash.
 
-        The record is durable (flushed and fsynced) before the index entry
-        is committed, so a crash can only ever lose index entries — which
-        :meth:`reconcile` recovers — never result data.
+        The record is durable (flushed and fsynced) when this returns.
         """
         record = result.to_dict()
         record["shard"] = shard
@@ -332,17 +232,13 @@ class CampaignStore:
         line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
             "utf-8"
         )
-        handle = self._segment_for_append()
+        segment, handle = self._segment_for_append()
         offset = handle.tell()
         handle.write(line)
         handle.flush()
         os.fsync(handle.fileno())
-        self._index_record(record, self._segment_name, offset, len(line))
-        self._connection.execute(
-            "INSERT OR REPLACE INTO segments (segment, indexed_bytes) VALUES (?, ?)",
-            (self._segment_name, offset + len(line)),
-        )
-        self._connection.commit()
+        self._locate(record["spec_hash"], segment, offset, len(line))
+        self._indexed_bytes[segment] = offset + len(line)
         _metrics.counter("store.appends")
         _metrics.counter("store.bytes_written", len(line))
         return record["spec_hash"]
@@ -351,77 +247,46 @@ class CampaignStore:
     # reads
     # ------------------------------------------------------------------
     def __contains__(self, spec_hash: str) -> bool:
-        row = self._connection.execute(
-            "SELECT 1 FROM results WHERE spec_hash = ?", (spec_hash,)
-        ).fetchone()
-        return row is not None
+        self._refresh()
+        return spec_hash in self._locations
 
     def __len__(self) -> int:
-        (count,) = self._connection.execute("SELECT COUNT(*) FROM results").fetchone()
-        return int(count)
+        self._refresh()
+        return len(self._locations)
 
     def completed_hashes(self) -> set[str]:
         """Spec hashes of every stored scenario."""
-        return {
-            row[0]
-            for row in self._connection.execute("SELECT spec_hash FROM results")
-        }
+        self._refresh()
+        return set(self._locations)
 
-    def _read_record(self, segment: str, offset: int, length: int) -> dict[str, Any]:
-        path = self._segment_dir / segment
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            line = handle.read(length)
-        record = self._parse_record(line)
-        if record is None:
-            raise ConfigurationError(
-                f"segment record at {segment}:{offset} is unreadable; "
-                "run rebuild_index() to re-derive the index"
-            )
-        return record
+    def _read(self, locations: Iterable[tuple[str, int, int]]) -> Iterator[dict[str, Any]]:
+        """The records at ``locations``, one open handle per run of
+        consecutive same-segment records."""
+        for segment, run in groupby(locations, key=itemgetter(0)):
+            with (self._segment_dir / segment).open("rb") as handle:
+                for _, offset, length in run:
+                    handle.seek(offset)
+                    record = self._parse_record(handle.read(length))
+                    if record is None:
+                        raise ConfigurationError(
+                            f"segment record at {segment}:{offset} is unreadable; "
+                            "the segment was rewritten after it was indexed"
+                        )
+                    yield record
 
     def get(self, spec_hash: str) -> ScenarioResult | None:
         """Load the stored result of one scenario, or ``None`` if absent."""
-        row = self._connection.execute(
-            "SELECT segment, offset, length FROM results WHERE spec_hash = ?",
-            (spec_hash,),
-        ).fetchone()
-        if row is None:
+        self._refresh()
+        location = self._locations.get(spec_hash)
+        if location is None:
             return None
-        record = self._read_record(*row)
+        (record,) = self._read([location])
         return ScenarioResult.from_dict(record, from_cache=True)
 
     def records(self) -> Iterator[dict[str, Any]]:
-        """Every stored record (raw dicts), in insertion order.
-
-        Insertion order is segment-sequential in the common case, so one
-        file handle is kept open per run of consecutive same-segment rows
-        instead of re-opening the segment for every record.
-        """
-        rows = self._connection.execute(
-            "SELECT segment, offset, length FROM results ORDER BY rowid"
-        ).fetchall()
-        open_segment: str | None = None
-        handle = None
-        try:
-            for segment, offset, length in rows:
-                if segment != open_segment:
-                    if handle is not None:
-                        handle.close()
-                    handle = (self._segment_dir / segment).open("rb")
-                    open_segment = segment
-                handle.seek(offset)
-                line = handle.read(length)
-                record = self._parse_record(line)
-                if record is None:
-                    raise ConfigurationError(
-                        f"segment record at {segment}:{offset} is unreadable; "
-                        "run rebuild_index() to re-derive the index"
-                    )
-                yield record
-        finally:
-            if handle is not None:
-                handle.close()
+        """Every stored record (raw dicts), in insertion order."""
+        self._refresh()
+        return self._read(list(self._locations.values()))
 
     def results(self) -> Iterator[ScenarioResult]:
         """Every stored :class:`ScenarioResult`, in insertion order."""
@@ -429,11 +294,10 @@ class CampaignStore:
             yield ScenarioResult.from_dict(record, from_cache=True)
 
     def stats(self) -> dict[str, int]:
-        """Entry/segment counts plus recovery accounting of this instance."""
+        """Entry and segment counts, and the corrupt lines skipped."""
         return {
             "entries": len(self),
             "segments": len(self._segment_files()),
-            "recovered_records": self.recovered_records,
             "skipped_lines": self.skipped_lines,
         }
 
@@ -475,18 +339,16 @@ class CampaignStore:
         garbage collection; reads stay available, and a later append simply
         re-acquires the lock and opens a fresh segment.
         """
-        if self._segment_handle is not None:
-            self._segment_handle.close()
-            self._segment_handle = None
-            self._segment_name = None
+        if self._segment is not None:
+            self._segment[1].close()
+            self._segment = None
         if self._lock_handle is not None:
             self._lock_handle.close()  # closing the fd releases the flock
             self._lock_handle = None
 
     def close(self) -> None:
-        """Flush and close the segment handle, writer lock and index."""
+        """Close the segment handle and release the writer lock."""
         self.release_writer()
-        self._connection.close()
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -499,6 +361,5 @@ __all__ = [
     "CampaignStore",
     "spec_field",
     "MANIFEST_NAME",
-    "INDEX_NAME",
     "SEGMENT_DIR",
 ]

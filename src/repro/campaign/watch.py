@@ -24,7 +24,7 @@ writer's pid no longer exists on this machine the shard is reported
 
 When the store has no progress stream (telemetry was off, or the run
 predates it), the watcher falls back to the store's own completion state
-(manifest + index), rendering a static view with no rate/stall data.
+(manifest + segments), rendering a static view with no rate/stall data.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class ResultCache:
         except (OSError, json.JSONDecodeError):
             self._record(hit=False)
             return None
-        if payload.get("spec_hash") != spec.content_hash():
+        if not isinstance(payload, dict) or payload.get("spec_hash") != spec.content_hash():
             self._record(hit=False)
             return None
         try:

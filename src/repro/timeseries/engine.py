@@ -115,19 +115,36 @@ def _solve_hour_baseline(
 ) -> OPFResult:
     """No-MTD OPF of one hour (paper eq. (1)).
 
-    With the reactance-OPF baseline, the previous hour's D-FACTS settings
-    are kept whenever re-optimising them would not lower the cost beyond
-    ``operation.carryover_tolerance`` — operator practice, and what keeps
-    consecutive no-MTD measurement matrices nearly identical (the
-    ``γ(H_t, H_{t'}) ≈ 0`` observation of Fig. 11).  Hour 0's ``previous``
-    is the previous day's last hour; ``None`` (the first hour of
-    :func:`_build_hours`' warm-up pass) takes the fresh optimum.
+    With the reactance-OPF baseline, the hour's fresh eq. (1) optimum goes
+    through the carryover rule of :func:`_carry_over`: hour 0's
+    ``previous`` is the previous day's last hour, and ``None`` takes the
+    fresh optimum.  :func:`_build_hours` calls this once per hour with
+    ``previous=None`` and applies :func:`_carry_over` to those optima in
+    both of its passes, so each hour's NLP is solved once.
     """
     if baseline_mode != "reactance-opf" or not network.dfacts_branches:
         return solve_dc_opf(network, loads_mw=loads)
     optimised = solve_reactance_opf(
         network, loads_mw=loads, n_random_starts=1, seed=base_seed
     )
+    return _carry_over(network, operation, loads, optimised, previous)
+
+
+def _carry_over(
+    network: PowerNetwork,
+    operation: OperationSpec,
+    loads: np.ndarray,
+    optimised: OPFResult,
+    previous: OPFResult | None,
+) -> OPFResult:
+    """The D-FACTS carryover rule of a reactance-OPF hour.
+
+    The previous hour's D-FACTS settings are kept whenever the hour's fresh
+    optimum ``optimised`` would not lower the cost beyond
+    ``operation.carryover_tolerance`` — operator practice, and what keeps
+    consecutive no-MTD measurement matrices nearly identical (the
+    ``γ(H_t, H_{t'}) ≈ 0`` observation of Fig. 11).
+    """
     if previous is None:
         return optimised
     try:
@@ -151,13 +168,13 @@ def _build_hours(
 
     Both wrap around to the previous (assumed identical) day.  The first
     ``staleness_hours`` hours' attacker knowledge is read off the end of
-    the horizon.  A reactance-OPF chain runs twice: the first pass stands
-    in for the previous day, and the kept second pass starts hour 0 from
-    that pass's last hour under :func:`_solve_hour_baseline`'s carryover
-    rule.  A fresh hour-0 solve would not do: where the eq. (1) optimum is
-    flat (ieee14 up to 220 MW, where every x_D under which the merit-order
-    dispatch fits the flow limits costs the same) it lands on a point
-    chosen by rounding, and γ(H_t, H_{t'}) jumps at hour 0.
+    the horizon.  A reactance-OPF chain solves each hour's eq. (1) once
+    and runs :func:`_carry_over` over those optima twice: the first pass
+    stands in for the previous day, and the kept second pass starts hour 0
+    from that pass's last hour.  A fresh hour-0 solve would not do: where
+    the eq. (1) optimum is flat (ieee14 up to 220 MW, where every x_D under
+    which the merit-order dispatch fits the flow limits costs the same) it
+    lands on a point chosen by rounding, and γ(H_t, H_{t'}) jumps at hour 0.
 
     One warm-up pass reached a fixed point on every registered horizon and
     on four traces up to 259 MW: a third pass reproduces the second bit
@@ -177,21 +194,24 @@ def _build_hours(
     nominal_loads = network.loads_mw()
 
     loads_list = [nominal_loads * (float(total) / nominal_total) for total in totals]
+    # Each hour's fresh optimum (for dispatch-only baselines, its baseline).
+    optima = [
+        _solve_hour_baseline(network, baseline_mode, operation, base_seed, loads, None)
+        for loads in loads_list
+    ]
 
     def chain(previous: OPFResult | None) -> list[OPFResult]:
         baselines: list[OPFResult] = []
-        for loads in loads_list:
-            previous = _solve_hour_baseline(
-                network, baseline_mode, operation, base_seed, loads, previous
-            )
+        for loads, optimised in zip(loads_list, optima):
+            previous = _carry_over(network, operation, loads, optimised, previous)
             baselines.append(previous)
         return baselines
 
-    baselines = chain(None)
+    baselines = optima
     if baseline_mode == "reactance-opf" and network.dfacts_branches:
         # The first pass stands in for the previous (assumed identical)
         # day; hour 0 carries over from its last hour.
-        baselines = chain(baselines[-1])
+        baselines = chain(chain(None)[-1])
 
     n_hours = len(loads_list)
     hours: list[HourContext] = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks.fdi import is_undetectable_under, stealthy_attack, targeted_state_attack
+from repro.attacks.fdi import stealthy_attack, targeted_state_attack
 from repro.attacks.generator import generate_attack_ensemble
 from repro.attacks.impact import estimate_attack_cost_impact, falsified_loads_from_state_bias
 from repro.attacks.scaling import (
@@ -54,20 +54,6 @@ class TestStealthyAttack:
     def test_targeted_attack_all_zero_rejected(self, measurement14):
         with pytest.raises(AttackConstructionError):
             targeted_state_attack(measurement14.matrix(), {2: 0.0})
-
-    def test_undetectable_under_same_matrix(self, measurement14, rng):
-        H = measurement14.matrix()
-        attack = stealthy_attack(H, rng.standard_normal(13))
-        assert is_undetectable_under(attack, H)
-
-    def test_detectable_under_perturbed_matrix(self, net14, measurement14, rng):
-        H = measurement14.matrix()
-        attack = stealthy_attack(H, rng.standard_normal(13))
-        x = net14.reactances()
-        for index in net14.dfacts_branches:
-            x[index] *= 1.5
-        H_perturbed = measurement14.with_reactances(x).matrix()
-        assert not is_undetectable_under(attack, H_perturbed)
 
 
 class TestScaling:

@@ -3,7 +3,12 @@ parallel determinism, and the ≥100-point acceptance sweep over fig7."""
 
 from __future__ import annotations
 
+import builtins
+import contextlib
+import io
 import json
+import os
+import sqlite3
 
 import pytest
 
@@ -26,7 +31,7 @@ from repro.engine import (
     ScenarioSpec,
     scenario_suite,
 )
-from repro.campaign.store import INDEX_NAME, MANIFEST_NAME, SEGMENT_DIR
+from repro.campaign.store import MANIFEST_NAME, SEGMENT_DIR
 from repro.exceptions import ConfigurationError
 
 
@@ -53,6 +58,19 @@ RETIRED_HINTS = (
     {"backend": "sparse"},
     {"batch_size": 8, "backend": "sparse"},
 )
+
+
+#: The index a store kept beside its segments before the segments became
+#: the whole store (``index.sqlite`` in the store root).
+LEGACY_INDEX_NAME = "index.sqlite"
+LEGACY_INDEX_SCHEMA = """
+CREATE TABLE IF NOT EXISTS results (
+    spec_hash TEXT PRIMARY KEY, name TEXT NOT NULL, segment TEXT NOT NULL,
+    offset INTEGER NOT NULL, length INTEGER NOT NULL, shard INTEGER,
+    n_trials INTEGER NOT NULL, created_unix REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS segments (segment TEXT PRIMARY KEY, indexed_bytes INTEGER NOT NULL);
+"""
 
 
 def quick_definition(**overrides) -> CampaignDefinition:
@@ -160,8 +178,6 @@ class TestRunAndResume:
                 for record in records:
                     record["spec"].update(hints)
                 segment.write_text("".join(json.dumps(r) + "\n" for r in records))
-            # Record offsets moved: the index is rebuilt from the segments.
-            (store_dir / INDEX_NAME).unlink()
 
             orchestrator = CampaignOrchestrator(store_dir)
             report = orchestrator.resume()
@@ -172,6 +188,53 @@ class TestRunAndResume:
             assert [r.spec.content_hash() for r in results] == list(plan.items)
             for result in results:
                 assert result.trials == sweep[result.spec.content_hash()].trials
+
+    @pytest.mark.parametrize("index_file", ["valid", "corrupt"])
+    def test_store_with_a_legacy_index_file_resumes(self, tmp_path, monkeypatch, index_file):
+        """A store written with an ``index.sqlite`` beside its segments
+        resumes from the segments alone and answers queries; the file is
+        never opened.  The valid index claims every planned hash, so a
+        store that trusted it would execute nothing."""
+        definition = quick_definition()
+        plan = plan_campaign(definition)
+        store_dir = tmp_path / "c.campaign"
+        run_campaign(definition, store_dir, shard_limit=1)
+        index = store_dir / LEGACY_INDEX_NAME
+        if index_file == "valid":
+            with contextlib.closing(sqlite3.connect(index)) as connection:
+                connection.executescript(LEGACY_INDEX_SCHEMA)
+                connection.executemany(
+                    "INSERT OR REPLACE INTO results "
+                    "VALUES (?, ?, 'segment-000001.ndjson', 0, 1, 0, 2, 0.0)",
+                    [(h, spec.name) for h, spec in plan.items.items()],
+                )
+                connection.commit()
+        else:
+            index.write_bytes(b"this is not a sqlite database at all")
+        written = index.read_bytes()
+
+        opened: list[str] = []
+
+        def spy(real_open):
+            def spied_open(file, *args, **kwargs):
+                opened.append(str(file))
+                return real_open(file, *args, **kwargs)
+
+            return spied_open
+
+        for module in (builtins, io, os):
+            monkeypatch.setattr(module, "open", spy(module.open))
+        orchestrator = CampaignOrchestrator(store_dir)
+        report = orchestrator.resume()
+        results = query_results(orchestrator.store)
+        monkeypatch.undo()
+
+        assert len(report.skipped) == 2 and len(report.executed) == 4
+        assert report.complete
+        assert [r.spec.content_hash() for r in results] == list(plan.items)
+        assert any(path.endswith(".ndjson") for path in opened)
+        assert not [path for path in opened if path.endswith(LEGACY_INDEX_NAME)]
+        assert index.read_bytes() == written
 
 
 class TestResultCacheInterop:

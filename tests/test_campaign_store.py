@@ -1,4 +1,4 @@
-"""Tests of the campaign store: durability, recovery, index rebuild, query."""
+"""Tests of the campaign store: durability, crash recovery, query."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.campaign import CampaignStore, query_results, spec_field, summarize_groups
 from repro.campaign.query import export_csv
-from repro.campaign.store import INDEX_NAME, SEGMENT_DIR
+from repro.campaign.store import SEGMENT_DIR
 from repro.engine import AttackSpec, GridSpec, MTDSpec, ScenarioSpec, TrialResult
 from repro.engine.results import ScenarioResult
 from repro.exceptions import ConfigurationError
@@ -95,6 +95,73 @@ class TestAppendAndRead:
         names = [r.spec.name for r in store.results()]
         assert names == [f"store-spec-{i}" for i in range(3)]
 
+    def test_reappended_hash_reads_its_last_record(self, tmp_path):
+        """A re-appended hash moves to its last record's place, in the open
+        instance and after reopening alike."""
+        root = tmp_path / "s.campaign"
+        store = CampaignStore(root)
+        for i in range(3):
+            store.append(make_result(i), shard=0)
+        store.close()
+        again = CampaignStore(root)
+        again.append(make_result(0), shard=7)
+        expected = ["store-spec-1", "store-spec-2", "store-spec-0"]
+        for view in (again, CampaignStore(root)):
+            assert [r["spec"]["name"] for r in view.records()] == expected
+            assert [r["shard"] for r in view.records()] == [0, 0, 7]
+        again.close()
+
+
+class TestLiveRefresh:
+    """An open store indexes what other instances append before each read."""
+
+    def test_reader_sees_appends_of_a_later_writer(self, tmp_path):
+        root = tmp_path / "s.campaign"
+        reader = CampaignStore(root)
+        writer = CampaignStore(root)
+        spec_hash = writer.append(make_result(1))
+        assert spec_hash in reader
+        assert reader.get(spec_hash).trials == make_result(1).trials
+        # The reader's own appends follow the writer's in insertion order.
+        writer.close()
+        reader.append(make_result(2))
+        assert [r.spec.name for r in reader.results()] == ["store-spec-1", "store-spec-2"]
+        reader.close()
+
+    def test_torn_tail_waits_for_its_newline(self, tmp_path):
+        with CampaignStore(tmp_path / "other.campaign") as other:
+            late = other.append(make_result(2))
+        (other_segment,) = segment_paths(other)
+        line = other_segment.read_bytes()
+        root = tmp_path / "s.campaign"
+        with CampaignStore(root) as writer:
+            writer.append(make_result(1))
+        reader = CampaignStore(root)
+        (segment,) = segment_paths(reader)
+        with segment.open("ab") as handle:
+            handle.write(line[:-1])
+        assert late not in reader and len(reader) == 1
+        with segment.open("ab") as handle:
+            handle.write(b"\n")
+        assert late in reader and len(reader) == 2
+
+    def test_deleted_and_truncated_segments_are_reindexed(self, tmp_path):
+        root = tmp_path / "s.campaign"
+        first = CampaignStore(root)
+        hashes = [first.append(make_result(i)) for i in range(2)]
+        first.close()
+        second = CampaignStore(root)
+        last = second.append(make_result(2))
+        second.close()
+        reader = CampaignStore(root)
+        assert reader.completed_hashes() == {*hashes, last}
+        oldest, newest = segment_paths(reader)
+        oldest.write_bytes(oldest.read_bytes().splitlines(keepends=True)[0])
+        assert reader.completed_hashes() == {hashes[0], last}
+        newest.unlink()
+        assert reader.completed_hashes() == {hashes[0]}
+        assert [r.spec.name for r in reader.results()] == ["store-spec-0"]
+
 
 class TestCrashRecovery:
     def test_torn_tail_is_ignored_and_reexecutable(self, tmp_path):
@@ -109,25 +176,9 @@ class TestCrashRecovery:
         data = segment.read_bytes()
         segment.write_bytes(data[:-17])  # cut into the final record
         reopened = CampaignStore(root)
-        reopened.rebuild_index()
         assert kept in reopened
         assert torn not in reopened
         assert len(reopened) == 1
-
-    def test_unindexed_segment_records_are_recovered_on_open(self, tmp_path):
-        """Crash between the segment append and the index commit: the line
-        is on disk but unindexed; reconcile picks it up."""
-        root = tmp_path / "s.campaign"
-        store = CampaignStore(root)
-        store.append(make_result(1))
-        # Simulate the lost index entry: drop the rows behind the store's back.
-        store._connection.execute("DELETE FROM results")
-        store._connection.execute("UPDATE segments SET indexed_bytes = 0")
-        store._connection.commit()
-        store.close()
-        reopened = CampaignStore(root)
-        assert len(reopened) == 1
-        assert reopened.recovered_records == 1
 
     def test_corrupt_middle_line_is_skipped(self, tmp_path):
         root = tmp_path / "s.campaign"
@@ -141,42 +192,14 @@ class TestCrashRecovery:
         second = second_store.append(make_result(2))
         second_store.close()
         reopened = CampaignStore(root)
-        reopened.rebuild_index()
         assert first in reopened and second in reopened
         assert len(reopened) == 2
         assert reopened.skipped_lines == 1
 
-    def test_index_rebuild_from_segments(self, tmp_path):
-        root = tmp_path / "s.campaign"
-        store = CampaignStore(root)
-        hashes = [store.append(make_result(i)) for i in range(4)]
-        store.close()
-        (root / INDEX_NAME).unlink()
-        rebuilt = CampaignStore(root)
-        assert rebuilt.completed_hashes() == set(hashes)
-        assert all(rebuilt.get(h) is not None for h in hashes)
-
-    def test_corrupt_index_is_discarded_and_rebuilt(self, tmp_path):
-        root = tmp_path / "s.campaign"
-        store = CampaignStore(root)
-        spec_hash = store.append(make_result(1))
-        store.close()
-        (root / INDEX_NAME).write_bytes(b"this is not a sqlite database at all")
-        reopened = CampaignStore(root)
-        assert spec_hash in reopened
-
-    def test_explicit_rebuild_counts_records(self, tmp_path):
-        store = CampaignStore(tmp_path / "s.campaign")
-        for i in range(3):
-            store.append(make_result(i))
-        assert store.rebuild_index() == 3
-        assert len(store) == 3
-
     def test_deleted_segment_rows_are_pruned(self, tmp_path):
         """Deleting a segment file is a supported way to force its
-        scenarios to re-execute: reconcile drops the orphaned index rows
-        instead of over-reporting completion (and query never hits a
-        missing file)."""
+        scenarios to re-execute: the store forgets its records instead of
+        over-reporting completion (and query never hits a missing file)."""
         root = tmp_path / "s.campaign"
         first_store = CampaignStore(root)
         first = first_store.append(make_result(1))
@@ -194,7 +217,7 @@ class TestCrashRecovery:
     def test_second_live_writer_is_rejected(self, tmp_path):
         """The store is single-writer: a second store instance appending
         while the first still holds the lock fails fast instead of racing
-        on segment numbering and index offsets."""
+        on segment numbering."""
         root = tmp_path / "s.campaign"
         writer = CampaignStore(root)
         writer.append(make_result(1))  # acquires the writer lock

@@ -179,6 +179,16 @@ class TestResultCacheCorruption:
         )
         assert cache.get(spec) is None
 
+    @pytest.mark.parametrize("entry", ["[]", "null"])
+    def test_entry_that_is_not_an_object_is_a_miss(self, tmp_path, entry):
+        """Valid JSON that is not an object (``[]``, ``null``) is as
+        unreadable as a truncated entry."""
+        cache = ResultCache(tmp_path)
+        spec = small_spec(n_trials=2)
+        cache.path_for(spec).write_text(entry)
+        assert cache.get(spec) is None
+        assert cache.misses == 1
+
     def test_clear_evicts_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = small_spec(n_trials=2)
