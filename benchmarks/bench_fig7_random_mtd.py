@@ -184,19 +184,21 @@ def bench_fig7_random_mtd(benchmark, scale):
         "fig7",
         {
             "figure": "fig7",
+            "case": "ieee14",
             "scale": scale.name,
             "n_attacks": scale.n_attacks,
             "n_random_trials": scale.n_random_trials,
-            "engine": {
-                "case": "ieee14",
-                "seconds": engine_seconds,
-            },
+            "engine_seconds": engine_seconds,
             "kernel_comparison": {
                 "case": SCALE_CASE,
                 "reference_seconds": reference_seconds,
                 "batched_seconds": batched_seconds,
                 "speedup": speedup,
                 "max_probability_disagreement": max_disagreement,
+            },
+            "history_seconds": {
+                "reference": reference_seconds,
+                "batched": batched_seconds,
             },
         },
     )

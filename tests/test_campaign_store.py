@@ -39,13 +39,13 @@ def segment_paths(store: CampaignStore):
 
 class TestAppendAndRead:
     def test_round_trip(self, tmp_path):
-        store = CampaignStore(tmp_path / "s.campaign")
         result = make_result(1)
-        spec_hash = store.append(result, shard=5)
-        assert spec_hash == result.spec.content_hash()
-        assert spec_hash in store
-        assert len(store) == 1
-        loaded = store.get(spec_hash)
+        with CampaignStore(tmp_path / "s.campaign") as store:
+            spec_hash = store.append(result, shard=5)
+            assert spec_hash == result.spec.content_hash()
+            assert spec_hash in store
+            assert len(store) == 1
+            loaded = store.get(spec_hash)
         assert loaded.trials == result.trials
         assert loaded.spec == result.spec
         assert loaded.from_cache
@@ -69,30 +69,32 @@ class TestAppendAndRead:
             CampaignStore(plain_dir, create=False)
         assert list(plain_dir.iterdir()) == []
         # A real store (with segments) opens fine without create.
-        CampaignStore(tmp_path / "s.campaign")
-        reopened = CampaignStore(tmp_path / "s.campaign", create=False)
-        assert len(reopened) == 0
+        CampaignStore(tmp_path / "s.campaign").close()
+        with CampaignStore(tmp_path / "s.campaign", create=False) as reopened:
+            assert len(reopened) == 0
 
     def test_reappend_same_hash_replaces(self, tmp_path):
-        store = CampaignStore(tmp_path / "s.campaign")
         result = make_result(1)
-        store.append(result, shard=0)
-        store.append(result, shard=7)
-        assert len(store) == 1
+        with CampaignStore(tmp_path / "s.campaign") as store:
+            store.append(result, shard=0)
+            store.append(result, shard=7)
+            assert len(store) == 1
 
     def test_each_instance_writes_a_fresh_segment(self, tmp_path):
         root = tmp_path / "s.campaign"
-        CampaignStore(root).append(make_result(1))
-        CampaignStore(root).append(make_result(2))
-        store = CampaignStore(root)
-        assert len(segment_paths(store)) == 2
-        assert len(store) == 2
+        with CampaignStore(root) as store:
+            store.append(make_result(1))
+        with CampaignStore(root) as store:
+            store.append(make_result(2))
+        with CampaignStore(root) as store:
+            assert len(segment_paths(store)) == 2
+            assert len(store) == 2
 
     def test_results_in_insertion_order(self, tmp_path):
-        store = CampaignStore(tmp_path / "s.campaign")
-        for i in range(3):
-            store.append(make_result(i))
-        names = [r.spec.name for r in store.results()]
+        with CampaignStore(tmp_path / "s.campaign") as store:
+            for i in range(3):
+                store.append(make_result(i))
+            names = [r.spec.name for r in store.results()]
         assert names == [f"store-spec-{i}" for i in range(3)]
 
     def test_reappended_hash_reads_its_last_record(self, tmp_path):
@@ -226,6 +228,7 @@ class TestCrashRecovery:
             contender.append(make_result(2))
         writer.close()  # releases the lock
         assert contender.append(make_result(2)) == make_result(2).spec.content_hash()
+        contender.close()
 
     def test_externally_truncated_segment_reindexes(self, tmp_path):
         root = tmp_path / "s.campaign"
@@ -258,12 +261,12 @@ class TestManifest:
 class TestQuery:
     @pytest.fixture()
     def store(self, tmp_path):
-        store = CampaignStore(tmp_path / "q.campaign")
-        for i, (case, gamma) in enumerate(
-            [("ieee14", 0.2), ("ieee14", 0.4), ("ieee30", 0.2), ("ieee30", 0.4)]
-        ):
-            store.append(make_result(i, case=case, gamma=gamma))
-        return store
+        with CampaignStore(tmp_path / "q.campaign") as store:
+            for i, (case, gamma) in enumerate(
+                [("ieee14", 0.2), ("ieee14", 0.4), ("ieee30", 0.2), ("ieee30", 0.4)]
+            ):
+                store.append(make_result(i, case=case, gamma=gamma))
+            yield store
 
     def test_spec_field(self):
         spec = make_result(0).spec.to_dict()

@@ -1,15 +1,21 @@
 """Tests of the batched estimation kernel: LinearModel and the detector.
 
-The contract under test: batched entry points perform the *same
-arithmetic* as the scalar ones (a batch of one is bit-identical), and
-noise batches consume the RNG stream exactly like sequential draws.
+The contract under test: batched entry points perform the same
+arithmetic as the scalar ones, equal to rounding (gemms of different
+shapes may round differently), noise batches consume the RNG stream
+exactly like sequential draws, and the detector's noncentral-χ² series
+is scipy's survival function to rounding.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import special, stats
 
+from repro.estimation import bdd
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
 from repro.estimation.linear_model import BatchStateEstimate, LinearModel
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
@@ -90,6 +96,46 @@ class TestLinearModel:
             LinearModel(H, np.zeros(6))
         with pytest.raises(EstimationError):
             LinearModel(H, np.ones(5))
+
+
+#: 1e-12 … 1e4: from the α floor to certain detection, across the term limit.
+NONCENTRALITIES = np.geomspace(1e-12, 1e4, 1000)
+
+
+class TestNoncentralChi2Series:
+    """``P_D`` from the central-χ² tail table against ``stats.ncx2.sf``."""
+
+    @pytest.mark.parametrize("alpha", [5e-4, 1e-2, 5e-2])
+    @pytest.mark.parametrize("dof", [1, 2, 9, 41, 83, 205, 1079, 3983])
+    def test_matches_ncx2_sf(self, dof, alpha, monkeypatch):
+        threshold = np.sqrt(stats.chi2.ppf(1.0 - alpha, dof))
+        reference = stats.ncx2.sf(threshold**2, dof, NONCENTRALITIES)
+        # The λ the series prices when alone in a batch.
+        series = (
+            special.pdtrc(bdd._MAX_SERIES_TERMS - 1, 0.5 * NONCENTRALITIES)
+            < bdd._TRUNCATION * alpha
+        )
+        assert series.any() and not series.all()
+
+        one_by_one = np.array(
+            [bdd._detection_survival(lam[None], alpha, dof)[0] for lam in NONCENTRALITIES]
+        )
+        np.testing.assert_allclose(one_by_one, reference, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(one_by_one[~series], reference[~series])
+
+        largest = NONCENTRALITIES[series][-1]
+        below = np.geomspace(1e-12, largest, 1000)
+        with monkeypatch.context() as patch:
+            # Under the limit the batch never reaches stats.ncx2.
+            patch.setattr(bdd, "stats", SimpleNamespace(chi2=stats.chi2))
+            priced = bdd._detection_survival(below, alpha, dof)
+        np.testing.assert_allclose(
+            priced, stats.ncx2.sf(threshold**2, dof, below), rtol=1e-13, atol=0.0
+        )
+        # One λ over the limit sends the whole batch to scipy, unchanged.
+        np.testing.assert_array_equal(
+            bdd._detection_survival(NONCENTRALITIES, alpha, dof), reference
+        )
 
 
 class TestBatchedDetector:

@@ -8,7 +8,9 @@ only on the IEEE benchmark cases:
   ``c`` and undetectability is preserved under scaling.
 * Principal angles are symmetric, bounded and invariant to column scaling.
 * Attack-magnitude scaling achieves the requested ratio for every target.
-* The detection probability is monotone in the attack magnitude.
+* The detection probability is monotone in the attack magnitude, and
+  lies in ``[α, 1]`` nondecreasing in the noncentrality, whether a batch
+  is priced by the central-χ² series or by ``stats.ncx2.sf``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.fdi import stealthy_attack
 from repro.attacks.scaling import attack_measurement_ratio, scale_attack_to_measurement_ratio
-from repro.estimation.bdd import BadDataDetector
+from repro.estimation.bdd import BadDataDetector, _detection_survival
 from repro.estimation.measurement import MeasurementSystem
 from repro.grid.cases import case14, synthetic_case
 from repro.grid.matrices import reduced_measurement_matrix
@@ -126,6 +128,29 @@ def test_detection_probability_monotone_in_attack_magnitude(bias, small, factor)
     p_small = detector.detection_probability(small * attack)
     p_large = detector.detection_probability(small * factor * attack)
     assert p_large >= p_small - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(
+    dof=st.sampled_from([1, 2, 9, 41, 83, 205, 1079, 3983]),
+    alpha=st.sampled_from([5e-4, 1e-2, 5e-2]),
+    noncentralities=st.lists(
+        st.floats(min_value=1e-12, max_value=1e4), min_size=1, max_size=40
+    ).map(np.sort),
+)
+def test_detection_probability_bounded_and_monotone_in_noncentrality(
+    dof, alpha, noncentralities
+):
+    """α ≤ P_D ≤ 1 and P_D nondecreasing in λ, to rounding, for a batch and
+    for its attacks priced one at a time (which may take the other path)."""
+    batch = _detection_survival(noncentralities, alpha, dof)
+    one_by_one = np.array(
+        [_detection_survival(lam[None], alpha, dof)[0] for lam in noncentralities]
+    )
+    for probabilities in (batch, one_by_one):
+        assert np.all(probabilities >= alpha * (1.0 - 1e-12))
+        assert np.all(probabilities <= 1.0 + 1e-15)
+        assert np.all(np.diff(probabilities) >= -1e-13 * probabilities[1:])
 
 
 @PROPERTY_SETTINGS
