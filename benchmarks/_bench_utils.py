@@ -13,6 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.engine import clear_context_caches, run_trial
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.design import max_spa_perturbation, spa_of_reactances
 
@@ -50,6 +51,20 @@ def time_call(fn: Callable, *args, **kwargs) -> tuple[Any, float]:
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def cold_context_seconds(spec) -> float:
+    """Seconds to build ``spec``'s scenario context from cleared caches.
+
+    Runs trial 0 after :func:`~repro.engine.clear_context_caches`, so the
+    context (network, baseline OPF, attacker side, pinned ensemble) is
+    built whatever an earlier benchmark of the same session left cached;
+    the trial itself is a few milliseconds of it.  A benchmark that times
+    its trials afterwards then times them on a warm context, in any run
+    order.
+    """
+    clear_context_caches()
+    return time_call(run_trial, spec, 0)[1]
 
 
 def emit_bench_json(name: str, payload: dict) -> Path:
@@ -168,6 +183,7 @@ def exact_angle_perturbations(network, base_reactances, gammas):
 __all__ = [
     "print_banner",
     "time_call",
+    "cold_context_seconds",
     "emit_bench_json",
     "gamma_grid",
     "exact_angle_perturbations",

@@ -179,14 +179,13 @@ def knowledge_decay_curve(
             rng=rng,
             true_matrix=true_matrix,
         )
-        probabilities = []
-        for _ in range(n_attacks):
-            weights = rng.standard_normal(learned.basis.shape[1])
-            attack = learned_attack(learned, weights)
-            norm = np.linalg.norm(attack)
-            if norm > 0:
-                attack = attack * (attack_scale / norm)
-            probabilities.append(detector.detection_probability(attack))
+        # One (n_attacks, dim) draw consumes the stream as n_attacks draws of
+        # dim weights would.
+        weights = rng.standard_normal((n_attacks, learned.basis.shape[1]))
+        attacks = weights @ learned.basis.T
+        norms = np.linalg.norm(attacks, axis=1)
+        scales = np.divide(attack_scale, norms, out=np.ones_like(norms), where=norms > 0)
+        probabilities = detector.detection_probabilities(attacks * scales[:, None])
         curve.append(
             {
                 "n_snapshots": float(count),

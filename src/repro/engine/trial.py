@@ -97,9 +97,9 @@ def _grid_context(
 
     The side holds ``H_t``: one dense ``(M, n)`` array per memoised
     context, about 3.3 MB at 300 buses and 67 MB at 1354, plus a CSR copy
-    of ``H_t``, the sparse D-FACTS columns ``U`` and two ``(k, k)``
-    matrices, ``UᵀU`` and (after the first SPA) the angle factor ``R``:
-    0.2 and 4.3 MB each at 162 and 731 D-FACTS branches.
+    of ``H_t``, the sparse D-FACTS columns ``U`` and, after the first
+    evaluation, three rank-k factors of at most ``k × k`` each: 0.2 and
+    4.3 MB each at 162 and 731 D-FACTS branches.
     """
     network = apply_contingency(network_for_grid(grid), contingency)
     if grid.baseline == "reactance-opf":

@@ -6,14 +6,11 @@ A :class:`FactorizationBackend` owns everything a
 batched kernels: the state estimate
 (:meth:`FactorizationBackend.estimate`) and the weighted projection onto
 the column space (:meth:`FactorizationBackend.project_weighted`), from
-which the model derives every residual norm and attack residual.  A third
-query, :meth:`FactorizationBackend.residual_gram`, gives the ``k × k``
-matrix ``K = Uᵀ(I − P)U`` of any column block ``U`` against the factored
-column space: the detector prices attacks whose residuals are those of
-``Uc`` by its quadratic form, and
-:func:`~repro.mtd.subspace.subspace_angle` reads the SPA of a rank-``k``
-change along ``U`` from it.  Two first-class implementations
-exist:
+which the model derives every residual norm and attack residual.  A
+D-FACTS perturbation priced in the rank-``k`` form needs neither: its
+``k × k`` factors come from the attacker's gain Cholesky (see
+:mod:`repro.mtd.subspace`), and its detector builds no backend.  Two
+first-class implementations exist:
 
 ``dense`` — :class:`DenseQRBackend`
     The original path: SVD observability guard, then the thin QR
@@ -29,18 +26,14 @@ exist:
     factorised once by a dense Cholesky ``G = LLᵀ``, and **no dense
     ``(M, n)`` factor is ever materialised** — neither ``Q`` nor a
     densified ``H``.  Memory is ``O(nnz(H) + n²)``: the dense ``L`` is
-    14.6 MB at 1354 buses, the size of every ``n × n`` Gram the analytic
-    queries form anyway.  States are two dense triangular solves through
-    ``L``, the projection is evaluated directly as the fitted
-    measurements ``W^{1/2}Hθ̂`` (mathematically identical to the
-    projector form; the tier-1 agreement tests pin the two paths to
-    ~1e-9 relative tolerance), and the residual Gram is
-    ``K = UᵀU − WᵀW`` with ``W = L⁻¹H_wᵀU``: one sparse product, one
-    ``n × k`` triangular solve and one symmetric product.  The
-    observability guard is derived from
-    the factorisation itself — a ``G`` that is not positive definite, or
-    a vanishing pivot ``diag(L)²`` — instead of a dense SVD, so the guard
-    stops being the O(M·n²) bottleneck.
+    14.6 MB at 1354 buses, the size of the gain itself.  States are two
+    dense triangular solves through ``L``, the projection is evaluated
+    directly as the fitted measurements ``W^{1/2}Hθ̂`` (mathematically
+    identical to the projector form; the tier-1 agreement tests pin the
+    two paths to ~1e-9 relative tolerance).  The observability guard is
+    derived from the factorisation itself — a ``G`` that is not positive
+    definite, or a vanishing pivot ``diag(L)²`` — instead of a dense SVD,
+    so the guard stops being the O(M·n²) bottleneck.
 
 ``auto`` resolves per model: sparse at or above
 :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses (the same
@@ -180,20 +173,6 @@ class FactorizationBackend(abc.ABC):
         noncentrality from this single projection.
         """
 
-    @abc.abstractmethod
-    def residual_gram(
-        self, block: MatrixLike, block_gram: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``K = Uᵀ(I − P)U`` for an ``(M, k)`` column block ``U``.
-
-        ``P`` projects onto ``Col(W^{1/2}H)``; ``K`` is ``(k, k)``.  ``U``
-        is any dense or sparse block, not only an orthonormal basis (for
-        one, ``λ_max(K)`` is ``sin²`` of the largest principal angle
-        between ``Col(U)`` and that column space).  ``block_gram`` is
-        ``UᵀU`` when the caller keeps it; a backend that needs it forms
-        it otherwise.
-        """
-
     # -- dense-only accessors ------------------------------------------
     @property
     def q(self) -> np.ndarray:
@@ -272,15 +251,6 @@ class DenseQRBackend(FactorizationBackend):
 
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return (weighted @ self._q) @ self._q.T
-
-    def residual_gram(
-        self, block: MatrixLike, block_gram: np.ndarray | None = None
-    ) -> np.ndarray:
-        # Sine form E = U − Q(QᵀU): K = EᵀE keeps the digits of a residual
-        # that is small against U, so it needs no UᵀU.
-        U = block.toarray() if scipy.sparse.issparse(block) else block
-        residual = U - self._q @ (self._q.T @ U)
-        return residual.T @ residual
 
 
 class SparseQlessBackend(FactorizationBackend):
@@ -361,22 +331,6 @@ class SparseQlessBackend(FactorizationBackend):
 
     def project_weighted(self, weighted: np.ndarray) -> np.ndarray:
         return np.asarray((self._Hw @ self._solve_gain(weighted)).T)
-
-    def residual_gram(
-        self, block: MatrixLike, block_gram: np.ndarray | None = None
-    ) -> np.ndarray:
-        # P = H_w G⁻¹ H_wᵀ with G = LLᵀ, so UᵀPU = WᵀW for W = L⁻¹H_wᵀU:
-        # one triangular solve with k right-hand sides, no (M, n) factor.
-        # The difference UᵀU − WᵀW keeps its digits unless U lies close to
-        # Col(H); a block of D-FACTS columns does not.
-        U = scipy.sparse.csc_matrix(block)
-        whitened = scipy.linalg.solve_triangular(
-            self._chol, (self._Hw.T @ U).toarray(),
-            lower=True, overwrite_b=True, check_finite=False,
-        )
-        if block_gram is None:
-            block_gram = (U.T @ U).toarray()
-        return block_gram - whitened.T @ whitened
 
 
 def build_backend(

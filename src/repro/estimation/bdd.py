@@ -29,29 +29,36 @@ as the batch's largest noncentrality needs (see
 
 Attacks built as ``a = H_t b`` from a known matrix ``H_t`` can also be
 handed over in the *rank-k form*, when the detector's ``H`` differs from
-``H_t`` by a rank-``k`` change ``U diag(Δb) A_Dᵀ`` (a D-FACTS
-perturbation of ``k`` branches).  The detector's residual of ``a`` is then
-that of ``U c`` with ``c = Δb ⊙ A_Dᵀb``, so every noncentrality is a
-quadratic form ``σ⁻² cᵀKc`` of one ``k × k`` matrix ``K = Uᵀ(I − P)U``
-(a :class:`~repro.estimation.linear_model.ResidualGram`), and no attack is
-projected in measurement space.  Both forms give the same
-probabilities to rounding; the measurement-space form stays the general
-one (learned attacks, Monte Carlo, perturbations of branches without
-D-FACTS).
+``H_t`` by a D-FACTS perturbation ``U diag(Δb) A_Dᵀ`` of ``k`` branches,
+given as a :class:`~repro.mtd.subspace.RankKPerturbation`.  Each attack
+then comes as its state bias's differences ``g = A_Dᵀb`` across the
+branches, and its noncentrality is ``σ⁻²‖L_c⁻¹Φg‖²`` from the
+perturbation's ``(k − d) × k`` map ``L_c⁻¹Φ``, which depends on ``H_t``'s
+factors and ``Δb`` only (see :mod:`repro.mtd.subspace`).  No attack is
+projected in measurement space and the detector's own ``H`` is neither
+assembled nor factored: its
+:class:`~repro.estimation.linear_model.LinearModel` is built on the first
+measurement-space query.  Both forms give the same probabilities to
+rounding; the measurement-space form stays the general one (learned
+attacks, Monte Carlo, perturbations of branches without D-FACTS).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special, stats
 
 from repro.exceptions import EstimationError
-from repro.estimation.backends import BACKEND_AUTO
-from repro.estimation.linear_model import LinearModel, ResidualGram
+from repro.estimation.backends import BACKEND_AUTO, resolve_backend
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.utils.rng import as_generator
+
+if TYPE_CHECKING:
+    from repro.mtd.subspace import RankKPerturbation
 
 #: False-positive rate used throughout the paper's simulations.
 DEFAULT_FALSE_POSITIVE_RATE: float = 5e-4
@@ -126,8 +133,11 @@ class BadDataDetector:
     Raises
     ------
     EstimationError
-        If the FP rate is outside ``(0, 1)``, or the measurement matrix is
-        rank deficient (unobservable network) or has no redundancy.
+        If the FP rate is outside ``(0, 1)``, or the measurement set has
+        no redundancy; on the first measurement-space query, if the
+        measurement matrix is rank deficient (unobservable network).
+    ConfigurationError
+        For an unknown backend name.
     """
 
     def __init__(
@@ -142,8 +152,8 @@ class BadDataDetector:
             )
         self._system = system
         self._alpha = float(false_positive_rate)
-        self._model = LinearModel.from_measurement_system(system, backend=backend)
-        dof = self._model.degrees_of_freedom
+        self._backend = resolve_backend(backend, n_buses=system.n_states + 1)
+        dof = system.n_measurements - system.n_states
         if dof <= 0:
             raise EstimationError(
                 "the measurement set has no redundancy; bad-data detection is impossible"
@@ -152,10 +162,14 @@ class BadDataDetector:
         self._threshold, _ = _null_tables(self._alpha, dof)
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def model(self) -> LinearModel:
-        """The factorized linear model behind every query."""
-        return self._model
+        """The factorized linear model behind every measurement-space query.
+
+        Built on first use: a detector that prices only rank-k attacks
+        never assembles or factors its ``H``.
+        """
+        return LinearModel.from_measurement_system(self._system, backend=self._backend)
 
     @property
     def system(self) -> MeasurementSystem:
@@ -198,7 +212,7 @@ class BadDataDetector:
             ``raises_alarm(measurements[i])`` unless that residual lies
             within rounding of the threshold.
         """
-        return self._model.residual_norms(measurements) >= self._threshold
+        return self.model.residual_norms(measurements) >= self._threshold
 
     # ------------------------------------------------------------------
     # Detection probability of an FDI attack
@@ -215,21 +229,21 @@ class BadDataDetector:
         return float(self.detection_probabilities(a[None, :])[0])
 
     def detection_probabilities(
-        self, attacks: np.ndarray, gram: ResidualGram | None = None
+        self, attacks: np.ndarray, perturbation: RankKPerturbation | None = None
     ) -> np.ndarray:
         """Closed-form detection probabilities of a whole attack batch.
 
         Parameters
         ----------
         attacks:
-            Stacked attack vectors, shape ``(B, M)``; with ``gram``, their
-            rank-k coordinates ``c_i``, shape ``(B, k)`` (see the module
-            docstring).
-        gram:
-            Optional :class:`~repro.estimation.linear_model.ResidualGram`
-            ``K = Uᵀ(I − P)U`` of the block ``U`` the coordinates refer to,
-            against this detector's :attr:`model`; read (and formed, if
-            no one has yet) here.
+            Stacked attack vectors, shape ``(B, M)``; with
+            ``perturbation``, their state biases' differences
+            ``g_i = A_Dᵀb_i`` across its ``k`` branches, shape ``(B, k)``
+            (see the module docstring).
+        perturbation:
+            Optional :class:`~repro.mtd.subspace.RankKPerturbation` that
+            turns the attacker's ``H_t`` into this detector's ``H``; its
+            map ``L_c⁻¹Φ`` is read (and formed, if no one has yet) here.
 
         Returns
         -------
@@ -237,6 +251,12 @@ class BadDataDetector:
             ``P_D(a_i)``, shape ``(B,)``.  Attacks with zero residual
             component (stealthy against *this* model) report the
             false-positive floor ``α``.
+
+        Raises
+        ------
+        EstimationError
+            If the branch differences do not have one column per branch
+            of the perturbation.
 
         Notes
         -----
@@ -252,7 +272,17 @@ class BadDataDetector:
         terms goes to ``stats.ncx2.sf`` instead.  Either way the result is
         scipy's to rounding (rtol 1e-13 in the tests).
         """
-        lams = self._model.attack_noncentralities(attacks, gram=gram)
+        if perturbation is None:
+            lams = self.model.attack_noncentralities(attacks)
+        else:
+            differences = np.asarray(attacks, dtype=float)
+            k = perturbation.scales.shape[0]
+            if differences.ndim != 2 or differences.shape[1] != k:
+                raise EstimationError(
+                    f"expected branch differences of shape (B, {k}), got {differences.shape}"
+                )
+            residuals = differences @ perturbation.residual_map.T
+            lams = np.einsum("ij,ij->i", residuals, residuals) / self._system.noise_sigma**2
         probabilities = np.full(lams.shape, self._alpha)
         visible = lams > 0.0
         if np.any(visible):
@@ -300,7 +330,7 @@ class BadDataDetector:
         # sparse backend by apply_states).  Each attack's (n_trials, M)
         # noise matrix is one draw, consuming the stream exactly like
         # n_trials sequential MeasurementSystem.measure calls.
-        z0 = self._model.apply_states(self._system.reduce_angles(angles_rad))
+        z0 = self.model.apply_states(self._system.reduce_angles(angles_rad))
         if A.shape[1] != z0.shape[0]:
             raise EstimationError(
                 f"attack length {A.shape[1]} does not match measurement count {z0.shape[0]}"
@@ -324,7 +354,7 @@ class BadDataDetector:
         The zero attack through :meth:`detection_probabilities_monte_carlo`:
         adding ``0.0`` leaves every noisy draw unchanged.
         """
-        zero = np.zeros((1, self._model.n_measurements))
+        zero = np.zeros((1, self._system.n_measurements))
         return float(self.detection_probabilities_monte_carlo(zero, angles_rad, n_trials, rng)[0])
 
 

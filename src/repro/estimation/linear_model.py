@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,12 +106,10 @@ class LinearModel:
     without materialising ``Q``; results agree with the dense backend to
     solver tolerance (the tier-1 agreement tests pin the bound).
 
-    For attacks whose residuals are those of ``U c_i`` for a column block
-    ``U`` (a D-FACTS perturbation's rank-``k`` change, seen from the
-    attacker's ``H``), every noncentrality is a quadratic form of one
-    ``k × k`` matrix, ``λ_i = σ⁻² c_iᵀ K c_i`` with ``K = Uᵀ(I − P)U``
-    from :meth:`residual_gram`.  The model keeps no ``K``: a
-    :class:`ResidualGram` holds one for every query that reads it.
+    A D-FACTS perturbation's attacks need no model at all: the detector
+    prices them in the rank-``k`` form from the attacker's factors (see
+    :mod:`repro.estimation.bdd`), and builds its model only for a
+    measurement-space query.
     """
 
     def __init__(
@@ -207,50 +204,6 @@ class LinearModel:
     def degrees_of_freedom(self) -> int:
         """Residual degrees of freedom ``M − n`` of the χ² statistic."""
         return self.n_measurements - self.n_states
-
-    def residual_gram(
-        self, block: MatrixLike, block_gram: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``K = Uᵀ(I − P)U`` for a column block ``U`` of another space.
-
-        Parameters
-        ----------
-        block:
-            Any ``(M, k)`` block ``U``, dense or sparse; for an orthonormal
-            one, ``λ_max(K)`` is ``sin²`` of the largest principal angle
-            between ``Col(U)`` and ``Col(H)``.
-        block_gram:
-            ``UᵀU``, when the caller keeps it.  The sparse backend forms
-            ``K = UᵀU − WᵀW`` and takes it instead of forming it; the
-            dense backend's sine form does not need it.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(k, k)`` matrix, with ``P`` the orthogonal projector onto
-            ``Col(H)``.  The dense backend forms it from its own ``Q``, the
-            sparse backend through its gain Cholesky — neither builds nor
-            refactors ``H``.
-
-        Raises
-        ------
-        EstimationError
-            If ``block`` is not ``(M, k)``, or the weights are not uniform:
-            the factorization then spans ``Col(W^{1/2}H)``, which is not
-            ``Col(H)``.
-        """
-        if not scipy.sparse.issparse(block):
-            block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self.n_measurements:
-            raise EstimationError(
-                f"expected a block of shape ({self.n_measurements}, k), got {block.shape}"
-            )
-        if np.any(self._sqrt_w != self._sqrt_w[0]):
-            raise EstimationError(
-                "residual_gram needs uniform weights: a weighted factorization "
-                "does not span Col(H)"
-            )
-        return self._fact.residual_gram(block, block_gram)
 
     def apply_states(self, states: np.ndarray) -> np.ndarray:
         """Noiseless measurements ``Hθ`` of a state vector or stack.
@@ -385,79 +338,20 @@ class LinearModel:
         residuals, _ = self._weighted_residuals(attacks, "attacks")
         return np.linalg.norm(residuals, axis=1)
 
-    def attack_noncentralities(
-        self, attacks: np.ndarray, gram: ResidualGram | None = None
-    ) -> np.ndarray:
+    def attack_noncentralities(self, attacks: np.ndarray) -> np.ndarray:
         """Noncentrality parameters ``λ_i = ‖W^{1/2}(I − Γ)a_i‖²``.
 
         Parameters
         ----------
         attacks:
-            Attack vectors, shape ``(B, M)``; with ``gram``, coordinates
-            ``c_i`` instead, shape ``(B, k)``: the residual of ``a_i`` is
-            that of ``U c_i`` (up to sign) for the block ``U`` of the Gram.
-        gram:
-            Optional :class:`ResidualGram` of that block against this model
-            (which needs uniform weights ``w``).  The noncentralities are
-            then the quadratic forms ``w c_iᵀ K c_i``, and no attack is
-            projected in measurement space.
+            Attack vectors, shape ``(B, M)``.
 
         Returns
         -------
         numpy.ndarray
             Noncentralities of the residual χ² statistic, shape ``(B,)``.
-
-        Raises
-        ------
-        EstimationError
-            If the Gram belongs to another model, or the coordinates do not
-            have one column per column of its block.
         """
-        if gram is None:
-            return self.attack_residual_norms(attacks) ** 2
-        if gram.model is not self:
-            raise EstimationError("the residual Gram belongs to another model")
-        K = gram.matrix
-        C = np.asarray(attacks, dtype=float)
-        if C.ndim != 2 or C.shape[1] != K.shape[0]:
-            raise EstimationError(
-                f"expected coordinates of shape (B, {K.shape[0]}), got {C.shape}"
-            )
-        weight = self._sqrt_w[0] ** 2
-        return weight * np.einsum("ij,ij->i", C @ K, C)
+        return self.attack_residual_norms(attacks) ** 2
 
 
-class ResidualGram:
-    """``K = Uᵀ(I − P)U`` of one column block against one model, formed on first read.
-
-    One perturbation's rank-``k`` noncentralities
-    (:meth:`LinearModel.attack_noncentralities`) and its angle
-    (:func:`~repro.mtd.subspace.subspace_angle` of a
-    :class:`~repro.mtd.subspace.RankKChange`) read the same ``K``.  Handed
-    to both, this forms it in whichever reads it first, through
-    :meth:`LinearModel.residual_gram`, and keeps it; if neither reads it,
-    it is never formed.
-
-    Parameters
-    ----------
-    model:
-        The model whose projector ``P`` the Gram is taken against.
-    block, block_gram:
-        ``U`` and, optionally, ``UᵀU``, as for
-        :meth:`LinearModel.residual_gram`.
-    """
-
-    def __init__(
-        self, model: LinearModel, block: MatrixLike, block_gram: np.ndarray | None = None
-    ) -> None:
-        self.model = model
-        self._block = block
-        self._block_gram = block_gram
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """``K``, shape ``(k, k)``."""
-        return self.model.residual_gram(self._block, self._block_gram)
-
-
-__all__ = ["LinearModel", "BatchStateEstimate", "ResidualGram"]
+__all__ = ["LinearModel", "BatchStateEstimate"]

@@ -13,29 +13,33 @@ closed form (noncentral-χ², see :class:`repro.estimation.bdd.BadDataDetector`)
 or by the paper's Monte-Carlo procedure (1000 noisy measurement draws); the
 two agree to Monte-Carlo accuracy and are cross-validated in the tests.
 Each evaluation also reports the perturbation's subspace angle
-``γ(H, H')`` (Section V-C), read from the detector's own factorization of
-``H'`` when first asked for.
+``γ(H, H')`` (Section V-C), computed when first asked for.
 
-Both come from one ``k × k`` matrix per perturbation.  A D-FACTS
-perturbation of the ``k`` branches ``D`` changes the attacker's ``H`` by
-``H′ − H = U diag(Δb) A_Dᵀ``, with ``u_j = [e_j; −e_j; a_j]`` the forward-
-flow, reverse-flow and injection rows of branch ``j``, ``A_D`` its columns
-of the reduced incidence and ``Δb`` the susceptance changes.  An attack
-``a = Hb`` then leaves the detector a residual ``−(I − P′)Uc`` with
-``c = Δb ⊙ A_Dᵀb`` — the state bias's differences across the changed
-branches — so the detector prices it as ``σ⁻² cᵀKc`` from
-``K = Uᵀ(I − P′)U``, and the angle is ``arcsin √λ_max(X K Xᵀ)`` of the
-same ``K`` with ``X = R diag(Δb)`` (see :mod:`repro.mtd.subspace`).  A
-perturbation that also changes a branch without D-FACTS, and every
-Monte-Carlo evaluation, prices its attacks in measurement space.
+Both come from ``k × k`` matrices.  A D-FACTS perturbation of the ``k``
+branches ``D`` changes the attacker's ``H`` by ``H′ − H = U diag(Δb)
+A_Dᵀ``, with ``u_j = [e_j; −e_j; a_j]`` the forward-flow, reverse-flow and
+injection rows of branch ``j``, ``A_D`` its columns of the reduced
+incidence and ``Δb`` the susceptance changes.  Everything else the
+post-perturbation detector's ``K = Uᵀ(I − P′)U`` depends on is fixed per
+``H``: the angle factor ``R``, the coupling ``V = A_Dᵀ(HᵀH)⁻¹HᵀU`` and the
+factor ``R_E`` of ``Uᵀ(I − P)U``.  A
+:class:`~repro.mtd.subspace.RankKPerturbation` of the side and ``Δb``
+combines them into ``Φ`` and ``YYᵀ`` (see :mod:`repro.mtd.subspace`), so
+an attack ``a = Hb`` has noncentrality ``σ⁻²‖L_c⁻¹Φg‖²``, ``g = A_Dᵀb``
+its state bias's differences across the changed branches, and the angle
+is ``arctan √λ_max(YYᵀ)``.  An analytic evaluation of a D-FACTS perturbation
+therefore assembles no ``H′`` and factors nothing.  A perturbation that
+also changes a branch without D-FACTS, and every Monte-Carlo evaluation,
+prices its attacks in measurement space, through the detector's own
+factorization of ``H′``.
 
 Everything an evaluator knows before its ensemble — the attacker's ``H``
 (dense, and a CSR copy for the ensemble product), the reference
-measurements ``z`` and the rank-``k`` factors ``U``, ``UᵀU``, ``A_D`` and,
-on first use, ``R`` — is an :class:`AttackerSide`.  It depends only on the
-network, the attacker's reactances and the operating angles, so the
-scenario engine builds it once per scenario context and every trial's
-evaluator shares it
+measurements ``z``, the rank-``k`` blocks ``U`` and ``A_D`` and, on first
+use, the factors ``R``, ``V`` and ``R_E`` — is an :class:`AttackerSide`.
+It depends only on the network, the attacker's reactances and the
+operating angles, so the scenario engine builds it once per scenario
+context and every trial's evaluator shares it
 (:meth:`EffectivenessEvaluator.for_attacker_side`).
 """
 
@@ -51,12 +55,11 @@ import scipy.sparse
 
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
-from repro.estimation.linear_model import ResidualGram
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.matrices import _reciprocal_reactances
 from repro.grid.network import PowerNetwork
-from repro.mtd.subspace import RankKChange, subspace_angle
+from repro.mtd.subspace import RankKPerturbation, subspace_angle
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
@@ -137,9 +140,10 @@ class AttackerSide:
 
     Memory: :attr:`matrix` is one dense ``(M, n)`` array, about 3.3 MB at
     300 buses and 67 MB at 1354; :attr:`sparse_matrix` and
-    :attr:`change_columns` add ``O(nnz(H))``, :attr:`change_gram` and,
-    once read, :attr:`angle_factor` one ``(k, k)`` array each (0.2 and
-    4.3 MB at 162 and 731 D-FACTS branches).
+    :attr:`change_columns` add ``O(nnz(H))``; once read,
+    :attr:`angle_factor`, :attr:`coupling` and :attr:`residual_factor`
+    add at most one ``(k, k)`` array each (0.2 and 4.3 MB at 162 and 731
+    D-FACTS branches).
 
     Attributes
     ----------
@@ -168,8 +172,6 @@ class AttackerSide:
         ``U``, shape ``(M, k)``, CSC: column ``j`` is
         ``[e_j; −e_j; a_j]`` for branch ``D[j]``, so that a perturbation
         of those branches gives ``H′ − H = U diag(Δb) A_Dᵀ``.
-    change_gram:
-        ``UᵀU``, shape ``(k, k)``.
     incidence_t:
         ``A_Dᵀ``, the transposed reduced incidence of those branches,
         shape ``(k, n)``, CSR: ``A_Dᵀb`` is a state bias's difference
@@ -185,7 +187,6 @@ class AttackerSide:
     base_susceptances: np.ndarray
     dfacts: np.ndarray
     change_columns: scipy.sparse.csc_matrix
-    change_gram: np.ndarray
     incidence_t: scipy.sparse.csr_matrix
 
     @classmethod
@@ -217,30 +218,45 @@ class AttackerSide:
         incidence = topology.incidence_sparse()[:, dfacts]
         flows = scipy.sparse.identity(network.n_branches, format="csc")[:, dfacts]
         columns = scipy.sparse.vstack([flows, -flows, incidence], format="csc")
-        gram = (columns.T @ columns).toarray()
         incidence_t = incidence[topology.non_slack()].T.tocsr()
         for array in (
             matrix, sparse.data, sparse.indices, sparse.indptr, reference, susceptances,
-            dfacts, columns.data, columns.indices, columns.indptr, gram,
+            dfacts, columns.data, columns.indices, columns.indptr,
             incidence_t.data, incidence_t.indices, incidence_t.indptr,
         ):
             array.flags.writeable = False
         return cls(
             network, base, angles, matrix, sparse, reference,
-            susceptances, dfacts, columns, gram, incidence_t,
+            susceptances, dfacts, columns, incidence_t,
         )
 
     @cached_property
-    def angle_factor(self) -> np.ndarray:
-        """The triangular ``R`` with ``RᵀR = A_Dᵀ(HᵀH)⁻¹A_D``, read-only.
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(R, V, R_E)`` from :func:`_change_factors`, read-only, computed once."""
+        factors = _change_factors(self.sparse_matrix, self.incidence_t, self.change_columns)
+        for factor in factors:
+            factor.flags.writeable = False
+        return factors
 
-        Computed on first read (only the SPA needs it) and kept, by
-        :func:`_angle_factor`: ``R`` is the triangular factor of
-        ``L⁻¹A_D``, with ``HᵀH = LLᵀ``.  Shape ``(min(n, k), k)``.
+    @property
+    def angle_factor(self) -> np.ndarray:
+        """The triangular ``R``, ``RᵀR = A_Dᵀ(HᵀH)⁻¹A_D``, shape ``(min(n, k), k)``."""
+        return self._factors[0]
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """``V = A_Dᵀ(HᵀH)⁻¹HᵀU``, shape ``(k, k)``."""
+        return self._factors[1]
+
+    @property
+    def residual_factor(self) -> np.ndarray:
+        """``R_E`` with ``R_EᵀR_E = Uᵀ(I − P)U``, shape ``(k − d, k)``.
+
+        ``P`` projects onto ``Col(H)`` and ``d = dim(Col H ∩ Col U)``: a
+        D-FACTS column in ``Col(H)``, such as a radial branch's, adds to
+        ``d``.
         """
-        factor = _angle_factor(self.sparse_matrix, self.incidence_t)
-        factor.flags.writeable = False
-        return factor
+        return self._factors[2]
 
     def susceptance_change(self, reactances: np.ndarray) -> np.ndarray | None:
         """``Δb`` on the D-FACTS branches, or ``None`` if another branch changed.
@@ -257,23 +273,46 @@ class AttackerSide:
         return on_dfacts
 
 
-def _angle_factor(
-    matrix: scipy.sparse.csr_matrix, incidence_t: scipy.sparse.csr_matrix
-) -> np.ndarray:
-    """The triangular factor ``R`` of ``L⁻¹A_D``, with ``HᵀH = LLᵀ``.
+#: Pivots of ``K₀ = Uᵀ(I − P)U`` at or below this fraction of its largest
+#: diagonal entry count as zero.  ``K₀`` comes from the normal equations, so
+#: its null directions keep rounding that grows with ``cond(H)²``: pivots
+#: up to 1.2e-13 of the largest diagonal entry on synthetic1354, against a
+#: smallest genuine pivot of 5.7e-3 there (7.2e-3 on synthetic300).
+_PIVOT_RTOL = 1e-10
 
-    One dense Cholesky of the ``n × n`` gain, one triangular solve with
-    ``k`` right-hand sides and one QR; raises
-    :class:`numpy.linalg.LinAlgError` (a :class:`ValueError`) if ``H`` is
-    rank deficient.
+
+def _change_factors(
+    matrix: scipy.sparse.csr_matrix,
+    incidence_t: scipy.sparse.csr_matrix,
+    columns: scipy.sparse.csc_matrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``R``, ``V`` and ``R_E`` of one ``H`` and its D-FACTS blocks.
+
+    One dense Cholesky ``HᵀH = LLᵀ`` of the ``n × n`` gain and one
+    triangular solve with ``2k`` right-hand sides give ``W_A = L⁻¹A_D``
+    and ``W_U = L⁻¹HᵀU``.  ``R`` is the triangular factor of ``W_A``,
+    ``V = W_AᵀW_U``, and ``R_E`` the pivoted Cholesky factor of
+    ``K₀ = UᵀU − W_UᵀW_U`` (LAPACK ``dpstrf``), scattered back to the
+    columns' order, with one row per pivot above :data:`_PIVOT_RTOL`.
+    Raises :class:`numpy.linalg.LinAlgError` (a :class:`ValueError`) if
+    ``H`` is rank deficient.
     """
     chol = scipy.linalg.cholesky(
         (matrix.T @ matrix).toarray(), lower=True, overwrite_a=True, check_finite=False
     )
+    k = columns.shape[1]
     whitened = scipy.linalg.solve_triangular(
-        chol, incidence_t.T.toarray(), lower=True, overwrite_b=True, check_finite=False
+        chol,
+        scipy.sparse.hstack([incidence_t.T, matrix.T @ columns]).toarray(),
+        lower=True, overwrite_b=True, check_finite=False,
     )
-    return np.linalg.qr(whitened, mode="r")
+    across, along = whitened[:, :k], whitened[:, k:]
+    gram = (columns.T @ columns).toarray() - along.T @ along
+    tolerance = _PIVOT_RTOL * np.max(np.diag(gram), initial=0.0)
+    factor, pivots, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=tolerance)
+    residual_factor = np.zeros((rank, k))
+    residual_factor[:, pivots - 1] = np.triu(factor[:rank])
+    return np.linalg.qr(across, mode="r"), across.T @ along, residual_factor
 
 
 class EffectivenessEvaluator:
@@ -403,10 +442,11 @@ class EffectivenessEvaluator:
         its detection probabilities for the evaluator's attack ensemble,
         together with the subspace angle ``γ(H, H')``, computed on first
         access of :attr:`EffectivenessResult.spa`.  For a perturbation of
-        D-FACTS branches only, the analytic method prices the attacks by
-        their rank-``k`` coordinates from one ``k × k`` matrix ``K`` (see
-        the module docstring), and reading the angle afterwards reuses
-        ``K``.
+        D-FACTS branches only, both come from one
+        :class:`~repro.mtd.subspace.RankKPerturbation` (see the module
+        docstring): the analytic method prices the attacks by their branch
+        differences, and reading the angle reuses what the pricing formed.
+        Neither assembles nor factors ``H′``.
 
         Parameters
         ----------
@@ -431,9 +471,7 @@ class EffectivenessEvaluator:
             )
         detector = self._build_detector(perturbed_reactances)
         change = self._side.susceptance_change(perturbed_reactances)
-        # K of the side's D-FACTS columns, formed by its first reader: the
-        # analytic P_D, or the angle after a Monte-Carlo evaluation.
-        gram = ResidualGram(detector.model, self._side.change_columns, self._side.change_gram)
+        perturbation = None if change is None else RankKPerturbation(self._side, change)
         if method == "monte-carlo":
             rng = as_generator(seed)
             angles = (
@@ -444,31 +482,31 @@ class EffectivenessEvaluator:
             probabilities = detector.detection_probabilities_monte_carlo(
                 self._ensemble.attacks, angles, n_trials=n_noise_trials, rng=rng
             )
-        elif change is None:
+        elif perturbation is None:
             probabilities = detector.detection_probabilities(self._ensemble.attacks)
         else:
             probabilities = detector.detection_probabilities(
-                self._branch_differences * change, gram=gram
+                self._branch_differences, perturbation
             )
         return EffectivenessResult(
             detection_probabilities=probabilities,
             false_positive_rate=self._alpha,
             method=method,
             # Lazy: only the random policy reads the angle.
-            spa_source=partial(self._angle, detector, change, gram),
+            spa_source=partial(self._angle, detector, perturbation),
         )
 
     def _angle(
-        self, detector: BadDataDetector, change: np.ndarray | None, gram: ResidualGram
+        self, detector: BadDataDetector, perturbation: RankKPerturbation | None
     ) -> float:
         """``γ(H, H′)`` of an evaluated perturbation, on the first read of its spa.
 
-        From the rank-``k`` form, with the evaluation's ``K``, when
-        ``change`` holds the perturbation's ``Δb``; otherwise from ``H′``.
+        From the rank-``k`` form when the perturbation changes D-FACTS
+        branches only; otherwise from ``H′``.
         """
-        if change is None:
+        if perturbation is None:
             return subspace_angle(self._side.matrix, detector.system.matrix())
-        return subspace_angle(RankKChange(gram, self._side.angle_factor, change))
+        return subspace_angle(perturbation)
 
     def false_alarm_rate(
         self,
@@ -494,7 +532,8 @@ class EffectivenessEvaluator:
     def _build_detector(self, perturbed_reactances: np.ndarray) -> BadDataDetector:
         """The post-perturbation detector of one reactance vector.
 
-        Its model picks the factorization backend from the bus count (see
+        Its model, built on the detector's first measurement-space query,
+        picks the factorization backend from the bus count (see
         :func:`~repro.estimation.backends.resolve_backend`).
         """
         post_system = MeasurementSystem.for_network(

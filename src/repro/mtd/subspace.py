@@ -64,33 +64,53 @@ same QR in every call.
 The rank-k form
 ---------------
 A D-FACTS perturbation of ``k`` branches changes ``H_t`` by a rank-``k``
-matrix, ``H′ = H_t + U diag(d) Vᵀ``: ``U`` holds the measurement rows each
-branch's susceptance enters, ``V`` the branch's columns of the reduced
-incidence and ``d`` the susceptance changes.  Every ``u ∈ Col(H_t)`` is
-``u = H_t b`` and leaves ``Col(H′)`` by ``(I − P′)H_t b = −(I − P′)U diag(d)
-Vᵀb``, so with ``K = Uᵀ(I − P′)U`` and ``H_tᵀH_t = L_tL_tᵀ``
+matrix, ``H′ = H_t + UΔA_Dᵀ``: ``U`` holds the measurement rows each
+branch's susceptance enters, ``A_D`` the branch's columns of the reduced
+incidence and ``Δ = diag(Δb)`` the susceptance changes.  Every
+``u = H_t b ∈ Col(H_t)`` leaves ``Col(H′)`` by ``(I − P′)H_t b =
+−(I − P′)UΔA_Dᵀb``, so both the angle and the detector's noncentralities
+are read from ``K = Uᵀ(I − P′)U``.  ``K`` itself needs no ``H′``.  Split
+``U = H_tB + E`` with ``B = G⁻¹H_tᵀU`` (``G = H_tᵀH_t = L_tL_tᵀ``) and
+``E = (I − P_t)U``.  Then ``H′`` spans ``Col(H_t + EA⁻¹ΔA_Dᵀ)``, with
+``A = I + ΔV`` and ``V = A_DᵀB``, and ``(I − P′)U = (I − P′)EA⁻¹``.  Inside
+``Col(H_t) ⊕ Col(E)`` a Woodbury step gives
 
-.. math::  \\sin^2 γ = λ_{max}(X K Xᵀ), \\qquad X = R\\,\\mathrm{diag}(d),
+.. math::  K = A^{-T} R_E^T (I + YY^T)^{-1} R_E A^{-1},
+           \\qquad Φ = R_E A^{-1} Δ, \\qquad Y = Φ R^T,
 
-where ``R`` is the triangular factor of ``L_t⁻¹V`` (``RᵀR = Vᵀ(H_tᵀH_t)⁻¹V``,
-fixed per ``H_t``).  :func:`subspace_angle` of a :class:`RankKChange`
-reads the angle from these ``k × k`` matrices; the detector prices its
-attacks from the same ``K``
-(:meth:`~repro.estimation.bdd.BadDataDetector.detection_probabilities`),
-so one perturbation forms ``K`` once, and its angle needs neither a dense
-``H′`` nor an ``n × n`` matrix.
+where ``R_EᵀR_E = K₀ = Uᵀ(I − P_t)U`` (a pivoted Cholesky of rank
+``k − d``, ``d = dim(Col H_t ∩ Col U)``) and ``R`` is the triangular factor
+of ``L_t⁻¹A_D`` (``RᵀR = T = A_DᵀG⁻¹A_D``).  ``R``, ``V`` and ``R_E`` are
+fixed per ``H_t``; only ``Δ`` varies.  With ``L_cL_cᵀ = I + YYᵀ``:
+
+* an attack ``a = H_t b`` has noncentrality ``λ = σ⁻²‖L_c⁻¹Φg‖²`` with
+  ``g = A_Dᵀb``, its state bias's differences across the branches;
+* ``sin²γ = λ_max(XKXᵀ)`` with ``X = RΔ``, and ``XKXᵀ = Yᵀ(I + YYᵀ)⁻¹Y``
+  has eigenvalues ``s²/(1 + s²)`` for the singular values ``s`` of ``Y``,
+  so ``γ = arctan √λ_max(YYᵀ)``.
+
+With ``d = 0`` the same ``K`` reads ``K⁻¹ = ΔTΔ + A·K₀⁻¹·Aᵀ``.  ``A`` is
+singular only at ``γ = π/2``.  :func:`subspace_angle` of a
+:class:`RankKPerturbation` reads the angle from these ``k × k`` matrices,
+and the detector prices its attacks from the same ``Φ`` and ``YYᵀ``
+(:meth:`~repro.estimation.bdd.BadDataDetector.detection_probabilities`):
+one perturbation forms them once, and neither reader assembles ``H′`` or
+factors anything of size ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
-from repro.estimation.linear_model import ResidualGram
 from repro.utils.linalg import orthonormal_basis
+
+if TYPE_CHECKING:
+    from repro.mtd.effectiveness import AttackerSide
 
 
 def principal_angles(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
@@ -160,33 +180,59 @@ class FactoredMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class RankKChange:
-    """A rank-``k`` change ``H′ = H + U diag(d) Vᵀ`` of ``H``, in ``k × k`` terms.
+class RankKPerturbation:
+    """A D-FACTS perturbation ``Δb`` of an attacker's ``H_t``, in ``k × k`` terms.
 
-    The input of :func:`subspace_angle`'s rank-k form (see the module
-    docstring); it builds neither matrix.
+    Both readers of one perturbation take it: the detector's
+    :meth:`~repro.estimation.bdd.BadDataDetector.detection_probabilities`
+    and :func:`subspace_angle`.  Whichever reads it first forms ``Φ`` and
+    ``YYᵀ`` (the module docstring's rank-k form), and both keep them; if
+    neither reads it, nothing is formed.  It builds neither ``H′`` nor any
+    ``n × n`` matrix.
 
     Attributes
     ----------
-    residual_gram:
-        ``K = Uᵀ(I − P′)U``, shape ``(k, k)``, with ``P′`` the projector
-        onto ``Col(H′)``: the
-        :class:`~repro.estimation.linear_model.ResidualGram` of ``U``
-        against the model that factors ``H′``, formed on first read.
-    angle_factor:
-        The triangular ``R`` with ``RᵀR = Vᵀ(HᵀH)⁻¹V``, shape ``(r, k)``
-        with ``r = min(n, k)``; it depends on ``H`` and ``V`` only.
+    side:
+        The attacker's :class:`~repro.mtd.effectiveness.AttackerSide`,
+        whose ``angle_factor`` ``R``, ``coupling`` ``V`` and
+        ``residual_factor`` ``R_E`` it reads.
     scales:
-        The change's ``d``, shape ``(k,)``.
+        ``Δb``, the susceptance changes of the side's ``k`` D-FACTS
+        branches, shape ``(k,)``.
     """
 
-    residual_gram: ResidualGram
-    angle_factor: np.ndarray
+    side: AttackerSide
     scales: np.ndarray
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``Φ = R_E A⁻¹Δ``, shape ``(r, k)``, and ``YYᵀ``, shape ``(r, r)``."""
+        side = self.side
+        a = side.coupling * self.scales[:, None]
+        a[np.diag_indices_from(a)] += 1.0
+        phi = np.linalg.solve(a.T, side.residual_factor.T).T * self.scales
+        y = phi @ side.angle_factor.T
+        return phi, y @ y.T
+
+    @cached_property
+    def residual_map(self) -> np.ndarray:
+        """``L_c⁻¹Φ``, shape ``(r, k)``, with ``L_cL_cᵀ = I + YYᵀ``.
+
+        An attack ``a = H_t b`` leaves the post-perturbation detector the
+        residual norm ``‖L_c⁻¹Φg‖`` (unweighted), ``g = A_Dᵀb``.
+        """
+        phi, gram = self._blocks
+        chol = scipy.linalg.cholesky(
+            gram + np.eye(gram.shape[0]), lower=True, overwrite_a=True, check_finite=False
+        )
+        whitened: np.ndarray = scipy.linalg.solve_triangular(
+            chol, phi, lower=True, check_finite=False
+        )
+        return whitened
 
 
 def subspace_angle(
-    matrix_a: np.ndarray | FactoredMatrix | RankKChange,
+    matrix_a: np.ndarray | FactoredMatrix | RankKPerturbation,
     matrix_b: np.ndarray | None = None,
 ) -> float:
     """The operational subspace-separation metric ``γ(A, B)`` in radians.
@@ -206,12 +252,12 @@ def subspace_angle(
         The attacker's matrix ``H``, shape ``(M, n)``, full column rank, as
         an array or as a :class:`FactoredMatrix` that keeps its basis
         across calls.  Either form gives bit-identical results.  Or, alone,
-        a :class:`RankKChange` of ``H``: the angle between ``H`` and its
-        changed matrix, from ``k × k`` matrices (the module docstring's
-        rank-k form).
+        a :class:`RankKPerturbation` of ``H``: the angle between ``H`` and
+        its perturbed matrix, ``arctan √λ_max(YYᵀ)`` from ``k × k``
+        matrices (the module docstring's rank-k form).
     matrix_b:
         The post-perturbation matrix ``H'`` as an ``(M, n')`` array; omitted
-        with a :class:`RankKChange`.
+        with a :class:`RankKPerturbation`.
 
     Raises
     ------
@@ -219,14 +265,15 @@ def subspace_angle(
         If the matrices are not 2-D with the same number of rows, or one of
         them is rank deficient.
     TypeError
-        If a :class:`RankKChange` comes with a second matrix, or an array
-        without one.
+        If a :class:`RankKPerturbation` comes with a second matrix, or an
+        array without one.
     """
-    if isinstance(matrix_a, RankKChange):
+    if isinstance(matrix_a, RankKPerturbation):
         if matrix_b is not None:
-            raise TypeError("subspace_angle takes a RankKChange alone")
-        scaled = matrix_a.angle_factor * matrix_a.scales
-        return _angle_from_residual_gram(scaled @ matrix_a.residual_gram.matrix @ scaled.T)
+            raise TypeError("subspace_angle takes a RankKPerturbation alone")
+        _, gram = matrix_a._blocks
+        tangent_squared = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+        return float(np.arctan(np.sqrt(max(tangent_squared, 0.0))))
     if matrix_b is None:
         raise TypeError("subspace_angle needs a second matrix")
     side_a = matrix_a if isinstance(matrix_a, FactoredMatrix) else FactoredMatrix(matrix_a)
@@ -303,7 +350,7 @@ def _angle_from_residual_gram(gram: np.ndarray) -> float:
 
 __all__ = [
     "FactoredMatrix",
-    "RankKChange",
+    "RankKPerturbation",
     "principal_angles",
     "smallest_principal_angle",
     "subspace_angle",

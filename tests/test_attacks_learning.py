@@ -91,3 +91,30 @@ class TestKnowledgeDecay:
         assert detection[0] > detection[-1] + 0.2
         assert errors[0] >= errors[-1]
         assert detection[-1] < 0.5
+
+    def test_batched_budgets_match_the_per_attack_loop(self, opf14, measurement14):
+        """Each budget's attacks come from one weight draw and one batch of
+        detection probabilities; the curve is the per-attack loop's, which
+        drew and priced one attack at a time from the same stream."""
+        counts, n_attacks, scale = [15, 60, 600], 20, 0.3
+        curve = knowledge_decay_curve(
+            measurement14, opf14.angles_rad, snapshot_counts=counts, n_attacks=n_attacks, seed=1
+        )
+        rng = np.random.default_rng(1)
+        learner = SubspaceLearner(measurement14.n_states)
+        detector = BadDataDetector(measurement14)
+        true_matrix = measurement14.matrix()
+        for count, point in zip(counts, curve):
+            learned = learner.collect_and_learn(
+                measurement14, opf14.angles_rad, n_snapshots=count, angle_jitter=0.01,
+                rng=rng, true_matrix=true_matrix,
+            )
+            probabilities = []
+            for _ in range(n_attacks):
+                attack = learned_attack(learned, rng.standard_normal(learned.basis.shape[1]))
+                attack = attack * (scale / np.linalg.norm(attack))
+                probabilities.append(detector.detection_probability(attack))
+            assert point["subspace_error"] == learned.alignment_with
+            assert point["mean_detection_probability"] == pytest.approx(
+                np.mean(probabilities), rel=1e-12, abs=0.0
+            )

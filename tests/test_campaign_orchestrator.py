@@ -29,6 +29,7 @@ from repro.engine import (
     ResultCache,
     ScenarioEngine,
     ScenarioSpec,
+    clear_context_caches,
     scenario_suite,
 )
 from repro.campaign.store import MANIFEST_NAME, SEGMENT_DIR
@@ -412,6 +413,9 @@ class TestTelemetryIntegration:
     def test_parallel_run_merges_worker_snapshots(self, tmp_path):
         from repro import telemetry
 
+        # A trial's only grid work is its scenario context, so forked
+        # workers must not inherit contexts earlier tests left warm.
+        clear_context_caches()
         telemetry.enable()
         report = run_campaign(
             quick_definition(), tmp_path / "t.campaign", n_workers=2

@@ -169,31 +169,25 @@ class TestAttackerSide:
     """Every trial of a scenario context shares one attacker side."""
 
     def test_unpinned_trials_build_h_and_its_basis_once(self, monkeypatch):
-        """One ``H_t`` and one rank-k angle factor per context; no QR of
-        ``H_t`` at all, since the rank-k form needs no basis of it."""
+        """One ``H_t`` and one set of rank-k factors per context; no QR of
+        ``H_t``, and no trial assembles or factors its ``H′``: the rank-k
+        form prices a D-FACTS perturbation from the side's factors."""
         import repro.estimation.measurement as measurement_module
         import repro.mtd.effectiveness as effectiveness_module
         import repro.mtd.subspace as subspace_module
+        from repro.estimation.linear_model import LinearModel
 
         (spec,) = [s for s in scenario_suite("scale") if s.name == "scale-synthetic118"]
         spec = spec.with_updates({"attack.n_attacks": 16})
         assert spec.attack.seed is None
-        counts = {"H": 0, "QR": 0, "R": 0}
-        assemble = measurement_module.reduced_measurement_matrix
-        orthonormal = subspace_module._orthonormal_factor
-        angle_factor = effectiveness_module._angle_factor
+        counts = {"H": 0, "sparse H": 0, "model": 0, "QR": 0, "factors": 0}
 
-        def counting_assembly(*args, **kwargs):
-            counts["H"] += 1
-            return assemble(*args, **kwargs)
+        def counting(key, function):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
 
-        def counting_orthonormal(matrix):
-            counts["QR"] += 1
-            return orthonormal(matrix)
-
-        def counting_factor(*args):
-            counts["R"] += 1
-            return angle_factor(*args)
+            return wrapped
 
         evaluators = []
         evaluate = EffectivenessEvaluator.evaluate
@@ -202,15 +196,20 @@ class TestAttackerSide:
             evaluators.append(evaluator)
             return evaluate(evaluator, *args, **kwargs)
 
-        monkeypatch.setattr(measurement_module, "reduced_measurement_matrix", counting_assembly)
-        monkeypatch.setattr(subspace_module, "_orthonormal_factor", counting_orthonormal)
-        monkeypatch.setattr(effectiveness_module, "_angle_factor", counting_factor)
+        for owner, name, key in (
+            (measurement_module, "reduced_measurement_matrix", "H"),
+            (measurement_module, "reduced_measurement_matrix_sparse", "sparse H"),
+            (LinearModel, "__init__", "model"),
+            (subspace_module, "_orthonormal_factor", "QR"),
+            (effectiveness_module, "_change_factors", "factors"),
+        ):
+            monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
         monkeypatch.setattr(EffectivenessEvaluator, "evaluate", recording)
 
         clear_context_caches()
         for index in range(3):
             run_trial(spec, index)
-        assert counts == {"H": 1, "QR": 0, "R": 1}
+        assert counts == {"H": 1, "sparse H": 0, "model": 0, "QR": 0, "factors": 1}
         shared = evaluators[0].attacker_matrix
         assert len({id(e) for e in evaluators}) == 3
         assert all(e.attacker_matrix is shared for e in evaluators)
@@ -218,7 +217,7 @@ class TestAttackerSide:
 
         clear_context_caches()
         run_trial(spec, 3)
-        assert counts == {"H": 2, "QR": 0, "R": 2}
+        assert counts == {"H": 2, "sparse H": 0, "model": 0, "QR": 0, "factors": 2}
         assert evaluators[-1].attacker_matrix is not shared
         clear_context_caches()
 

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.estimation.backends import DenseQRBackend, SparseQlessBackend
 from repro.estimation.bdd import BadDataDetector
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.cost import mtd_operational_cost
-from repro.mtd.design import design_mtd_perturbation
+from repro.mtd.design import design_mtd_perturbation, max_spa_perturbation
 from repro.mtd.effectiveness import (
     AttackerSide,
     EffectivenessEvaluator,
@@ -134,22 +136,32 @@ class TestEffectivenessEvaluator:
         assert abs(result.spa - expected) <= 1e-12
 
     def test_spa_is_computed_once_and_only_when_read(self, net14, evaluator14, monkeypatch):
+        """Pricing takes no eigenvalue: the angle's one eigen-solve runs on
+        the first read of ``spa``, and a second read reuses its value."""
         import repro.mtd.effectiveness as effectiveness_module
 
         calls = []
+        eigensolves = []
 
         def counting(*args):
             calls.append(args)
             return subspace_angle(*args)
 
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix):
+            eigensolves.append(matrix.shape)
+            return eigvalsh(matrix)
+
         monkeypatch.setattr(effectiveness_module, "subspace_angle", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         x = net14.reactances()
         x[np.array(net14.dfacts_branches)] *= 1.1
         result = evaluator14.evaluate(x)
-        assert calls == []
+        assert calls == [] and eigensolves == []
         first = result.spa
         assert result.spa == first
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(eigensolves) == 1
 
     def test_attacker_matrix_is_read_only(self, net14, evaluator14):
         H = evaluator14.attacker_matrix
@@ -165,8 +177,9 @@ class TestEffectivenessEvaluator:
         x[np.array(net14.dfacts_branches)] *= 1.1
         assert evaluator.evaluate(x).spa > 0.0
         assert evaluator.attacker_matrix is side.matrix
-        assert side.angle_factor is side.angle_factor
-        for array in (side.matrix, side.change_gram, side.angle_factor):
+        for factor in ("angle_factor", "coupling", "residual_factor"):
+            assert getattr(side, factor) is getattr(side, factor)
+        for array in (side.matrix, side.angle_factor, side.coupling, side.residual_factor):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
         for array in (side.reference_measurements, side.base_susceptances, side.dfacts):
@@ -181,12 +194,19 @@ class TestEffectivenessEvaluator:
                     array[0] = 1
 
 
+@lru_cache(maxsize=None)
+def _side(case: str) -> AttackerSide:
+    """The attacker side of ``case`` at its DC OPF point (read-only, shared)."""
+    network = load_case(case)
+    baseline = solve_dc_opf(network)
+    return AttackerSide.build(network, baseline.angles_rad, baseline.reactances)
+
+
 def _side_and_perturbation(case: str, change: float):
     """The attacker side of ``case`` at its DC OPF point, and its reactances
     with every D-FACTS branch scaled by ``1 + change`` (alternating sign)."""
-    network = load_case(case)
-    baseline = solve_dc_opf(network)
-    side = AttackerSide.build(network, baseline.angles_rad, baseline.reactances)
+    side = _side(case)
+    network = side.network
     x = side.base_reactances.copy()
     dfacts = np.array(network.dfacts_branches)
     x[dfacts] *= 1.0 + change * np.where(np.arange(dfacts.size) % 2 == 0, 1.0, -1.0)
@@ -196,31 +216,82 @@ def _side_and_perturbation(case: str, change: float):
 class TestBasisForm:
     """Attacks priced in the rank-k form match the measurement-space path."""
 
-    #: Relative P_D tolerance, one for both backends.  ``K = Uᵀ(I − P′)U``
-    #: is not small against ``UᵀU`` (a D-FACTS column does not lie near
-    #: ``Col(H′)``), so the sparse ``UᵀU − WᵀW`` keeps its digits like the
-    #: dense sine form, and the smallness of an attack's residual is
-    #: carried by its coordinates ``c = Δb ⊙ A_Dᵀb`` instead.
+    #: Relative P_D tolerance, one for both backends of the measurement-space
+    #: detector.  The rank-k form carries the smallness of an attack's
+    #: residual in its branch differences ``Φg``, and ``K₀ = Uᵀ(I − P)U`` is
+    #: not small against ``UᵀU`` off its null directions, so the normal
+    #: equations keep its digits.
     RTOL = 1e-12
+    #: Largest accepted gap between the rank-k angle and the array form.
+    ANGLE_ATOL = 1e-14
 
-    @pytest.mark.parametrize("case", ["ieee14", "synthetic118", "synthetic300"])
-    @pytest.mark.parametrize("change", [0.0, 0.001, 0.2])
+    @classmethod
+    def check_against_measurement_space(cls, side, x, n_attacks=60):
+        """The evaluation of ``x`` against a measurement-space detector of
+        ``H′`` (P_D) and against ``subspace_angle(H, H′)`` (γ)."""
+        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=n_attacks, seed=8)
+        result = evaluator.evaluate(x)
+        # The measurement-space detector resolves its backend by bus count,
+        # as the evaluator's own detector would.
+        detector = BadDataDetector(MeasurementSystem.for_network(side.network, reactances=x))
+        expected = detector.detection_probabilities(evaluator.ensemble.attacks)
+        assert np.max(np.abs(result.detection_probabilities - expected) / expected) <= cls.RTOL
+        H_post = reduced_measurement_matrix(side.network, x)
+        assert abs(result.spa - subspace_angle(side.matrix, H_post)) <= cls.ANGLE_ATOL
+        return result, detector
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee30", "synthetic118", "synthetic300"])
+    @pytest.mark.parametrize("change", [0.0, 0.001, 0.02, 0.2])
     def test_probabilities_match_measurement_space(self, case, change):
         side, x = _side_and_perturbation(case, change)
-        evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=60, seed=8)
-        got = evaluator.evaluate(x).detection_probabilities
-        # The measurement-space detector resolves its backend by bus count,
-        # as the evaluator's own detector does.
-        detector = BadDataDetector(MeasurementSystem.for_network(side.network, reactances=x))
-        assert detector.model.backend == ("dense" if case == "ieee14" else "sparse")
-        expected = detector.detection_probabilities(evaluator.ensemble.attacks)
-        assert np.max(np.abs(got - expected) / expected) <= self.RTOL
+        result, detector = self.check_against_measurement_space(side, x)
+        assert detector.model.backend == ("dense" if case in ("ieee14", "ieee30") else "sparse")
         alpha = detector.false_positive_rate
         if change == 0.0:
             # Policy "none": every attack stays stealthy, exactly at α.
-            np.testing.assert_array_equal(got, alpha)
+            np.testing.assert_array_equal(result.detection_probabilities, alpha)
+            assert result.spa == 0.0
         else:
-            assert np.max(got) > 1.0001 * alpha
+            assert np.max(result.detection_probabilities) > 1.0001 * alpha
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee30"])
+    def test_max_spa_design_matches_measurement_space(self, case):
+        """At the ±50 % max-SPA design ``A = I + ΔV`` is farthest from ``I``."""
+        side = _side(case)
+        design = max_spa_perturbation(
+            side.network, attacker_reactances=side.base_reactances, seed=0,
+            require_feasible_dispatch=False,
+        )
+        x = design.perturbed_reactances
+        relative = x[side.dfacts] / side.base_reactances[side.dfacts] - 1.0
+        assert np.allclose(np.abs(relative), 0.5)
+        result, _ = self.check_against_measurement_space(side, x)
+        assert abs(result.spa - design.achieved_spa) <= self.ANGLE_ATOL
+        assert result.eta(0.9) > 0.0
+
+    @pytest.mark.parametrize("case", ["ieee14", "synthetic300"])
+    def test_partial_perturbation_matches_measurement_space(self, case):
+        """Branches left alone have ``Δb = 0``: zero columns of ``Φ``."""
+        side, x = _side_and_perturbation(case, 0.2)
+        x[side.dfacts[::2]] = side.base_reactances[side.dfacts[::2]]
+        change = side.susceptance_change(x)
+        assert np.count_nonzero(change) == side.dfacts.size // 2
+        result, _ = self.check_against_measurement_space(side, x)
+        assert result.spa > 0.0
+
+    def test_post_contingency_side_matches_measurement_space(self):
+        """A side with a D-FACTS branch out of service prices the others."""
+        network = load_case("ieee14")
+        outaged = network.dfacts_branches[1]  # the first one's outage is infeasible
+        network = network.with_branch_outages([outaged])
+        baseline = solve_dc_opf(network)
+        side = AttackerSide.build(network, baseline.angles_rad, baseline.reactances)
+        x = side.base_reactances.copy()
+        x[side.network.arrays.branch_has_dfacts] *= 1.2
+        assert side.susceptance_change(x).shape == (side.dfacts.size,)
+        assert outaged not in side.dfacts
+        result, _ = self.check_against_measurement_space(side, x)
+        assert result.spa > 0.0
 
     def test_sparse_copy_is_the_dense_matrix(self):
         """The ensemble's CSR ``H`` is the dense ``H`` of the side, not the
@@ -243,31 +314,40 @@ class TestBasisForm:
 
     @pytest.mark.parametrize("case", ["ieee14", "synthetic118"])
     def test_one_residual_gram_per_evaluation(self, case, monkeypatch):
+        """``K = Uᵀ(I − P′)U`` is formed once per evaluation, as the factors
+        ``Φ`` and ``YYᵀ`` its pricing and its angle share; an analytic
+        evaluation builds no :class:`LinearModel`, a Monte-Carlo one builds
+        the one its noise draws need."""
         side, x = _side_and_perturbation(case, 0.2)
         evaluator = EffectivenessEvaluator.for_attacker_side(side, n_attacks=20, seed=8)
-        calls = []
-        for backend in (DenseQRBackend, SparseQlessBackend):
-            original = backend.residual_gram
+        side.coupling  # the side's own factors are built once, up front
+        formed, models = [], []
+        coupling = AttackerSide.coupling
+        init = LinearModel.__init__
 
-            def counting(self, block, block_gram=None, original=original):
-                calls.append(block.shape)
-                return original(self, block, block_gram)
+        def counting_coupling(self):
+            formed.append(1)
+            return coupling.fget(self)
 
-            monkeypatch.setattr(backend, "residual_gram", counting)
+        def counting_init(self, *args, **kwargs):
+            models.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AttackerSide, "coupling", property(counting_coupling))
+        monkeypatch.setattr(LinearModel, "__init__", counting_init)
 
         evaluator.evaluate(x)  # its spa is never read
-        assert len(calls) == 1
+        assert (len(formed), len(models)) == (1, 0)
         read = evaluator.evaluate(x)
-        assert len(calls) == 2
+        assert (len(formed), len(models)) == (2, 0)
         expected = subspace_angle(side.matrix, reduced_measurement_matrix(side.network, x))
-        assert abs(read.spa - expected) <= 1e-12
-        assert len(calls) == 2  # the angle came from the evaluation's K
-        assert calls == [(side.matrix.shape[0], side.dfacts.size)] * 2
+        assert abs(read.spa - expected) <= 1e-14
+        assert len(formed) == 2  # the angle came from the evaluation's factors
 
         monte_carlo = evaluator.evaluate(x, method="monte-carlo", n_noise_trials=5)
-        assert len(calls) == 2
-        assert abs(monte_carlo.spa - expected) <= 1e-12
-        assert len(calls) == 3
+        assert (len(formed), len(models)) == (2, 1)
+        assert abs(monte_carlo.spa - expected) <= 1e-14
+        assert (len(formed), len(models)) == (3, 1)
 
 
 def _outaged_dfacts_side():
@@ -300,8 +380,6 @@ class TestRankKForm:
         difference = reduced_measurement_matrix(side.network, x) - side.matrix
         scale = np.abs(side.matrix).max()
         assert np.abs(difference - rebuilt).max() <= 4 * np.finfo(float).eps * scale
-        gram = side.change_columns.T @ side.change_columns
-        np.testing.assert_array_equal(side.change_gram, gram.toarray())
 
     def test_angle_factor_spans_the_gain(self):
         side, _ = _side_and_perturbation("synthetic300", 0.0)
@@ -311,6 +389,29 @@ class TestRankKForm:
         R = side.angle_factor
         assert R.shape == (side.dfacts.size, side.dfacts.size)
         np.testing.assert_allclose(R.T @ R, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "case, shared", [("ieee14", 0), ("ieee30", 2), ("synthetic118", 6), ("synthetic300", 19)]
+    )
+    def test_side_factors_match_their_definitions(self, case, shared):
+        """``V = A_Dᵀ(HᵀH)⁻¹HᵀU`` and ``R_EᵀR_E = Uᵀ(I − P)U`` of rank
+        ``k − d``, with ``d = dim(Col H ∩ Col U)`` (``shared``)."""
+        side = _side(case)
+        H = side.matrix
+        U = side.change_columns.toarray()
+        incidence = side.incidence_t.toarray().T
+        n, k = H.shape[1], side.dfacts.size
+        assert n + k - np.linalg.matrix_rank(np.hstack([H, U])) == shared
+        coupling = incidence.T @ np.linalg.solve(H.T @ H, H.T @ U)
+        np.testing.assert_allclose(
+            side.coupling, coupling, rtol=0.0, atol=1e-12 * np.abs(coupling).max()
+        )
+        Q, _ = np.linalg.qr(H)
+        residual = U - Q @ (Q.T @ U)
+        gram = residual.T @ residual
+        R_E = side.residual_factor
+        assert R_E.shape == (k - shared, k)
+        np.testing.assert_allclose(R_E.T @ R_E, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
 
     @pytest.mark.parametrize("case", ["ieee14", "synthetic300"])
     def test_zero_perturbation_is_exactly_stealthy(self, case):
@@ -329,15 +430,16 @@ class TestRankKForm:
         x[fixed] *= 1.3
         x[side.dfacts] *= 1.1
         assert side.susceptance_change(x) is None
-        calls = []
-        original = DenseQRBackend.residual_gram
+        models = []
+        init = LinearModel.__init__
 
-        def counting(self, *args):
-            calls.append(args)
-            return original(self, *args)
+        def counting_init(self, *args, **kwargs):
+            models.append(1)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(DenseQRBackend, "residual_gram", counting)
+        monkeypatch.setattr(LinearModel, "__init__", counting_init)
         result = evaluator.evaluate(x)
+        assert len(models) == 1
         detector = BadDataDetector(MeasurementSystem.for_network(net14, reactances=x))
         np.testing.assert_array_equal(
             result.detection_probabilities,
@@ -345,7 +447,10 @@ class TestRankKForm:
         )
         expected = subspace_angle(side.matrix, reduced_measurement_matrix(net14, x))
         assert result.spa == expected and expected > 0.01
-        assert calls == []
+        # Neither reader touched the side's rank-k factors.
+        assert "_factors" not in vars(side)
+
+
 class TestOperationalCost:
     def test_identity_perturbation_costs_nothing(self, net14):
         breakdown = mtd_operational_cost(net14, net14.reactances())

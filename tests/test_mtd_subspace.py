@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.estimation.linear_model import LinearModel, ResidualGram
+from repro.estimation.bdd import BadDataDetector
+from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import EstimationError
 from repro.grid.cases.registry import load_case
@@ -14,7 +15,7 @@ from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.effectiveness import AttackerSide
 from repro.mtd.subspace import (
     FactoredMatrix,
-    RankKChange,
+    RankKPerturbation,
     is_orthogonal_complement,
     principal_angles,
     smallest_principal_angle,
@@ -214,78 +215,55 @@ def _rank_k_pair(network, x_post):
 
 
 class TestFactorizedSide:
-    """``subspace_angle(RankKChange)`` reads the angle from ``k × k`` matrices."""
+    """``subspace_angle(RankKPerturbation)`` reads the angle from the side's
+    ``k × k`` factors, and its residual map gives the noncentralities."""
 
     @pytest.mark.parametrize(
         "case, backend",
         [("ieee14", "dense"), ("ieee30", "dense"), ("synthetic300", "sparse")],
     )
     def test_model_form_agrees_with_array_form(self, case, backend):
+        """The rank-k form against a measurement-space model of ``H′`` (on
+        the backend its bus count picks) and the array form of the angle."""
         network = load_case(case)
         rng = np.random.default_rng(17)
         x = network.reactances()
         H = reduced_measurement_matrix(network, x)
         dfacts = np.array(network.dfacts_branches)
+        biases = rng.standard_normal((12, H.shape[1]))
         for relative_change in (0.02, 0.2):
             x_post = x.copy()
             x_post[dfacts] *= 1.0 + rng.uniform(-relative_change, relative_change, dfacts.size)
             side, model = _rank_k_pair(network, x_post)
             assert model.backend == backend
-            gram = ResidualGram(model, side.change_columns, side.change_gram)
-            change = RankKChange(gram, side.angle_factor, side.susceptance_change(x_post))
+            perturbation = RankKPerturbation(side, side.susceptance_change(x_post))
             expected = subspace_angle(H, reduced_measurement_matrix(network, x_post))
-            assert abs(subspace_angle(change) - expected) <= 1e-14
-
-    def test_sparse_and_dense_residual_grams_agree(self, net30, rng):
-        """On any block, sparse or dense, with or without its own Gram."""
-        x = net30.reactances()
-        x[np.array(net30.dfacts_branches)] *= 1.3
-        H_post = reduced_measurement_matrix(net30, x)
-        weights = np.full(H_post.shape[0], 4.0)
-        dense = LinearModel(H_post, weights, backend="dense")
-        sparse = LinearModel(H_post, weights, backend="sparse")
-        side, _ = _rank_k_pair(net30, x)
-        for block in (side.change_columns, rng.standard_normal((H_post.shape[0], 7))):
-            expected = dense.residual_gram(block)
-            as_array = block if isinstance(block, np.ndarray) else block.toarray()
-            atol = 1e-12 * np.abs(expected).max()
-            for gram in (None, as_array.T @ as_array):
-                np.testing.assert_allclose(
-                    sparse.residual_gram(block, gram), expected, rtol=0.0, atol=atol
-                )
-            np.testing.assert_array_equal(dense.residual_gram(as_array), expected)
-
-    def test_non_uniform_weights_raise(self, net14):
-        H = reduced_measurement_matrix(net14)
-        weights = np.linspace(1.0, 2.0, H.shape[0])
-        model = LinearModel(H, weights)
-        side, _ = _rank_k_pair(net14, net14.reactances())
-        with pytest.raises(EstimationError, match="uniform weights"):
-            model.residual_gram(side.change_columns)
+            assert abs(subspace_angle(perturbation) - expected) <= 1e-14
+            # ‖L_c⁻¹Φg‖ is the residual norm of a = Hb, g = A_Dᵀb.
+            rank_k = (side.incidence_t @ biases.T).T @ perturbation.residual_map.T
+            measurement_space = model.attack_residuals(biases @ H.T)
+            np.testing.assert_allclose(
+                np.sum(rank_k**2, axis=1), np.sum(measurement_space**2, axis=1), rtol=1e-11
+            )
 
     def test_rank_k_change_stands_alone(self, net14):
-        side, model = _rank_k_pair(net14, net14.reactances())
-        gram = ResidualGram(model, side.change_columns)
-        change = RankKChange(gram, side.angle_factor, np.zeros(side.dfacts.size))
-        assert subspace_angle(change) == 0.0
-        assert gram.matrix is gram.matrix
+        side, _ = _rank_k_pair(net14, net14.reactances())
+        perturbation = RankKPerturbation(side, np.zeros(side.dfacts.size))
+        assert subspace_angle(perturbation) == 0.0
+        assert not np.any(perturbation.residual_map)
+        assert perturbation.residual_map is perturbation.residual_map
         with pytest.raises(TypeError):
-            subspace_angle(change, side.matrix)
+            subspace_angle(perturbation, side.matrix)
         with pytest.raises(TypeError):
             subspace_angle(side.matrix)
 
-    def test_gram_of_another_model_is_rejected(self, net14):
-        side, model = _rank_k_pair(net14, net14.reactances())
-        other = LinearModel.from_measurement_system(MeasurementSystem.for_network(net14))
-        gram = ResidualGram(other, side.change_columns, side.change_gram)
-        coordinates = np.ones((3, side.dfacts.size))
-        with pytest.raises(EstimationError, match="another model"):
-            model.attack_noncentralities(coordinates, gram=gram)
-        np.testing.assert_allclose(
-            other.attack_noncentralities(coordinates, gram=gram),
-            model.attack_noncentralities(coordinates, gram=ResidualGram(model, side.change_columns)),
-            rtol=1e-12,
-        )
+    def test_branch_differences_must_match_the_perturbation(self, net14):
+        side, _ = _rank_k_pair(net14, net14.reactances())
+        perturbation = RankKPerturbation(side, np.full(side.dfacts.size, 0.1))
+        detector = BadDataDetector(MeasurementSystem.for_network(net14))
+        for shape in ((3, side.dfacts.size + 1), (side.dfacts.size,)):
+            with pytest.raises(EstimationError, match="branch differences"):
+                detector.detection_probabilities(np.ones(shape), perturbation)
 
 
 class TestFactoredMatrix:
@@ -295,9 +273,8 @@ class TestFactoredMatrix:
         "case, backend", [("ieee14", "dense"), ("synthetic300", "sparse")]
     )
     def test_bit_identical_to_the_array_forms(self, case, backend):
-        """The kept basis gives the array form's angle bit for bit; as a
-        block of the post-perturbation model, its residual Gram gives it
-        to rounding."""
+        """The kept basis gives the array form's angle bit for bit; its
+        residuals against the post-perturbation model give it to rounding."""
         network = load_case(case)
         rng = np.random.default_rng(23)
         x = network.reactances()
@@ -312,7 +289,8 @@ class TestFactoredMatrix:
             assert subspace_angle(factored, H_post) == expected
             _, model = _rank_k_pair(network, x_post)
             assert model.backend == backend
-            sine_squared = np.linalg.eigvalsh(model.residual_gram(factored.basis))[-1]
+            residuals = model.attack_residuals(factored.basis.T)
+            sine_squared = np.linalg.eigvalsh(residuals @ residuals.T)[-1]
             assert abs(np.arcsin(np.sqrt(sine_squared)) - expected) <= 1e-12
 
     def test_rank_deficient_input_raises_on_first_use(self, rng):

@@ -6,7 +6,8 @@ only on the IEEE benchmark cases:
 * DC power flow conserves power at every bus and is linear in the injections.
 * Stealthy attacks ``a = Hc`` are invisible to the matching BDD for every
   ``c`` and undetectability is preserved under scaling.
-* Principal angles are symmetric, bounded and invariant to column scaling.
+* Principal angles are symmetric, bounded and invariant to column scaling,
+  and the rank-k angle of a D-FACTS perturbation is the array form's.
 * Attack-magnitude scaling achieves the requested ratio for every target.
 * The detection probability is monotone in the attack magnitude, and
   lies in ``[α, 1]`` nondecreasing in the noncentrality, whether a batch
@@ -24,9 +25,10 @@ from repro.attacks.fdi import stealthy_attack
 from repro.attacks.scaling import attack_measurement_ratio, scale_attack_to_measurement_ratio
 from repro.estimation.bdd import BadDataDetector, _detection_survival
 from repro.estimation.measurement import MeasurementSystem
-from repro.grid.cases import case14, synthetic_case
+from repro.grid.cases import case14, case30, synthetic_case
 from repro.grid.matrices import reduced_measurement_matrix
-from repro.mtd.subspace import principal_angles, subspace_angle
+from repro.mtd.effectiveness import AttackerSide
+from repro.mtd.subspace import RankKPerturbation, principal_angles, subspace_angle
 from repro.powerflow.dc import solve_dc_power_flow
 
 # A modest profile: each property runs a few dozen cases, which keeps the
@@ -42,6 +44,10 @@ _SYSTEM14 = MeasurementSystem.for_network(_NET14)
 _H14 = _SYSTEM14.matrix()
 _DETECTOR14 = BadDataDetector(_SYSTEM14)
 _MODEL14 = _DETECTOR14.model
+#: Attacker sides at nominal reactances (flat angles: only the factors are read).
+_SIDES = tuple(
+    AttackerSide.build(network, np.zeros(network.n_buses)) for network in (_NET14, case30())
+)
 
 
 state_bias_strategy = st.lists(
@@ -215,6 +221,25 @@ def test_subspace_angle_invariant_to_uniform_scaling(factors, scale):
     assert subspace_angle(_H14, H_perturbed) == pytest.approx(
         subspace_angle(_H14, scale * H_perturbed), abs=1e-8
     )
+
+
+@PROPERTY_SETTINGS
+@given(side=st.sampled_from(_SIDES), data=st.data())
+def test_rank_k_angle_equals_the_array_form(side, data):
+    """``arctan √λ_max(YYᵀ)`` of any D-FACTS perturbation within ±50 %, some
+    branches left alone, is ``subspace_angle(H, H′)`` to 1e-14 rad."""
+    changes = data.draw(
+        st.lists(
+            st.floats(min_value=-0.5, max_value=0.5, allow_nan=False),
+            min_size=side.dfacts.size,
+            max_size=side.dfacts.size,
+        ).map(np.array)
+    )
+    x = side.base_reactances.copy()
+    x[side.dfacts] *= 1.0 + changes
+    expected = subspace_angle(side.matrix, reduced_measurement_matrix(side.network, x))
+    perturbation = RankKPerturbation(side, side.susceptance_change(x))
+    assert abs(subspace_angle(perturbation) - expected) <= 1e-14
 
 
 @PROPERTY_SETTINGS

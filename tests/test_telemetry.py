@@ -369,11 +369,13 @@ class TestEngineIntegration:
     def test_worker_cache_counters_cross_pool_boundary(self):
         """The acceptance check: worker-side cache hits reach the parent."""
         spec = small_spec(mtd=MTDSpec(policy="none"), n_trials=4)
+        # Each worker builds its scenario context, the attacker's measurement
+        # matrix included, from the network's cached topology artifacts;
+        # forked workers must not inherit a context earlier tests left warm.
+        clear_context_caches()
         telemetry.enable()
         result = ScenarioEngine(n_workers=2).run(spec, use_cache=False)
         counters = result.telemetry["counters"]
-        # Every trial builds its detector's measurement matrix from the
-        # shared network, whose topology artifacts the worker has cached.
         assert counters.get("cache.topology.hits", 0) >= 1
 
 
