@@ -80,7 +80,7 @@ def reference_probabilities(network, evaluator, reactances):
     selects, so it prices exactly what the batched kernel does.
     """
     detector = BadDataDetector(
-        MeasurementSystem.for_network(
+        MeasurementSystem(
             network, reactances=reactances, noise_sigma=DEFAULT_NOISE_SIGMA
         ),
         false_positive_rate=DEFAULT_FALSE_POSITIVE_RATE,

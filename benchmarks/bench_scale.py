@@ -135,7 +135,7 @@ def warm_median(n_calls: int, fn, *args, **kwargs) -> tuple:
 def compare_backends(case: str, n_trials: int, n_calls: int) -> dict:
     """Time factorize + batched solve through both backends for one case."""
     network = load_case(case)
-    system = MeasurementSystem.for_network(network)
+    system = MeasurementSystem(network)
     rng = np.random.default_rng(network.n_buses)
     Z = rng.normal(0.0, system.noise_sigma, size=(n_trials, system.n_measurements))
 

@@ -35,7 +35,7 @@ ATTACK_BIASES = {
 def compute_residual_table() -> dict[str, list[float]]:
     """Noise-free attack residuals under the four single-line perturbations."""
     network = case4gs()
-    system = MeasurementSystem.for_network(network)
+    system = MeasurementSystem(network)
     attacker_matrix = system.matrix()
     table: dict[str, list[float]] = {}
     for name, bias in ATTACK_BIASES.items():

@@ -53,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Table I: BDD residuals of the two attacks under the four MTDs.
     # ------------------------------------------------------------------
-    system = MeasurementSystem.for_network(network)
+    system = MeasurementSystem(network)
     attacker_matrix = system.matrix()
     rows = []
     for name, bias in ATTACKS.items():

@@ -68,7 +68,7 @@ def knowledge_decay_study() -> None:
     # The defender has just applied a maximum-separation perturbation; the
     # attacker now starts re-learning the perturbed system from scratch.
     design = max_spa_perturbation(network, seed=0)
-    perturbed_system = MeasurementSystem.for_network(
+    perturbed_system = MeasurementSystem(
         network, reactances=design.perturbed_reactances
     )
     # A small angle jitter means the eavesdropped snapshots carry little state

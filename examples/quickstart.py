@@ -44,7 +44,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. A stealthy FDI attack against the unperturbed system.
     # ------------------------------------------------------------------
-    measurements = MeasurementSystem.for_network(network)
+    measurements = MeasurementSystem(network)
     detector = BadDataDetector(measurements)
     attacker_matrix = measurements.matrix()
 

@@ -9,6 +9,7 @@ This module builds such ensembles reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -25,22 +26,40 @@ from repro.utils.rng import as_generator
 class AttackEnsemble:
     """A collection of stealthy attacks crafted from one measurement matrix.
 
+    The ensemble keeps each attack unscaled, with the factor that scales it,
+    and forms the scaled :attr:`attacks` on their first read.  A reader of
+    the state biases alone, such as the rank-``k`` pricing of a D-FACTS
+    perturbation, never forms that ``(n_attacks, M)`` array; once formed,
+    it is held beside the unscaled one.
+
     Attributes
     ----------
-    attacks:
-        Array of shape ``(n_attacks, M)``; each row is one attack vector.
+    unscaled_attacks:
+        Array of shape ``(n_attacks, M)``; row ``i`` is ``H c₀ᵢ`` for the
+        drawn bias ``c₀ᵢ``.
+    scale_factors:
+        Array of shape ``(n_attacks,)``; the factor that brings row ``i``
+        to the target ratio.
     state_biases:
-        Array of shape ``(n_attacks, N−1)``; the corresponding ``c`` vectors.
+        Array of shape ``(n_attacks, N−1)``; the scaled ``c`` vectors.
     target_ratio:
         The ``‖a‖₁/‖z‖₁`` ratio the attacks were scaled to.
     """
 
-    attacks: np.ndarray
+    unscaled_attacks: np.ndarray
+    scale_factors: np.ndarray
     state_biases: np.ndarray
     target_ratio: float
 
+    @cached_property
+    def attacks(self) -> np.ndarray:
+        """Array of shape ``(n_attacks, M)``; each row is one attack vector
+        ``a = Hc``, formed on first read."""
+        attacks: np.ndarray = self.unscaled_attacks * self.scale_factors[:, None]
+        return attacks
+
     def __len__(self) -> int:
-        return self.attacks.shape[0]
+        return self.state_biases.shape[0]
 
     def __iter__(self):
         return iter(self.attacks)
@@ -49,7 +68,8 @@ class AttackEnsemble:
         """Return a new ensemble restricted to ``indices``."""
         idx = np.asarray(indices, dtype=int)
         return AttackEnsemble(
-            attacks=self.attacks[idx],
+            unscaled_attacks=self.unscaled_attacks[idx],
+            scale_factors=self.scale_factors[idx],
             state_biases=self.state_biases[idx],
             target_ratio=self.target_ratio,
         )
@@ -104,11 +124,11 @@ def generate_attack_ensemble(
     biases = rng.standard_normal((n_attacks, H.shape[1]))
     raw = biases @ H.T
     # Each attack and its bias get the same factor, so a = Hc still holds.
-    factors = measurement_ratio_factors(raw, z, target_ratio)[:, None]
-    attacks = raw * factors
-    biases *= factors
+    factors = measurement_ratio_factors(raw, z, target_ratio)
+    biases *= factors[:, None]
     return AttackEnsemble(
-        attacks=attacks,
+        unscaled_attacks=raw,
+        scale_factors=factors,
         state_biases=biases,
         target_ratio=float(target_ratio),
     )

@@ -167,6 +167,26 @@ def trial_seed_sequence(base_seed: int, trial_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
 
 
+#: A trial's streams, by their position among the children of its root
+#: sequence: the attack ensemble, the MTD policy, the Monte-Carlo noise and
+#: (contingency trials only) the false-alarm draws.  Each is derived from
+#: its position alone, so the contingency trials' fourth stream leaves the
+#: first three — and with them every other metric — as without it.
+_ATTACK_STREAM, _MTD_STREAM, _NOISE_STREAM, _FALSE_ALARM_STREAM = range(4)
+
+
+def _trial_stream(base_seed: int, trial_index: int, stream: int) -> np.random.Generator:
+    """The generator of one of a trial's streams.
+
+    Its seed sequence is built directly from the spawn key, like
+    :func:`trial_seed_sequence`'s, and is identical to
+    ``trial_seed_sequence(base_seed, trial_index).spawn(n)[stream]`` for
+    any ``n > stream``; a trial builds only the streams it reads.
+    """
+    sequence = np.random.SeedSequence(base_seed, spawn_key=(trial_index, stream))
+    return np.random.Generator(np.random.PCG64(sequence))
+
+
 def run_trial(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     """Run trial ``trial_index`` of ``spec`` and record its metrics.
 
@@ -210,17 +230,6 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
         from repro.timeseries.engine import run_operation_trial
 
         return run_operation_trial(spec, trial_index)
-    # Contingency trials spawn a fourth stream for the false-alarm draws;
-    # spawned streams are derived independently per index, so the first
-    # three streams — and with them every existing metric — are identical
-    # to the contingency-free layout.
-    root = trial_seed_sequence(spec.base_seed, trial_index)
-    if spec.contingency is not None:
-        attack_seq, mtd_seq, noise_seq, false_alarm_seq = root.spawn(4)
-    else:
-        attack_seq, mtd_seq, noise_seq = root.spawn(3)
-        false_alarm_seq = None
-
     network, baseline, side = _grid_context(spec.grid, spec.contingency)
     if spec.attack.seed is not None:
         evaluator = _shared_evaluator(spec.grid, spec.attack, spec.detector, spec.contingency)
@@ -229,18 +238,19 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
             side,
             spec.attack,
             spec.detector,
-            seed=np.random.Generator(np.random.PCG64(attack_seq)),
+            seed=_trial_stream(spec.base_seed, trial_index, _ATTACK_STREAM),
         )
 
     reactances, policy_spa = _apply_policy(
-        spec, network, baseline, evaluator, np.random.Generator(np.random.PCG64(mtd_seq))
+        spec, network, baseline, evaluator,
+        _trial_stream(spec.base_seed, trial_index, _MTD_STREAM),
     )
     if spec.detector.method == "monte-carlo":
         effectiveness = evaluator.evaluate(
             reactances,
             method="monte-carlo",
             n_noise_trials=spec.detector.n_noise_trials,
-            seed=np.random.Generator(np.random.PCG64(noise_seq)),
+            seed=_trial_stream(spec.base_seed, trial_index, _NOISE_STREAM),
         )
     else:
         effectiveness = evaluator.evaluate(reactances)
@@ -253,14 +263,14 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     metrics["undetectable_fraction"] = effectiveness.undetectable_fraction()
     metrics["spa"] = float(effectiveness.spa if policy_spa is None else policy_spa)
 
-    if false_alarm_seq is not None:
+    if spec.contingency is not None:
         # Post-contingency BDD health check: the empirical false-alarm
         # rate of the perturbed detector at the (post-contingency)
         # operating point, from the trial's dedicated fourth stream.
         metrics["bdd_false_alarm_rate"] = evaluator.false_alarm_rate(
             reactances,
             n_trials=spec.detector.n_noise_trials,
-            seed=np.random.Generator(np.random.PCG64(false_alarm_seq)),
+            seed=_trial_stream(spec.base_seed, trial_index, _FALSE_ALARM_STREAM),
         )
 
     if spec.mtd.include_cost:

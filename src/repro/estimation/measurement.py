@@ -34,13 +34,14 @@ from repro.utils.rng import as_generator
 DEFAULT_NOISE_SIGMA: float = 0.0015
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSystem:
     """The measurement model of a (possibly perturbed) network.
 
     Instances are cheap, immutable views binding a network to a reactance
     vector and a noise level; the MTD machinery builds one per candidate
-    perturbation.
+    perturbation.  Equality is identity, as for the network arrays it
+    reads.
 
     Parameters
     ----------
@@ -52,15 +53,16 @@ class MeasurementSystem:
         perturbed reactance vector reuses the incidence matrix instead of
         rebuilding it.
     reactances:
-        Branch reactances defining the measurement matrix.  Defaults to the
-        network's nominal reactances.
+        Branch reactances defining the measurement matrix, one per branch
+        (any array-like).  Held as a validated, read-only float copy.
+        Defaults to the network's nominal reactances.
     noise_sigma:
         Standard deviation of the Gaussian measurement noise (per unit),
         identical for every sensor as in the paper's simulations.
     """
 
     network: NetworkLike
-    reactances: tuple[float, ...] | None = None
+    reactances: np.ndarray | None = None
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self) -> None:
@@ -69,25 +71,15 @@ class MeasurementSystem:
                 f"noise_sigma must be strictly positive, got {self.noise_sigma}"
             )
         if self.reactances is not None:
-            x = np.asarray(self.reactances, dtype=float)
+            x = np.array(np.ravel(self.reactances), dtype=float)
             if x.shape[0] != self.network.n_branches:
                 raise EstimationError(
                     f"expected {self.network.n_branches} reactances, got {x.shape[0]}"
                 )
             if np.any(x <= 0):
                 raise EstimationError("all reactances must be strictly positive")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_network(
-        cls,
-        network: NetworkLike,
-        reactances: np.ndarray | None = None,
-        noise_sigma: float = DEFAULT_NOISE_SIGMA,
-    ) -> "MeasurementSystem":
-        """Build a measurement system, accepting an array reactance override."""
-        packed = None if reactances is None else tuple(float(v) for v in np.asarray(reactances).ravel())
-        return cls(network=network, reactances=packed, noise_sigma=noise_sigma)
+            x.flags.writeable = False
+            object.__setattr__(self, "reactances", x)
 
     # ------------------------------------------------------------------
     @property
@@ -101,10 +93,11 @@ class MeasurementSystem:
         return self.network.n_buses - 1
 
     def reactance_vector(self) -> np.ndarray:
-        """The reactance vector backing this measurement system."""
+        """The reactance vector backing this measurement system (read-only
+        when it overrides the network's)."""
         if self.reactances is None:
             return self.network.reactances()
-        return np.asarray(self.reactances, dtype=float)
+        return self.reactances
 
     def matrix(self) -> np.ndarray:
         """The reduced measurement matrix ``H`` (``M x (N−1)``)."""
@@ -174,7 +167,7 @@ class MeasurementSystem:
 
     def with_reactances(self, reactances: np.ndarray) -> "MeasurementSystem":
         """Return a measurement system for a perturbed reactance vector."""
-        return MeasurementSystem.for_network(
+        return MeasurementSystem(
             self.network, reactances=reactances, noise_sigma=self.noise_sigma
         )
 

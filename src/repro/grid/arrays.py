@@ -33,6 +33,7 @@ mutable copies so existing callers keep their ownership semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -421,10 +422,14 @@ class NetworkArrays:
         """Index of the slack (angle reference) bus."""
         return self.slack
 
-    @property
+    @cached_property
     def dfacts_branches(self) -> tuple[int, ...]:
-        """Indices of in-service branches equipped with D-FACTS devices."""
-        return tuple(int(i) for i in np.flatnonzero(self._active_dfacts()))
+        """Indices of in-service branches equipped with D-FACTS devices.
+
+        Computed on first read and kept: both masks it reads are frozen, and
+        every derivation builds a new view.
+        """
+        return tuple(np.flatnonzero(self._active_dfacts()).tolist())
 
     def _active_dfacts(self) -> np.ndarray:
         """Boolean mask of D-FACTS branches that are in service."""

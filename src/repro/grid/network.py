@@ -192,12 +192,12 @@ class PowerNetwork:
 
     @property
     def dfacts_branches(self) -> tuple[int, ...]:
-        """Indices of in-service D-FACTS-equipped branches (the set L_D)."""
-        return tuple(
-            branch.index
-            for branch in self.branches
-            if branch.has_dfacts and branch.in_service
-        )
+        """Indices of in-service D-FACTS-equipped branches (the set L_D).
+
+        Read from the cached :attr:`arrays` view, which computes the tuple
+        once per network.
+        """
+        return self.arrays.dfacts_branches
 
     def branch_status(self) -> np.ndarray:
         """Per-branch service status as a boolean vector (``True`` = live)."""

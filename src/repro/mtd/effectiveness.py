@@ -56,7 +56,7 @@ import scipy.sparse
 from repro.attacks.generator import AttackEnsemble, generate_attack_ensemble
 from repro.estimation.bdd import DEFAULT_FALSE_POSITIVE_RATE, BadDataDetector
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, EstimationError
 from repro.grid.matrices import _reciprocal_reactances
 from repro.grid.network import PowerNetwork
 from repro.mtd.subspace import RankKPerturbation, subspace_angle
@@ -82,6 +82,14 @@ class EffectivenessResult:
         Zero-argument callable giving :attr:`spa`.  It runs on the first
         read of :attr:`spa` only, so a caller that never reads the angle
         does not pay for it.
+
+    The threshold queries :meth:`eta` and :meth:`undetectable_fraction`
+    count from one ascending copy of the probabilities, sorted on the first
+    query: ``(n − #{P'_D < δ})/n`` divides the same exact count by ``n`` as
+    ``np.mean(P'_D >= δ)``, so the fractions are bit-identical to the
+    mean's.  A NaN would sort last and count as ``≥ δ`` where the mean
+    counts it as neither, so that first query rejects non-finite
+    probabilities.
     """
 
     detection_probabilities: np.ndarray
@@ -95,13 +103,23 @@ class EffectivenessResult:
         matrix and the evaluated post-perturbation matrix."""
         return float(self.spa_source())
 
+    @cached_property
+    def _ascending(self) -> np.ndarray:
+        """The detection probabilities in ascending order, sorted once."""
+        ascending = np.sort(self.detection_probabilities, axis=None)
+        if ascending.size and not (np.isfinite(ascending[0]) and np.isfinite(ascending[-1])):
+            raise EstimationError("detection probabilities must be finite")
+        return ascending
+
     def eta(self, delta: float) -> float:
         """The effectiveness ``η'(δ)``: fraction of attacks with ``P'_D ≥ δ``."""
         if not (0.0 <= delta <= 1.0):
             raise ConfigurationError(f"delta must be in [0, 1], got {delta}")
-        if self.detection_probabilities.size == 0:
+        ascending = self._ascending
+        if ascending.size == 0:
             return 0.0
-        return float(np.mean(self.detection_probabilities >= delta))
+        below = int(np.searchsorted(ascending, delta, side="left"))
+        return (ascending.size - below) / ascending.size
 
     def undetectable_fraction(self, margin: float = 1e-6) -> float:
         """Fraction of attacks whose detection probability stays at ``α``.
@@ -109,10 +127,11 @@ class EffectivenessResult:
         These are the attacks that remain (statistically) invisible after
         the MTD — the set ``A \\ A'(α)`` of the paper.
         """
-        threshold = self.false_positive_rate + margin
-        if self.detection_probabilities.size == 0:
+        ascending = self._ascending
+        if ascending.size == 0:
             return 0.0
-        return float(np.mean(self.detection_probabilities <= threshold))
+        threshold = self.false_positive_rate + margin
+        return int(np.searchsorted(ascending, threshold, side="right")) / ascending.size
 
     def summary(self) -> dict[str, float]:
         """Convenience summary used by reports and benchmarks."""
@@ -208,7 +227,7 @@ class AttackerSide:
                 f"expected {network.n_buses} operating angles, got {angles.shape[0]}"
             )
         base = network.reactances() if base_reactances is None else np.asarray(base_reactances, dtype=float)
-        system = MeasurementSystem.for_network(network, reactances=base)
+        system = MeasurementSystem(network, reactances=base)
         matrix = system.matrix()
         sparse = scipy.sparse.csr_matrix(matrix)
         reference = matrix @ system.reduce_angles(angles)
@@ -536,10 +555,8 @@ class EffectivenessEvaluator:
         picks the factorization backend from the bus count (see
         :func:`~repro.estimation.backends.resolve_backend`).
         """
-        post_system = MeasurementSystem.for_network(
-            self._side.network,
-            reactances=np.asarray(perturbed_reactances, dtype=float).ravel(),
-            noise_sigma=self._noise_sigma,
+        post_system = MeasurementSystem(
+            self._side.network, reactances=perturbed_reactances, noise_sigma=self._noise_sigma
         )
         return BadDataDetector(post_system, false_positive_rate=self._alpha)
 

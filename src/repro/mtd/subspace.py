@@ -219,15 +219,30 @@ class RankKPerturbation:
         """``L_c⁻¹Φ``, shape ``(r, k)``, with ``L_cL_cᵀ = I + YYᵀ``.
 
         An attack ``a = H_t b`` leaves the post-perturbation detector the
-        residual norm ``‖L_c⁻¹Φg‖`` (unweighted), ``g = A_Dᵀb``.
+        residual norm ``‖L_c⁻¹Φg‖`` (unweighted), ``g = A_Dᵀb``.  The two
+        ``r × r`` steps call LAPACK ``dpotrf`` and ``dtrtrs`` directly, the
+        routines :func:`scipy.linalg.cholesky` and
+        :func:`scipy.linalg.solve_triangular` reach, without their argument
+        checks; a failed pivot raises the same
+        :class:`numpy.linalg.LinAlgError`.  With ``r = 0`` (every D-FACTS
+        column in ``Col(H_t)``) the empty ``Φ`` is the map: LAPACK rejects
+        an empty system.
         """
         phi, gram = self._blocks
-        chol = scipy.linalg.cholesky(
-            gram + np.eye(gram.shape[0]), lower=True, overwrite_a=True, check_finite=False
+        if phi.size == 0:
+            return phi
+        chol, info = scipy.linalg.lapack.dpotrf(
+            gram + np.eye(gram.shape[0]), lower=True, overwrite_a=True
         )
-        whitened: np.ndarray = scipy.linalg.solve_triangular(
-            chol, phi, lower=True, check_finite=False
-        )
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        whitened, info = scipy.linalg.lapack.dtrtrs(chol, phi, lower=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}"
+            )
         return whitened
 
 

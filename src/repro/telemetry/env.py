@@ -3,9 +3,11 @@
 Stored campaign results are only attributable if the environment that
 produced them is on record: interpreter and library versions, the machine
 shape, and the performance-relevant configuration (the sparse-backend
-threshold).  :func:`environment_info` collects all of it as a flat,
-JSON-safe dict; the orchestrator stamps it into every ``telemetry.json``
-and store manifest, and ``repro telemetry env`` prints it.
+threshold, the BLAS builds numpy and scipy link and the thread-count
+variables those read).  :func:`environment_info` collects all of it as a
+flat, JSON-safe dict; the orchestrator stamps it into every
+``telemetry.json`` and store manifest, and ``repro telemetry env`` prints
+it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import os
 import platform
 import sys
 from typing import Any
+
+#: Environment variables that set the BLAS thread count, stamped as set
+#: (or ``None``).  They take effect only if set before numpy loads.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def environment_info() -> dict[str, Any]:
@@ -35,9 +41,19 @@ def environment_info() -> dict[str, Any]:
     for module_name in ("numpy", "scipy"):
         try:
             module = __import__(module_name)
-            info[module_name] = getattr(module, "__version__", None)
         except ImportError:  # pragma: no cover - baked into the image
-            info[module_name] = None
+            info[module_name] = info[f"{module_name}_blas"] = None
+            continue
+        info[module_name] = getattr(module, "__version__", None)
+        # numpy and scipy may each link their own BLAS build, and the
+        # thread count it runs at can move operated results.
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            info[f"{module_name}_blas"] = f"{blas['name']} {blas['version']}"
+        except Exception:  # pragma: no cover - builds without the dict config
+            info[f"{module_name}_blas"] = None
+    for variable in _BLAS_THREAD_VARIABLES:
+        info[variable] = os.environ.get(variable)
     try:
         from repro.grid.matrices import SPARSE_BUS_THRESHOLD
 

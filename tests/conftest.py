@@ -54,7 +54,7 @@ def opf14(net14):
 @pytest.fixture(scope="session")
 def measurement14(net14):
     """Measurement system of the unperturbed 14-bus grid."""
-    return MeasurementSystem.for_network(net14)
+    return MeasurementSystem(net14)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,9 @@ from repro.attacks.fdi import stealthy_attack, targeted_state_attack
 from repro.attacks.generator import generate_attack_ensemble
 from repro.attacks.impact import estimate_attack_cost_impact, falsified_loads_from_state_bias
 from repro.attacks.scaling import (
+    DEFAULT_MEASUREMENT_RATIO,
     attack_measurement_ratio,
+    measurement_ratio_factors,
     scale_attack_to_measurement_ratio,
 )
 from repro.estimation.bdd import BadDataDetector
@@ -136,6 +138,27 @@ class TestEnsemble:
         subset = ensemble.subset([0, 3, 7])
         assert len(subset) == 3
         np.testing.assert_allclose(subset.attacks[1], ensemble.attacks[3])
+
+    def test_scaled_attacks_are_formed_on_first_read(self, opf14, measurement14):
+        """The scaled attacks equal the eager ``raw * factors`` product bit
+        for bit; ``len`` and ``subset`` do not form them, ``iter`` does."""
+        H = measurement14.matrix()
+        z = measurement14.noiseless_measurements(opf14.angles_rad)
+        ensemble = generate_attack_ensemble(H, z, n_attacks=12, seed=5)
+        biases = np.random.default_rng(5).standard_normal((12, 13))
+        raw = biases @ H.T
+        factors = measurement_ratio_factors(raw, z, DEFAULT_MEASUREMENT_RATIO)[:, None]
+        eager = raw * factors
+        assert len(ensemble) == 12
+        subset = ensemble.subset([1, 4, 9])
+        assert len(subset) == 3
+        assert "attacks" not in vars(ensemble) and "attacks" not in vars(subset)
+        assert ensemble.state_biases.tobytes() == (biases * factors).tobytes()
+        assert subset.attacks.tobytes() == eager[[1, 4, 9]].tobytes()
+        assert "attacks" not in vars(ensemble)
+        assert [row.tobytes() for row in ensemble] == [row.tobytes() for row in eager]
+        assert ensemble.attacks.tobytes() == eager.tobytes()
+        assert ensemble.attacks is ensemble.attacks
 
     def test_invalid_count_rejected(self, opf14, measurement14):
         z = measurement14.noiseless_measurements(opf14.angles_rad)

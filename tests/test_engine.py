@@ -27,6 +27,7 @@ from repro.engine import (
     trial_seed_sequence,
 )
 from repro.engine.results import merge_metric
+from repro.engine.trial import _trial_stream
 from repro.estimation.backends import resolve_backend
 from repro.exceptions import ConfigurationError
 from repro.grid.cases import available_cases, load_case
@@ -152,6 +153,14 @@ class TestTrialSeeding:
         for index in (0, 2, 4):
             direct = trial_seed_sequence(42, index)
             assert direct.generate_state(4).tolist() == children[index].generate_state(4).tolist()
+            # A trial builds each stream it reads straight from its spawn
+            # key: the attack, MTD, noise and contingency false-alarm
+            # streams equal the spawned children's.
+            for stream, child in enumerate(children[index].spawn(4)):
+                expected = np.random.Generator(np.random.PCG64(child))
+                assert _trial_stream(42, index, stream).bit_generator.state == (
+                    expected.bit_generator.state
+                )
 
     def test_trial_depends_only_on_spec_and_index(self):
         spec = small_spec()

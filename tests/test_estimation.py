@@ -55,7 +55,7 @@ class TestMeasurementSystem:
 
     def test_invalid_noise_rejected(self, net14):
         with pytest.raises(EstimationError):
-            MeasurementSystem.for_network(net14, noise_sigma=0.0)
+            MeasurementSystem(net14, noise_sigma=0.0)
 
     def test_with_reactances_changes_matrix(self, net14, measurement14):
         x = net14.reactances()
@@ -116,7 +116,7 @@ class TestWLSEstimator:
 
 class TestBadDataDetector:
     def test_false_positive_rate_close_to_target(self, net14, opf14):
-        system = MeasurementSystem.for_network(net14, noise_sigma=0.002)
+        system = MeasurementSystem(net14, noise_sigma=0.002)
         detector = BadDataDetector(system, false_positive_rate=0.05)
         rate = detector.empirical_false_positive_rate(
             opf14.angles_rad, n_trials=2000, rng=7

@@ -54,7 +54,7 @@ AGREEMENT_CASES = tuple(available_cases()) + ("case30.m",)
 
 
 def _both_models(case: str) -> tuple[MeasurementSystem, LinearModel, LinearModel]:
-    system = MeasurementSystem.for_network(load_case(case))
+    system = MeasurementSystem(load_case(case))
     dense = LinearModel.from_measurement_system(system, backend="dense")
     sparse = LinearModel.from_measurement_system(system, backend="sparse")
     return system, dense, sparse
@@ -100,7 +100,7 @@ class TestAgreement:
         assert np.allclose(gs, gd, rtol=1e-7, atol=1e-7 * float(np.abs(gd).max()))
 
     def test_alarm_decisions_agree(self, net14, opf14):
-        system = MeasurementSystem.for_network(net14)
+        system = MeasurementSystem(net14)
         det_dense = BadDataDetector(system, backend="dense")
         det_sparse = BadDataDetector(system, backend="sparse")
         assert det_dense.threshold == det_sparse.threshold
@@ -129,7 +129,7 @@ class TestGainCholesky:
     @pytest.mark.parametrize("case", ("synthetic118", "synthetic300"))
     def test_factor_reproduces_the_gain(self, case):
         """The stored factor is lower triangular, read-only and ``LLᵀ = G``."""
-        system = MeasurementSystem.for_network(load_case(case))
+        system = MeasurementSystem(load_case(case))
         sqrt_w = np.sqrt(system.weights())
         backend = SparseQlessBackend(system.matrix_sparse(), sqrt_w)
         L = backend._chol
@@ -165,7 +165,7 @@ class TestGainCholesky:
 def _monte_carlo_setup(case: str, backend: str):
     """α = 0.05 detector, a one-entry attack and DC power-flow angles."""
     network = load_case(case)
-    system = MeasurementSystem.for_network(network)
+    system = MeasurementSystem(network)
     detector = BadDataDetector(system, false_positive_rate=0.05, backend=backend)
     attack = np.zeros(system.n_measurements)
     attack[0] = 0.01
@@ -270,7 +270,7 @@ class TestResolution:
     def test_model_resolves_auto_by_size(self, measurement14):
         small = LinearModel.from_measurement_system(measurement14)
         assert small.backend == "dense"
-        big = MeasurementSystem.for_network(load_case("synthetic118"))
+        big = MeasurementSystem(load_case("synthetic118"))
         assert LinearModel.from_measurement_system(big).backend == "sparse"
 
     def test_sparse_backend_is_qless(self, measurement14):
@@ -304,7 +304,7 @@ class TestCacheKeys:
         )
         x = baseline.reactances.copy()
         x[np.array(network.dfacts_branches)] *= 1.2
-        system = MeasurementSystem.for_network(network, reactances=x)
+        system = MeasurementSystem(network, reactances=x)
         dense = BadDataDetector(system, backend="dense")
         sparse = BadDataDetector(system, backend="sparse")
         assert (dense.model.backend, sparse.model.backend) == ("dense", "sparse")

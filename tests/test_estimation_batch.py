@@ -187,7 +187,7 @@ class TestBatchedDetector:
         alarm fraction is the fraction over those draws."""
         x = net14.reactances()
         x[list(net14.dfacts_branches)] *= 1.5
-        system = MeasurementSystem.for_network(net14, reactances=x)
+        system = MeasurementSystem(net14, reactances=x)
         detector = BadDataDetector(system)
         # Analytic detection probability about 0.67: some draws alarm, some not.
         attack = evaluator14.ensemble.attacks[0]
@@ -227,7 +227,7 @@ class TestBatchedDetector:
         the scalar detector (``evaluator14`` uses the default σ and α)."""
         x = net14.reactances() * 1.15
         detector = BadDataDetector(
-            MeasurementSystem.for_network(
+            MeasurementSystem(
                 net14, reactances=x, noise_sigma=DEFAULT_NOISE_SIGMA
             ),
             false_positive_rate=DEFAULT_FALSE_POSITIVE_RATE,

@@ -346,8 +346,8 @@ class TestGoldenBitIdentity:
 
     def test_measurement_system_accepts_arrays(self, case_network):
         x = _perturbed(case_network)
-        via_network = MeasurementSystem.for_network(case_network, reactances=x)
-        via_arrays = MeasurementSystem.for_network(case_network.arrays, reactances=x)
+        via_network = MeasurementSystem(case_network, reactances=x)
+        via_arrays = MeasurementSystem(case_network.arrays, reactances=x)
         assert np.array_equal(via_network.matrix(), via_arrays.matrix())
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import GridModelError
+from repro.exceptions import GridModelError, IslandingError
+from repro.grid.cases.registry import load_case
 from repro.grid.components import Branch, Bus, Generator
 from repro.grid.network import PowerNetwork
 
@@ -170,3 +171,36 @@ class TestCopyWithChanges:
     def test_with_dfacts_unknown_branch(self):
         with pytest.raises(GridModelError):
             _toy_network().with_dfacts_on([9], 0.8, 1.2)
+
+
+def _scanned_dfacts(network: PowerNetwork) -> tuple[int, ...]:
+    """The D-FACTS set by a scan over the branch objects."""
+    return tuple(b.index for b in network.branches if b.has_dfacts and b.in_service)
+
+
+class TestDfactsBranches:
+    """``dfacts_branches`` comes from the arrays view, computed once per network."""
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee30", "synthetic300"])
+    def test_equals_the_branch_scan_across_derivations(self, case):
+        network = load_case(case)
+        dfacts = network.dfacts_branches
+        assert dfacts and dfacts == _scanned_dfacts(network)
+        assert network.dfacts_branches is dfacts
+        for branch in dfacts:
+            try:
+                outaged = network.with_branch_outages([branch])
+            except IslandingError:
+                continue
+            break
+        assert branch not in outaged.dfacts_branches
+        reactances = network.reactances()
+        reactances[list(dfacts)] *= 1.05
+        for derived in (
+            outaged,
+            network.with_generator_status({0: False}),
+            network.with_reactances(reactances),
+            outaged.with_reactances(reactances),
+        ):
+            assert derived.dfacts_branches == _scanned_dfacts(derived)
+            assert all(type(index) is int for index in derived.dfacts_branches)

@@ -35,7 +35,7 @@ class TestMotivatingExample:
     def test_table_i_residual_pattern(self, net4):
         """Noise-free BDD residuals of the two attacks under the four
         single-line perturbations: each attack bypasses exactly two of them."""
-        system = MeasurementSystem.for_network(net4)
+        system = MeasurementSystem(net4)
         H = system.matrix()
         attacks = {
             "attack1": stealthy_attack(H, np.array([1.0, 1.0, 1.0])),
@@ -65,7 +65,7 @@ class TestMotivatingExample:
 
     def test_table_i_residual_magnitudes(self, net4):
         """The non-zero residuals match the paper's Table I values (≈2.8)."""
-        system = MeasurementSystem.for_network(net4)
+        system = MeasurementSystem(net4)
         H = system.matrix()
         attack = stealthy_attack(H, np.array([1.0, 1.0, 1.0]))
         perturbation = ReactancePerturbation.single_line(net4, 0, 0.2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from repro.estimation.bdd import BadDataDetector
 from repro.estimation.linear_model import LinearModel
 from repro.estimation.measurement import MeasurementSystem
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, EstimationError
 from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
+from repro.grid.network import PowerNetwork
 from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation, max_spa_perturbation
 from repro.mtd.effectiveness import (
@@ -54,6 +56,21 @@ class TestEffectivenessResult:
             spa_source=lambda: 0.0,
         )
         assert result.undetectable_fraction() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        """A NaN would sort last and count as ``≥ δ``: a threshold query
+        rejects any non-finite probability instead."""
+        result = EffectivenessResult(
+            detection_probabilities=np.array([0.2, bad, 0.9]),
+            false_positive_rate=5e-4,
+            method="analytic",
+            spa_source=lambda: 0.0,
+        )
+        with pytest.raises(EstimationError, match="finite"):
+            result.eta(0.5)
+        with pytest.raises(EstimationError, match="finite"):
+            result.undetectable_fraction()
 
     def test_summary_keys(self):
         result = EffectivenessResult(
@@ -163,6 +180,20 @@ class TestEffectivenessEvaluator:
         assert result.spa == first
         assert len(calls) == 1 and len(eigensolves) == 1
 
+    def test_analytic_dfacts_evaluation_forms_no_scaled_attacks(self, net14, opf14):
+        """The rank-k pricing reads the state biases only, so the ensemble's
+        scaled ``(B, M)`` attacks are formed by the first reader that needs
+        them: here a Monte-Carlo evaluation."""
+        evaluator = EffectivenessEvaluator(
+            net14, operating_angles_rad=opf14.angles_rad, n_attacks=10, seed=3
+        )
+        x = net14.reactances()
+        x[np.array(net14.dfacts_branches)] *= 1.1
+        assert evaluator.evaluate(x).spa > 0.0
+        assert "attacks" not in vars(evaluator.ensemble)
+        evaluator.evaluate(x, method="monte-carlo", n_noise_trials=20)
+        assert "attacks" in vars(evaluator.ensemble)
+
     def test_attacker_matrix_is_read_only(self, net14, evaluator14):
         H = evaluator14.attacker_matrix
         with pytest.raises(ValueError, match="read-only"):
@@ -233,7 +264,7 @@ class TestBasisForm:
         result = evaluator.evaluate(x)
         # The measurement-space detector resolves its backend by bus count,
         # as the evaluator's own detector would.
-        detector = BadDataDetector(MeasurementSystem.for_network(side.network, reactances=x))
+        detector = BadDataDetector(MeasurementSystem(side.network, reactances=x))
         expected = detector.detection_probabilities(evaluator.ensemble.attacks)
         assert np.max(np.abs(result.detection_probabilities - expected) / expected) <= cls.RTOL
         H_post = reduced_measurement_matrix(side.network, x)
@@ -421,6 +452,26 @@ class TestRankKForm:
         np.testing.assert_array_equal(result.detection_probabilities, result.false_positive_rate)
         assert result.spa == 0.0
 
+    def test_dfacts_inside_the_column_space_leave_every_attack_stealthy(self, net14, capfd):
+        """D-FACTS on a radial branch only: its column lies in ``Col(H)``
+        (``d = k``), so ``R_E`` has no rows, no attack leaves ``Col(H′)``
+        and the angle is zero.  No LAPACK routine is handed the empty
+        system (it would report an illegal argument)."""
+        radial = net14.branch_between(6, 7).index
+        network = PowerNetwork.from_components(
+            net14.buses,
+            (replace(b, has_dfacts=b.index == radial) for b in net14.branches),
+            net14.generators,
+        )
+        side = AttackerSide.build(network, solve_dc_opf(network).angles_rad)
+        assert side.residual_factor.shape == (0, 1)
+        x = network.reactances()
+        x[radial] *= 1.2
+        result = EffectivenessEvaluator.for_attacker_side(side, n_attacks=5, seed=0).evaluate(x)
+        np.testing.assert_array_equal(result.detection_probabilities, result.false_positive_rate)
+        assert result.spa == 0.0
+        assert capfd.readouterr().out == ""
+
     def test_non_dfacts_branch_prices_through_measurement_space(self, net14, monkeypatch):
         baseline = solve_dc_opf(net14)
         side = AttackerSide.build(net14, baseline.angles_rad, baseline.reactances)
@@ -440,7 +491,7 @@ class TestRankKForm:
         monkeypatch.setattr(LinearModel, "__init__", counting_init)
         result = evaluator.evaluate(x)
         assert len(models) == 1
-        detector = BadDataDetector(MeasurementSystem.for_network(net14, reactances=x))
+        detector = BadDataDetector(MeasurementSystem(net14, reactances=x))
         np.testing.assert_array_equal(
             result.detection_probabilities,
             detector.detection_probabilities(evaluator.ensemble.attacks),

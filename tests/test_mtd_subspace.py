@@ -209,7 +209,7 @@ def _rank_k_pair(network, x_post):
     post-perturbation model of ``x_post``."""
     side = AttackerSide.build(network, np.zeros(network.n_buses))
     model = LinearModel.from_measurement_system(
-        MeasurementSystem.for_network(network, reactances=x_post)
+        MeasurementSystem(network, reactances=x_post)
     )
     return side, model
 
@@ -260,7 +260,7 @@ class TestFactorizedSide:
     def test_branch_differences_must_match_the_perturbation(self, net14):
         side, _ = _rank_k_pair(net14, net14.reactances())
         perturbation = RankKPerturbation(side, np.full(side.dfacts.size, 0.1))
-        detector = BadDataDetector(MeasurementSystem.for_network(net14))
+        detector = BadDataDetector(MeasurementSystem(net14))
         for shape in ((3, side.dfacts.size + 1), (side.dfacts.size,)):
             with pytest.raises(EstimationError, match="branch differences"):
                 detector.detection_probabilities(np.ones(shape), perturbation)

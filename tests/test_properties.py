@@ -12,13 +12,15 @@ only on the IEEE benchmark cases:
 * The detection probability is monotone in the attack magnitude, and
   lies in ``[α, 1]`` nondecreasing in the noncentrality, whether a batch
   is priced by the central-χ² series or by ``stats.ncx2.sf``.
+* ``η′(δ)`` and the undetectable fraction, counted from one sorted copy
+  of the probabilities, are the mean of the comparison bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.fdi import stealthy_attack
@@ -27,7 +29,7 @@ from repro.estimation.bdd import BadDataDetector, _detection_survival
 from repro.estimation.measurement import MeasurementSystem
 from repro.grid.cases import case14, case30, synthetic_case
 from repro.grid.matrices import reduced_measurement_matrix
-from repro.mtd.effectiveness import AttackerSide
+from repro.mtd.effectiveness import AttackerSide, EffectivenessResult
 from repro.mtd.subspace import RankKPerturbation, principal_angles, subspace_angle
 from repro.powerflow.dc import solve_dc_power_flow
 
@@ -40,7 +42,7 @@ PROPERTY_SETTINGS = settings(
 )
 
 _NET14 = case14()
-_SYSTEM14 = MeasurementSystem.for_network(_NET14)
+_SYSTEM14 = MeasurementSystem(_NET14)
 _H14 = _SYSTEM14.matrix()
 _DETECTOR14 = BadDataDetector(_SYSTEM14)
 _MODEL14 = _DETECTOR14.model
@@ -240,6 +242,38 @@ def test_rank_k_angle_equals_the_array_form(side, data):
     expected = subspace_angle(side.matrix, reduced_measurement_matrix(side.network, x))
     perturbation = RankKPerturbation(side, side.susceptance_change(x))
     assert abs(subspace_angle(perturbation) - expected) <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(
+    probabilities=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=200),
+    deltas=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+    alpha=st.floats(min_value=1e-6, max_value=0.1),
+    margin=st.floats(min_value=0.0, max_value=1e-3),
+    ties=st.integers(min_value=0, max_value=10),
+    order=st.randoms(use_true_random=False),
+)
+@example(probabilities=[], deltas=[0.0, 0.5, 1.0], alpha=5e-4, margin=1e-6, ties=0, order=None)
+def test_threshold_fractions_equal_the_mean_of_the_comparison(
+    probabilities, deltas, alpha, margin, ties, order
+):
+    """``eta(δ)`` and ``undetectable_fraction(m)``, read from one sorted copy,
+    equal ``np.mean(p >= δ)`` and ``np.mean(p <= α + m)`` bit for bit, with
+    exact ties and their neighbouring floats at every δ and at ``α + m``,
+    and 0.0 for no attacks."""
+    threshold = alpha + margin
+    values = list(probabilities)
+    for edge in (*deltas, threshold):
+        values += [edge] * ties + [np.nextafter(edge, -1.0), np.nextafter(edge, 2.0)] * min(ties, 1)
+    if order is not None:
+        order.shuffle(values)
+    p = np.array(values, dtype=float)
+    result = EffectivenessResult(p, alpha, "analytic", spa_source=lambda: 0.0)
+    for delta in deltas:
+        expected = float(np.mean(p >= delta)) if p.size else 0.0
+        assert result.eta(delta).hex() == expected.hex()
+    expected = float(np.mean(p <= threshold)) if p.size else 0.0
+    assert result.undetectable_fraction(margin).hex() == expected.hex()
 
 
 @PROPERTY_SETTINGS

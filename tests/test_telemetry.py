@@ -311,13 +311,30 @@ class TestLogging:
 # environment stamp
 # ----------------------------------------------------------------------
 class TestEnvironment:
+    BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
     def test_environment_info_keys(self):
         info = telemetry.environment_info()
         for key in ("python", "numpy", "scipy", "cpu_count", "repro",
-                    "sparse_bus_threshold"):
+                    "sparse_bus_threshold", "numpy_blas", "scipy_blas",
+                    *self.BLAS_THREAD_VARIABLES):
             assert key in info
         assert info["repro"] is not None
+        for module in ("numpy", "scipy"):
+            # "<name> <version>" of the BLAS build each library reports.
+            assert info[f"{module}_blas"] is None or len(info[f"{module}_blas"].split()) >= 2
         json.dumps(info)  # JSON-safe
+
+    def test_blas_thread_variables_round_trip(self, monkeypatch):
+        for variable in self.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        info = telemetry.environment_info()
+        assert all(info[variable] is None for variable in self.BLAS_THREAD_VARIABLES)
+        for count, variable in enumerate(self.BLAS_THREAD_VARIABLES, start=1):
+            monkeypatch.setenv(variable, str(count))
+        info = telemetry.environment_info()
+        assert [info[v] for v in self.BLAS_THREAD_VARIABLES] == ["1", "2", "3"]
+        json.dumps(info)
 
     def test_format_environment(self):
         assert "python" in telemetry.format_environment()
