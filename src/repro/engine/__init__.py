@@ -52,7 +52,7 @@ from repro.engine.spec import (
     ScenarioSpec,
     expand_grid,
 )
-from repro.engine.trial import clear_context_caches, run_trial, trial_seed_sequence
+from repro.engine.trial import clear_context_caches, run_trial
 
 __all__ = [
     "ScenarioSpec",
@@ -68,7 +68,6 @@ __all__ = [
     "TrialResult",
     "merge_metric",
     "run_trial",
-    "trial_seed_sequence",
     "clear_context_caches",
     "available_scenarios",
     "scenario_suite",

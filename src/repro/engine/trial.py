@@ -37,7 +37,7 @@ from repro.grid.network import PowerNetwork
 from repro.mtd.cost import mtd_operational_cost
 from repro.mtd.design import design_mtd_perturbation
 from repro.mtd.effectiveness import AttackerSide, EffectivenessEvaluator
-from repro.mtd.random_mtd import RandomMTDBaseline
+from repro.mtd.random_mtd import draw_random_reactances
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import solve_reactance_opf
 from repro.opf.result import OPFResult
@@ -157,16 +157,6 @@ def clear_context_caches() -> None:
     _cached_evaluator.cache_clear()
 
 
-def trial_seed_sequence(base_seed: int, trial_index: int) -> np.random.SeedSequence:
-    """The root seed sequence of one trial.
-
-    Constructed directly with a spawn key so a worker does not have to
-    materialise the whole sibling list; identical to
-    ``SeedSequence(base_seed).spawn(n)[trial_index]``.
-    """
-    return np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
-
-
 #: A trial's streams, by their position among the children of its root
 #: sequence: the attack ensemble, the MTD policy, the Monte-Carlo noise and
 #: (contingency trials only) the false-alarm draws.  Each is derived from
@@ -178,10 +168,12 @@ _ATTACK_STREAM, _MTD_STREAM, _NOISE_STREAM, _FALSE_ALARM_STREAM = range(4)
 def _trial_stream(base_seed: int, trial_index: int, stream: int) -> np.random.Generator:
     """The generator of one of a trial's streams.
 
-    Its seed sequence is built directly from the spawn key, like
-    :func:`trial_seed_sequence`'s, and is identical to
-    ``trial_seed_sequence(base_seed, trial_index).spawn(n)[stream]`` for
-    any ``n > stream``; a trial builds only the streams it reads.
+    Its seed sequence is built directly from the spawn key
+    ``(trial_index, stream)``, so a worker materialises neither the
+    trial's siblings nor its other streams: it is identical to
+    ``SeedSequence(base_seed).spawn(m)[trial_index].spawn(n)[stream]``
+    for any ``m > trial_index`` and ``n > stream``, and a trial builds
+    only the streams it reads.
     """
     sequence = np.random.SeedSequence(base_seed, spawn_key=(trial_index, stream))
     return np.random.Generator(np.random.PCG64(sequence))
@@ -255,12 +247,11 @@ def _run_trial_body(spec: ScenarioSpec, trial_index: int) -> TrialResult:
     else:
         effectiveness = evaluator.evaluate(reactances)
 
-    metrics: dict[str, float] = {}
-    for delta in spec.deltas:
-        metrics[f"eta({delta:g})"] = effectiveness.eta(delta)
+    etas, undetectable = effectiveness.threshold_fractions(spec.deltas)
+    metrics = {f"eta({delta:g})": eta for delta, eta in zip(spec.deltas, etas)}
     probs = effectiveness.detection_probabilities
     metrics["mean_detection_probability"] = float(np.mean(probs)) if probs.size else 0.0
-    metrics["undetectable_fraction"] = effectiveness.undetectable_fraction()
+    metrics["undetectable_fraction"] = undetectable
     metrics["spa"] = float(effectiveness.spa if policy_spa is None else policy_spa)
 
     if spec.contingency is not None:
@@ -342,20 +333,16 @@ def _apply_policy(
             )
         return design.perturbed_reactances, float(design.achieved_spa)
     if mtd.policy == "random":
-        sampler = RandomMTDBaseline(
-            network,
-            evaluator,
-            max_relative_change=mtd.max_relative_change,
-            perturb_all_dfacts=mtd.perturb_all_dfacts,
+        drawn = draw_random_reactances(
+            evaluator.attacker_side, mtd.max_relative_change, mtd.perturb_all_dfacts, rng
         )
-        return sampler.draw_perturbation(seed=rng).perturbed_reactances, None
+        return drawn, None
     raise ConfigurationError(f"unknown MTD policy {mtd.policy!r}")
 
 
 __all__ = [
     "run_trial",
     "run_trial_instrumented",
-    "trial_seed_sequence",
     "network_for_grid",
     "apply_contingency",
     "clear_context_caches",

@@ -28,15 +28,16 @@ as the batch's largest noncentrality needs (see
 :meth:`BadDataDetector.detection_probabilities`).
 
 Attacks built as ``a = H_t b`` from a known matrix ``H_t`` can also be
-handed over in the *rank-k form*, when the detector's ``H`` differs from
-``H_t`` by a D-FACTS perturbation ``U diag(Δb) A_Dᵀ`` of ``k`` branches,
-given as a :class:`~repro.mtd.subspace.RankKPerturbation`.  Each attack
-then comes as its state bias's differences ``g = A_Dᵀb`` across the
-branches, and its noncentrality is ``σ⁻²‖L_c⁻¹Φg‖²`` from the
-perturbation's ``(k − d) × k`` map ``L_c⁻¹Φ``, which depends on ``H_t``'s
-factors and ``Δb`` only (see :mod:`repro.mtd.subspace`).  No attack is
-projected in measurement space and the detector's own ``H`` is neither
-assembled nor factored: its
+handed over in the *rank-k form*, priced against ``H′ = H_t + U diag(Δb)
+A_Dᵀ``, a D-FACTS perturbation of ``k`` branches given as a
+:class:`~repro.mtd.subspace.RankKPerturbation`.  Each attack then comes
+as its state bias's differences ``g = A_Dᵀb`` across the branches, and
+its noncentrality is ``σ⁻²‖L_c⁻¹Φg‖²`` from the perturbation's
+``(k − d) × k`` map ``L_c⁻¹Φ``, which depends on ``H_t``'s factors and
+``Δb`` only (see :mod:`repro.mtd.subspace`).  No attack is projected in
+measurement space and no ``H`` is assembled or factored: the route reads
+only the detector's ``α``, ``σ`` and degrees of freedom, which the
+perturbation leaves as they are, and the detector's
 :class:`~repro.estimation.linear_model.LinearModel` is built on the first
 measurement-space query.  Both forms give the same probabilities to
 rounding; the measurement-space form stays the general one (learned
@@ -242,8 +243,13 @@ class BadDataDetector:
             (see the module docstring).
         perturbation:
             Optional :class:`~repro.mtd.subspace.RankKPerturbation` that
-            turns the attacker's ``H_t`` into this detector's ``H``; its
+            turns the attacker's ``H_t`` into the perturbed ``H′``; its
             map ``L_c⁻¹Φ`` is read (and formed, if no one has yet) here.
+            Of the detector itself this route reads only ``α``, ``σ`` and
+            the degrees of freedom, and a D-FACTS change leaves the shape
+            of ``H`` (hence the degrees of freedom), ``α`` and ``σ`` as
+            they are: any detector of the network with the same ``α`` and
+            ``σ`` prices the perturbation, the attacker's own included.
 
         Returns
         -------
@@ -283,8 +289,10 @@ class BadDataDetector:
                 )
             residuals = differences @ perturbation.residual_map.T
             lams = np.einsum("ij,ij->i", residuals, residuals) / self._system.noise_sigma**2
-        probabilities = np.full(lams.shape, self._alpha)
         visible = lams > 0.0
+        if lams.size and visible.all():
+            return _detection_survival(lams, self._alpha, self._dof)
+        probabilities = np.full(lams.shape, self._alpha)
         if np.any(visible):
             probabilities[visible] = _detection_survival(lams[visible], self._alpha, self._dof)
         return probabilities

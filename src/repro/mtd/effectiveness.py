@@ -28,7 +28,10 @@ combines them into ``Φ`` and ``YYᵀ`` (see :mod:`repro.mtd.subspace`), so
 an attack ``a = Hb`` has noncentrality ``σ⁻²‖L_c⁻¹Φg‖²``, ``g = A_Dᵀb``
 its state bias's differences across the changed branches, and the angle
 is ``arctan √λ_max(YYᵀ)``.  An analytic evaluation of a D-FACTS perturbation
-therefore assembles no ``H′`` and factors nothing.  A perturbation that
+therefore assembles no ``H′``, factors nothing and builds no detector: the
+pricing reads only ``α``, ``σ`` and the degrees of freedom, which the
+change leaves as they are, so one detector per evaluator serves every
+such evaluation.  A perturbation that
 also changes a branch without D-FACTS, and every Monte-Carlo evaluation,
 prices its attacks in measurement space, through the detector's own
 factorization of ``H′``.
@@ -45,9 +48,10 @@ context and every trial's evaluator shares it
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -83,9 +87,10 @@ class EffectivenessResult:
         read of :attr:`spa` only, so a caller that never reads the angle
         does not pay for it.
 
-    The threshold queries :meth:`eta` and :meth:`undetectable_fraction`
-    count from one ascending copy of the probabilities, sorted on the first
-    query: ``(n − #{P'_D < δ})/n`` divides the same exact count by ``n`` as
+    The threshold queries (:meth:`threshold_fractions`, and :meth:`eta`
+    and :meth:`undetectable_fraction` through it) count from one ascending
+    copy of the probabilities, sorted on the first query:
+    ``(n − #{P'_D < δ})/n`` divides the same exact count by ``n`` as
     ``np.mean(P'_D >= δ)``, so the fractions are bit-identical to the
     mean's.  A NaN would sort last and count as ``≥ δ`` where the mean
     counts it as neither, so that first query rejects non-finite
@@ -111,27 +116,38 @@ class EffectivenessResult:
             raise EstimationError("detection probabilities must be finite")
         return ascending
 
+    def threshold_fractions(
+        self, deltas: Sequence[float], margin: float = 1e-6
+    ) -> tuple[list[float], float]:
+        """Every ``η'(δ)`` of ``deltas`` and the undetectable fraction, at once.
+
+        Returns ``([eta(δ) for δ in deltas], undetectable_fraction(margin))``
+        from one ``searchsorted`` over the sorted probabilities: the count
+        below each ``δ`` and the count below the float after ``α + margin``,
+        which is the count at or below ``α + margin``.
+        """
+        for delta in deltas:
+            if not (0.0 <= delta <= 1.0):
+                raise ConfigurationError(f"delta must be in [0, 1], got {delta}")
+        ascending = self._ascending
+        n = ascending.size
+        if n == 0:
+            return [0.0] * len(deltas), 0.0
+        floor = math.nextafter(self.false_positive_rate + margin, math.inf)
+        *below, at_floor = np.searchsorted(ascending, [*deltas, floor]).tolist()
+        return [(n - count) / n for count in below], at_floor / n
+
     def eta(self, delta: float) -> float:
         """The effectiveness ``η'(δ)``: fraction of attacks with ``P'_D ≥ δ``."""
-        if not (0.0 <= delta <= 1.0):
-            raise ConfigurationError(f"delta must be in [0, 1], got {delta}")
-        ascending = self._ascending
-        if ascending.size == 0:
-            return 0.0
-        below = int(np.searchsorted(ascending, delta, side="left"))
-        return (ascending.size - below) / ascending.size
+        return self.threshold_fractions((delta,))[0][0]
 
     def undetectable_fraction(self, margin: float = 1e-6) -> float:
         """Fraction of attacks whose detection probability stays at ``α``.
 
         These are the attacks that remain (statistically) invisible after
-        the MTD — the set ``A \\ A'(α)`` of the paper.
+        the MTD — the set ``A \\ A'(α)`` of the paper: ``P'_D ≤ α + margin``.
         """
-        ascending = self._ascending
-        if ascending.size == 0:
-            return 0.0
-        threshold = self.false_positive_rate + margin
-        return int(np.searchsorted(ascending, threshold, side="right")) / ascending.size
+        return self.threshold_fractions((), margin)[1]
 
     def summary(self) -> dict[str, float]:
         """Convenience summary used by reports and benchmarks."""
@@ -283,9 +299,16 @@ class AttackerSide:
         Takes the susceptances masked by branch status, so a perturbed
         reactance of a branch out of service changes nothing.  With
         ``None``, the perturbation is no rank-``k`` change along
-        :attr:`change_columns`.
+        :attr:`change_columns`.  Raises
+        :class:`~repro.exceptions.EstimationError` if ``reactances`` does
+        not hold one positive reactance per branch, as the measurement
+        system of an invalid vector would.
         """
-        change = _reciprocal_reactances(self.network.arrays, reactances) - self.base_susceptances
+        try:
+            susceptances = _reciprocal_reactances(self.network.arrays, reactances)
+        except ValueError as error:
+            raise EstimationError(str(error)) from error
+        change = susceptances - self.base_susceptances
         on_dfacts = change[self.dfacts]
         if np.count_nonzero(change) != np.count_nonzero(on_dfacts):
             return None
@@ -430,11 +453,32 @@ class EffectivenessEvaluator:
         differences: np.ndarray = (self._side.incidence_t @ self._ensemble.state_biases.T).T
         return differences
 
+    @cached_property
+    def _rank_k_detector(self) -> BadDataDetector:
+        """The one detector that prices every analytic D-FACTS evaluation.
+
+        Built on first use, over the attacker's measurement system.  The
+        rank-``k`` pricing reads only the detector's ``α``, ``σ`` and
+        degrees of freedom, and a D-FACTS change leaves all three as they
+        are (it keeps the shape of ``H``), so this detector prices every
+        perturbation of the side's D-FACTS branches.  It never builds a
+        model of ``H``.
+        """
+        system = MeasurementSystem(
+            self._side.network, reactances=self._side.base_reactances, noise_sigma=self._noise_sigma
+        )
+        return BadDataDetector(system, false_positive_rate=self._alpha)
+
     # ------------------------------------------------------------------
     @property
     def ensemble(self) -> AttackEnsemble:
         """The attack ensemble all perturbations are evaluated against."""
         return self._ensemble
+
+    @property
+    def attacker_side(self) -> AttackerSide:
+        """The attacker's side the evaluator is bound to, shared and read-only."""
+        return self._side
 
     @property
     def attacker_matrix(self) -> np.ndarray:
@@ -457,15 +501,19 @@ class EffectivenessEvaluator:
     ) -> EffectivenessResult:
         """Evaluate the detection statistics of one candidate perturbation.
 
-        Builds the post-perturbation :class:`BadDataDetector` and returns
-        its detection probabilities for the evaluator's attack ensemble,
-        together with the subspace angle ``γ(H, H')``, computed on first
-        access of :attr:`EffectivenessResult.spa`.  For a perturbation of
-        D-FACTS branches only, both come from one
+        Returns the post-perturbation detection probabilities of the
+        evaluator's attack ensemble, together with the subspace angle
+        ``γ(H, H')``, computed on first access of
+        :attr:`EffectivenessResult.spa`.  For a perturbation of D-FACTS
+        branches only, both come from one
         :class:`~repro.mtd.subspace.RankKPerturbation` (see the module
         docstring): the analytic method prices the attacks by their branch
-        differences, and reading the angle reuses what the pricing formed.
-        Neither assembles nor factors ``H′``.
+        differences, through the evaluator's one detector (a D-FACTS
+        change keeps the detector's ``α``, ``σ`` and degrees of freedom),
+        and reading the angle reuses what the pricing formed.  Neither
+        assembles nor factors ``H′``, and no detector is built per call.
+        The Monte-Carlo method, and any perturbation of a branch without
+        D-FACTS, build the post-perturbation :class:`BadDataDetector`.
 
         Parameters
         ----------
@@ -488,9 +536,13 @@ class EffectivenessEvaluator:
             raise ConfigurationError(
                 f"unknown detection method {method!r}; use 'analytic' or 'monte-carlo'"
             )
-        detector = self._build_detector(perturbed_reactances)
         change = self._side.susceptance_change(perturbed_reactances)
         perturbation = None if change is None else RankKPerturbation(self._side, change)
+        detector = (
+            self._rank_k_detector
+            if method == "analytic" and perturbation is not None
+            else self._build_detector(perturbed_reactances)
+        )
         if method == "monte-carlo":
             rng = as_generator(seed)
             angles = (
@@ -521,7 +573,7 @@ class EffectivenessEvaluator:
         """``γ(H, H′)`` of an evaluated perturbation, on the first read of its spa.
 
         From the rank-``k`` form when the perturbation changes D-FACTS
-        branches only; otherwise from ``H′``.
+        branches only; otherwise from the detector's ``H′``.
         """
         if perturbation is None:
             return subspace_angle(self._side.matrix, detector.system.matrix())

@@ -95,7 +95,13 @@ singular only at ``γ = π/2``.  :func:`subspace_angle` of a
 and the detector prices its attacks from the same ``Φ`` and ``YYᵀ``
 (:meth:`~repro.estimation.bdd.BadDataDetector.detection_probabilities`):
 one perturbation forms them once, and neither reader assembles ``H′`` or
-factors anything of size ``n``.
+factors anything of size ``n``.  They are formed in one pass of direct
+calls: LAPACK ``dgesv`` on the transposed view ``Aᵀ``, numpy's gemm for
+``Y`` and BLAS ``dsyrk`` for the lower triangle of ``YYᵀ``, the only
+triangle that LAPACK ``dpotrf`` (for ``L_c``) and
+:func:`numpy.linalg.eigvalsh` (for ``λ_max``) read.  ``r = k − d = 0`` is
+handled before any call, since BLAS reports an empty operand as an
+illegal argument without raising.
 """
 
 from __future__ import annotations
@@ -206,13 +212,28 @@ class RankKPerturbation:
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``Φ = R_E A⁻¹Δ``, shape ``(r, k)``, and ``YYᵀ``, shape ``(r, r)``."""
+        """``Φ = R_E A⁻¹Δ``, shape ``(r, k)``, and the lower triangle of
+        ``YYᵀ``, shape ``(r, r)`` (the upper one is zero), from the module
+        docstring's one pass of direct calls.  ``Y`` stays on numpy's gemm:
+        scipy's BLAS, a different OpenBLAS build, rounds ``ΦRᵀ`` differently
+        at synthetic1354's ``k = 731``.  A singular ``A`` raises
+        :class:`numpy.linalg.LinAlgError`.
+        """
         side = self.side
-        a = side.coupling * self.scales[:, None]
-        a[np.diag_indices_from(a)] += 1.0
-        phi = np.linalg.solve(a.T, side.residual_factor.T).T * self.scales
+        scales = self.scales
+        k = scales.shape[0]
+        residual_factor = side.residual_factor
+        if residual_factor.shape[0] == 0:
+            # r = 0: BLAS would report the empty operands as illegal arguments.
+            return np.zeros((0, k)), np.zeros((0, 0))
+        a = side.coupling * scales[:, None]
+        a.flat[:: k + 1] += 1.0
+        _, _, solved, info = scipy.linalg.lapack.dgesv(a.T, residual_factor.T, overwrite_a=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        phi = solved.T * scales
         y = phi @ side.angle_factor.T
-        return phi, y @ y.T
+        return phi, scipy.linalg.blas.dsyrk(1.0, y.T, trans=1, lower=1)
 
     @cached_property
     def residual_map(self) -> np.ndarray:

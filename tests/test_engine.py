@@ -24,14 +24,14 @@ from repro.engine import (
     expand_grid,
     run_trial,
     scenario_suite,
-    trial_seed_sequence,
 )
 from repro.engine.results import merge_metric
-from repro.engine.trial import _trial_stream
+from repro.engine.trial import _apply_policy, _grid_context, _shared_evaluator, _trial_stream
 from repro.estimation.backends import resolve_backend
 from repro.exceptions import ConfigurationError
 from repro.grid.cases import available_cases, load_case
 from repro.mtd.effectiveness import EffectivenessEvaluator
+from repro.mtd.perturbation import ReactancePerturbation
 from repro.mtd.random_mtd import RandomMTDBaseline
 from repro.opf import solve_dc_opf
 
@@ -147,12 +147,10 @@ class TestScenarioSpec:
 
 
 class TestTrialSeeding:
-    def test_trial_seed_sequence_matches_spawn(self):
+    def test_trial_streams_match_spawn(self):
         root = np.random.SeedSequence(42)
         children = root.spawn(5)
         for index in (0, 2, 4):
-            direct = trial_seed_sequence(42, index)
-            assert direct.generate_state(4).tolist() == children[index].generate_state(4).tolist()
             # A trial builds each stream it reads straight from its spawn
             # key: the attack, MTD, noise and contingency false-alarm
             # streams equal the spawned children's.
@@ -249,7 +247,8 @@ class TestAttackerSide:
         assert resolve_backend("auto", n_buses=network.n_buses) == backend
         baseline = solve_dc_opf(network)
         for index in range(spec.n_trials):
-            attack_seq, mtd_seq, noise_seq = trial_seed_sequence(spec.base_seed, index).spawn(3)
+            trial_seq = np.random.SeedSequence(spec.base_seed).spawn(index + 1)[index]
+            attack_seq, mtd_seq, noise_seq = trial_seq.spawn(3)
             evaluator = EffectivenessEvaluator(
                 network,
                 operating_angles_rad=baseline.angles_rad,
@@ -273,6 +272,68 @@ class TestAttackerSide:
             expected["undetectable_fraction"] = result.undetectable_fraction()
             expected["spa"] = result.spa
             assert repr(dict(run_trial(spec, index).metrics)) == repr(expected)
+
+
+class TestRandomDraw:
+    """The random policy draws through the one path the sampler uses."""
+
+    @pytest.mark.parametrize("perturb_all", [True, False])
+    def test_engine_draw_equals_the_sampler(self, perturb_all):
+        """Bit for bit, leaving the generator in the same state, and with
+        the stream consumed as before: ``integers`` and ``permutation`` for
+        a subset, then ``uniform``."""
+        spec = small_spec(
+            mtd=MTDSpec(policy="random", max_relative_change=0.2, perturb_all_dfacts=perturb_all)
+        )
+        network, baseline, _ = _grid_context(spec.grid)
+        evaluator = _shared_evaluator(spec.grid, spec.attack, spec.detector)
+        sampler = RandomMTDBaseline(
+            network, evaluator, max_relative_change=0.2, perturb_all_dfacts=perturb_all
+        )
+        dfacts = np.array(network.dfacts_branches)
+        for seed in range(6):
+            engine_rng, sampler_rng, recipe_rng = (np.random.default_rng(seed) for _ in range(3))
+            drawn, spa = _apply_policy(spec, network, baseline, evaluator, engine_rng)
+            assert spa is None
+            sampled = sampler.draw_perturbation(seed=sampler_rng).perturbed_reactances
+            assert drawn.tobytes() == sampled.tobytes()
+            assert engine_rng.bit_generator.state == sampler_rng.bit_generator.state
+            selected = dfacts
+            if not perturb_all:
+                count = int(recipe_rng.integers(1, dfacts.size + 1))
+                selected = recipe_rng.permutation(dfacts)[:count]
+            recipe = ReactancePerturbation.random(
+                network, 0.2, branch_indices=selected,
+                base_reactances=evaluator.base_reactances, seed=recipe_rng,
+            )
+            assert drawn.tobytes() == recipe.perturbed_reactances.tobytes()
+            assert engine_rng.bit_generator.state == recipe_rng.bit_generator.state
+
+    def test_trials_build_no_sampler_perturbation_or_detector(self, monkeypatch):
+        """Pinned trials share one evaluator, whose one detector prices every
+        analytic D-FACTS draw; no trial builds a sampler or a
+        ``ReactancePerturbation``."""
+        import repro.estimation.bdd as bdd_module
+
+        built = []
+        for owner, name in (
+            (bdd_module.BadDataDetector, "__init__"),
+            (RandomMTDBaseline, "__init__"),
+            (ReactancePerturbation, "__post_init__"),
+        ):
+            original = getattr(owner, name)
+
+            def counting(self, *args, _original=original, _owner=owner, **kwargs):
+                built.append(_owner.__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        clear_context_caches()
+        spec = small_spec()
+        for index in range(spec.n_trials):
+            run_trial(spec, index)
+        assert built == ["BadDataDetector"]
+        clear_context_caches()
 
 
 class TestEngineExecution:

@@ -472,6 +472,16 @@ class TestRankKForm:
         assert result.spa == 0.0
         assert capfd.readouterr().out == ""
 
+    @pytest.mark.parametrize("method", ["analytic", "monte-carlo"])
+    def test_invalid_reactances_raise_estimation_error(self, net14, evaluator14, method):
+        """Both routes reject a non-positive or misshapen reactance vector
+        with the measurement system's error, before any pricing."""
+        x = net14.reactances()
+        x[net14.dfacts_branches[0]] = -x[net14.dfacts_branches[0]]
+        for bad in (x, net14.reactances()[:-1]):
+            with pytest.raises(EstimationError):
+                evaluator14.evaluate(bad, method=method, n_noise_trials=5)
+
     def test_non_dfacts_branch_prices_through_measurement_space(self, net14, monkeypatch):
         baseline = solve_dc_opf(net14)
         side = AttackerSide.build(net14, baseline.angles_rad, baseline.reactances)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +15,7 @@ from repro.estimation.measurement import MeasurementSystem
 from repro.exceptions import EstimationError
 from repro.grid.cases.registry import load_case
 from repro.grid.matrices import reduced_measurement_matrix
+from repro.grid.network import PowerNetwork
 from repro.mtd.effectiveness import AttackerSide
 from repro.mtd.subspace import (
     FactoredMatrix,
@@ -214,9 +218,78 @@ def _rank_k_pair(network, x_post):
     return side, model
 
 
+def _chain_case(name):
+    """A side and its ``Δb`` for every branch of the rank-k chain."""
+    if name == "radial":
+        # D-FACTS on a radial branch only: its column lies in Col(H), so
+        # R_E has no rows (r = 0).
+        network = load_case("ieee14")
+        radial = network.branch_between(6, 7).index
+        network = PowerNetwork.from_components(
+            network.buses,
+            (replace(b, has_dfacts=b.index == radial) for b in network.branches),
+            network.generators,
+        )
+    else:
+        network = load_case(name.removesuffix("-zero"))
+    side = AttackerSide.build(network, np.zeros(network.n_buses))
+    x = side.base_reactances.copy()
+    if not name.endswith("-zero"):
+        x[side.dfacts] *= 1.0 + np.random.default_rng(29).uniform(-0.2, 0.2, side.dfacts.size)
+    return side, side.susceptance_change(x)
+
+
 class TestFactorizedSide:
     """``subspace_angle(RankKPerturbation)`` reads the angle from the side's
     ``k × k`` factors, and its residual map gives the noncentralities."""
+
+    @pytest.mark.parametrize(
+        "case", ["case4", "ieee14", "ieee30", "synthetic118", "ieee14-zero", "radial"]
+    )
+    def test_chain_matches_dense_references(self, case, capfd):
+        """``Φ``, the lower triangle of ``YYᵀ``, the residual map and the
+        angle against ``solve``/``@``/``eigvalsh`` references: case4's ``R``
+        is ``3 × 4``, ``Δb = 0`` gives zero blocks and the radial side has
+        ``r = 0``.  No BLAS or LAPACK routine reports an illegal argument."""
+        side, scales = _chain_case(case)
+        k, r = side.dfacts.size, side.residual_factor.shape[0]
+        assert (side.angle_factor.shape[0] < k) == (case == "case4")
+        assert (r == 0) == (case == "radial")
+        a = np.eye(k) + scales[:, None] * side.coupling
+        phi = np.linalg.solve(a.T, side.residual_factor.T).T * scales
+        y = phi @ side.angle_factor.T
+        gram = y @ y.T
+        if r:
+            residual_map = np.linalg.solve(np.linalg.cholesky(np.eye(r) + gram), phi)
+            angle = float(np.arctan(np.sqrt(np.linalg.eigvalsh(gram)[-1])))
+        else:
+            residual_map, angle = phi, 0.0
+        perturbation = RankKPerturbation(side, scales)
+        chain_phi, chain_gram = perturbation._blocks
+        assert chain_phi.shape == (r, k) and chain_gram.shape == (r, r)
+        for actual, expected in (
+            (chain_phi, phi),
+            (np.tril(chain_gram), np.tril(gram)),
+            (perturbation.residual_map, residual_map),
+        ):
+            np.testing.assert_allclose(
+                actual, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max(initial=0.0)
+            )
+        assert not np.any(np.triu(chain_gram, 1))
+        assert subspace_angle(perturbation) == pytest.approx(angle, rel=1e-14, abs=0.0)
+        if case.endswith("-zero") or case == "radial":
+            assert angle == 0.0 and not np.any(perturbation.residual_map)
+        assert capfd.readouterr() == ("", "")
+
+    def test_singular_change_raises(self):
+        """``A = I + ΔV`` singular (here exactly): LAPACK's pivot failure is
+        a :class:`numpy.linalg.LinAlgError`, as from ``np.linalg.solve``."""
+        side = SimpleNamespace(
+            coupling=np.ones((2, 2)), residual_factor=np.eye(2), angle_factor=np.eye(2)
+        )
+        perturbation = RankKPerturbation(side, np.array([-0.5, -0.5]))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            subspace_angle(perturbation)
 
     @pytest.mark.parametrize(
         "case, backend",

@@ -260,7 +260,8 @@ def test_threshold_fractions_equal_the_mean_of_the_comparison(
     """``eta(δ)`` and ``undetectable_fraction(m)``, read from one sorted copy,
     equal ``np.mean(p >= δ)`` and ``np.mean(p <= α + m)`` bit for bit, with
     exact ties and their neighbouring floats at every δ and at ``α + m``,
-    and 0.0 for no attacks."""
+    and 0.0 for no attacks; the batched ``threshold_fractions`` returns
+    the same floats in one query."""
     threshold = alpha + margin
     values = list(probabilities)
     for edge in (*deltas, threshold):
@@ -274,6 +275,9 @@ def test_threshold_fractions_equal_the_mean_of_the_comparison(
         assert result.eta(delta).hex() == expected.hex()
     expected = float(np.mean(p <= threshold)) if p.size else 0.0
     assert result.undetectable_fraction(margin).hex() == expected.hex()
+    etas, undetectable = result.threshold_fractions(deltas, margin)
+    assert [eta.hex() for eta in etas] == [result.eta(delta).hex() for delta in deltas]
+    assert undetectable.hex() == result.undetectable_fraction(margin).hex()
 
 
 @PROPERTY_SETTINGS
